@@ -350,7 +350,6 @@ def _cmd_resolvent(cfg, out):
     band = cfg.spectral.omega_band or resolved_band(report)
     omegas = suggest_sweep_omegas(report, band, n_grid=cfg.spectral.points)
     sweep = resolvent_sweep(system, omegas)
-    out.write_csv("sweep.csv", "omega,resolvent_norm", sweep)
     theta, r2_theta = growth_fit(sweep, band)
     payload = {"theta_hat": theta, "R2": {"theta": r2_theta},
                "bands": {"fit": list(band)}}
@@ -360,6 +359,9 @@ def _cmd_resolvent(cfg, out):
         payload["R2"]["branch"] = r2_branch
     except (InsufficientDataError, InvalidArgumentError) as exc:
         payload["branch_fit_skipped"] = str(exc)
+    # both fits are done before either file is written, so a failed fit
+    # leaves no half-written artifact set
+    out.write_csv("sweep.csv", "omega,resolvent_norm", sweep)
     out.write_json("fit_summary.json", payload)
     print(f"sweep of {len(omegas)} points; theta_hat={theta:.4g}")
     return 0

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from ._lsq import lsq_line
 from .errors import InvalidArgumentError, SolverError
 
 SCHEMES = ("midpoint", "newmark")
@@ -198,16 +199,6 @@ class DecayFit:
                 "n_points": int(self.n_points)}
 
 
-def _lsq_line(x, y):
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    ss_res = float(resid @ resid)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return coef[0], r2
-
-
 def decay_fit(trace, window):
     """Fit E ~ C t^(-alpha) on [t_a, t_b] with t_a >= 1.
 
@@ -231,8 +222,8 @@ def decay_fit(trace, window):
         raise InvalidArgumentError("need at least 3 samples in the window",
                                    invariant="window-samples")
     log_t, log_e = np.log(t), np.log(e)
-    slope, r2_pow = _lsq_line(log_t, log_e)
-    _, r2_exp = _lsq_line(t, log_e)
+    slope, r2_pow = lsq_line(log_t, log_e)
+    _, r2_exp = lsq_line(t, log_e)
     return DecayFit(alpha=-slope, r_squared=r2_pow,
                     exponential_regime=bool(r2_exp > r2_pow),
                     window=(t_a, t_b), n_points=int(len(t)))

@@ -228,6 +228,9 @@ class DomainSpec:
                             f"(|P-c| = {r:.12g}, radius = {e.radius:.12g})",
                             invariant="arc-endpoints")
         for i in range(p):
+            if not math.isfinite(self.corner_gains[i]):
+                raise InvalidGeometryError(f"corner {i}: gain must be finite",
+                                           invariant="gain-finite")
             if self.corner_gains[i] < 0:
                 raise InvalidGeometryError(f"corner {i}: gain must be >= 0",
                                            invariant="gain-nonnegative")

@@ -11,6 +11,7 @@ vanish to rounding for polynomial inputs on straight-edge polygons.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -166,6 +167,9 @@ class PlateMaterial:
             raise InvalidArgumentError("Poisson ratio must lie in (0, 1/2)",
                                        invariant="poisson-ratio")
         for name in ("rho", "inertia", "d1", "d2"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidArgumentError(f"{name} must be finite",
+                                           invariant=f"{name}-finite")
             if getattr(self, name) < 0.0:
                 raise InvalidArgumentError(f"{name} must be >= 0",
                                            invariant=f"{name}-nonnegative")

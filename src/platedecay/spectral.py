@@ -8,21 +8,22 @@ resolvent norm along the imaginary axis in that norm, and log-log fits of
 * the upper envelope of the resolvent sweep (growth exponent), and
 * the weakly damped eigenvalue branch (distance to the axis vs frequency),
 
-which are the one-sided quantities the decay theory constrains.  Sweep
-points are embarrassingly parallel; the worker count is capped by the
-PLATE_DECAY_THREADS environment variable.
+which are the one-sided quantities the decay theory constrains.  The
+resolvent works on the n x n pencil K - omega^2 M + i omega D: one sparse LU
+per frequency and a Lanczos solve for the largest singular value in the
+energy inner product (Wright & Trefethen, SISC 23, 2001).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh, splu
 
+from ._lsq import lsq_line
 from .errors import (InsufficientDataError, InvalidArgumentError, SolverError)
 
 _DENSE_LIMIT = 4096  # first-order dofs beyond which dense solves are refused
@@ -68,43 +69,36 @@ def first_order_matrices(system):
     return E, A
 
 
-def _threads():
-    env = os.environ.get("PLATE_DECAY_THREADS")
-    cpu = os.cpu_count() or 1
-    if env:
-        try:
-            return max(1, min(int(env), cpu))
-        except ValueError:
-            return cpu
-    return cpu
+def _not_positive_definite():
+    return SolverError(
+        "energy factorization failed: K or M not positive definite",
+        invariant="energy-pd")
 
 
 def pencil_eigenvalues(system, count="all", shift=None):
     """Eigenvalues of the first-order generator (roots of the damped pencil).
 
-    ``count = 'all'`` performs a dense QZ solve (refused above 4096
-    first-order dofs); an integer count uses sparse shift-invert iteration
-    around ``shift`` (default near the origin).
+    ``count = 'all'`` performs a dense solve (refused above 4096 first-order
+    dofs); an integer count uses sparse shift-invert iteration for the
+    ``count`` eigenvalues nearest ``shift`` (default 1e-3, near the origin).
+    A real shift keeps the pencil real; a complex one makes it complex.
     """
-    E, A = first_order_matrices(system)
-    n2 = E.shape[0]
     if count == "all":
-        if n2 > _DENSE_LIMIT:
-            raise InvalidArgumentError(
-                f"dense eigensolve refused for {n2} first-order dofs; "
-                "request a count with shift-invert instead",
-                invariant="dense-limit")
         # Solve in energy coordinates: L^{-1} A L^{-T} is similar to the
         # generator and dissipative in the Euclidean product, so the
         # balanced standard eigensolve keeps Re(lambda) <= 0 where the badly
         # scaled QZ pencil (stiffness vs mass blocks) loses that structure.
-        lam = np.linalg.eigvals(_operator(system).G)
+        lam = np.linalg.eigvals(_energy_generator(system))
     else:
-        from scipy.sparse.linalg import eigs
+        E, A = first_order_matrices(system)
         k = int(count)
-        if not 0 < k < n2 - 1:
+        if not 0 < k < E.shape[0] - 1:
             raise InvalidArgumentError("count out of range", invariant="count")
-        target = shift if shift is not None else 1e-3 + 1e-3j
+        target = 1e-3 if shift is None else shift
+        if np.iscomplexobj(target):
+            # scipy rebuilds the eigenvalues of a real pencil with a complex
+            # shift from Ritz vectors, which it does not form here
+            A, E = A.astype(complex), E.astype(complex)
         try:
             lam = eigs(A, k=k, M=E, sigma=target, which="LM",
                        return_eigenvectors=False)
@@ -121,119 +115,122 @@ def pencil_eigenvalues(system, count="all", shift=None):
     return report
 
 
-class _EnergyResolvent:
-    """Similarity-transformed generator for energy-norm resolvent evaluation.
+def _energy_generator(system):
+    """Dense G = L^{-1} A L^{-T} with E = L L': the generator in energy
+    coordinates, where the energy norm is the Euclidean one."""
+    E, A = first_order_matrices(system)
+    n2 = E.shape[0]
+    if n2 > _DENSE_LIMIT:
+        raise InvalidArgumentError(
+            f"dense eigensolve refused for {n2} first-order dofs; "
+            "request a count with shift-invert instead",
+            invariant="dense-limit")
+    try:
+        L = sla.block_diag(sla.cholesky(system.K.toarray(), lower=True),
+                           sla.cholesky(system.M.toarray(), lower=True))
+    except np.linalg.LinAlgError as exc:
+        raise _not_positive_definite() from exc
+    G = sla.solve_triangular(L, A.toarray(), lower=True)
+    return sla.solve_triangular(L, G.T, lower=True).T
 
-    With E = L L', the energy-norm resolvent norm of the generator equals
-    the 2-norm of (i omega I - Ltilde)^{-1} where Ltilde = L^{-1} A L^{-T}.
-    A complex Schur form of Ltilde turns each sweep point into triangular
-    solves (inverse iteration on the smallest singular value).
+
+def _spd_factor(matrix):
+    """Sparse LU of a symmetric matrix with diagonal pivots in a symmetric
+    ordering, so that diag(U) is the D of P A P' = L D L'; by Sylvester's
+    law the matrix is positive definite exactly when every pivot is."""
+    try:
+        lu = splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:  # exactly singular
+        raise _not_positive_definite() from exc
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(lu.U.diagonal() > 0.0)):
+        raise _not_positive_definite()
+    return lu
+
+
+class _PencilResolvent:
+    """Energy-norm resolvent R = (i omega E - A)^{-1} E on the n x n pencil.
+
+    For f = (f1, f2), z = R f is z = (u, i omega u - f1) with
+    P(omega) u = M f2 + (i omega M + D) f1, P(omega) = K - omega^2 M
+    + i omega D.  The adjoint solve reuses the factor of P (trans='H'), so
+    R^H E R costs two sparse solves, and ||R||_E^2 is the largest
+    eigenvalue of R^H E R x = lambda E x (ARPACK, with E^{-1} from the
+    factors of K and M, made once per system).
     """
 
     def __init__(self, system):
-        E, A = first_order_matrices(system)
-        n2 = E.shape[0]
-        if n2 > _DENSE_LIMIT:
-            raise InvalidArgumentError(
-                f"dense resolvent path refused for {n2} first-order dofs",
-                invariant="dense-limit")
-        n = system.K.shape[0]
+        K, M, D = (sp.csc_matrix(X) for X in (system.K, system.M, system.D))
+        n = K.shape[0]
+        self.K, self.M, self.D, self.n = K, M, D, n
+        self.E = sp.block_diag([K, M], format="csr")
+        factors = ((slice(0, n), _spd_factor(K)),
+                   (slice(n, 2 * n), _spd_factor(M)))
+
+        def solve_e(b):
+            b = np.asarray(b).reshape(-1)
+            x = np.empty(2 * n, dtype=complex)
+            for part, lu in factors:
+                y = lu.solve(np.column_stack([b[part].real, b[part].imag]))
+                x[part] = y[:, 0] + 1j * y[:, 1]
+            return x
+
+        self.E_inv = LinearOperator((2 * n, 2 * n), matvec=solve_e,
+                                    dtype=complex)
+        # a fixed start vector makes every sweep reproducible bit for bit
+        self.v0 = np.random.default_rng(0).standard_normal(2 * n)
+
+    def norm(self, omega):
+        # P(-omega) is the conjugate of P(omega), so the norm is even in
+        # omega; evaluating at |omega| makes it so bit for bit
+        w = abs(float(omega))
+        K, M, D, n = self.K, self.M, self.D, self.n
         try:
-            LK = sla.cholesky(system.K.toarray(), lower=True)
-            LM = sla.cholesky(system.M.toarray(), lower=True)
-        except np.linalg.LinAlgError as exc:
+            lu = splu(sp.csc_matrix(K - (w * w) * M + (1j * w) * D))
+        except RuntimeError:  # exactly singular: omega is an eigenfrequency
+            return np.inf
+
+        def normal_op(f):  # R^H E R f
+            f = np.asarray(f).reshape(-1)
+            f1, f2 = f[:n], f[n:]
+            u = lu.solve(M @ (f2 + 1j * w * f1) + D @ f1)
+            v = 1j * w * u - f1
+            y = lu.solve(D @ u - M @ (1j * w * u + v), trans="H")
+            return np.concatenate([K @ y, M @ (1j * w * y + u)])
+
+        op = LinearOperator((2 * n, 2 * n), matvec=normal_op, dtype=complex)
+        try:
+            lam = eigsh(op, k=1, M=self.E, Minv=self.E_inv, v0=self.v0,
+                        ncv=min(10, 2 * n), return_eigenvectors=False)
+        except ArpackError as exc:
             raise SolverError(
-                "energy factorization failed: K or M not positive definite",
-                invariant="energy-pd") from exc
-        L = np.zeros((n2, n2))
-        L[:n, :n] = LK
-        L[n:, n:] = LM
-        G = sla.solve_triangular(L, A.toarray(), lower=True)
-        G = sla.solve_triangular(L, G.T, lower=True).T
-        self.G = G
-        self.n2 = n2
-        self._schur = None
-
-    def schur(self):
-        if self._schur is None:
-            self._schur = sla.schur(self.G.astype(complex), output="complex")[0]
-        return self._schur
-
-    def norm_svd(self, omega):
-        S = 1j * omega * np.eye(self.n2) - self.G
-        svals = np.linalg.svd(S, compute_uv=False)
-        smin, smax = svals[-1], svals[0]
-        if smin <= 1e3 * np.finfo(float).eps * smax:
-            return np.inf
-        return 1.0 / smin
-
-    def norm_schur(self, omega, tol=1e-10, max_iter=200):
-        T = self.schur()
-        Adiag = 1j * omega * np.eye(self.n2) - T
-        dmin = np.min(np.abs(np.diag(Adiag)))
-        if dmin <= 1e3 * np.finfo(float).eps * np.max(np.abs(np.diag(Adiag))):
-            return np.inf
-        rng = np.random.default_rng(12345)
-        x = rng.standard_normal(self.n2) + 1j * rng.standard_normal(self.n2)
-        x /= np.linalg.norm(x)
-        prev = 0.0
-        for _ in range(max_iter):
-            y = sla.solve_triangular(Adiag.conj().T, x, lower=True)
-            z = sla.solve_triangular(Adiag, y, lower=False)
-            nz = np.linalg.norm(z)
-            est = np.sqrt(nz)  # ||z|| -> 1/sigma_min^2 at convergence
-            x = z / nz
-            if abs(est - prev) <= tol * max(est, 1.0):
-                return float(est)
-            prev = est
-        return self.norm_svd(omega)
-
-
-def _operator(system):
-    cache = getattr(system, "_energy_resolvent", None)
-    if cache is None:
-        cache = _EnergyResolvent(system)
-        system._energy_resolvent = cache
-    return cache
+                f"Lanczos solve for the resolvent norm at omega = {w:.17g} "
+                f"did not converge: {exc}",
+                invariant="sweep-converged") from exc
+        return float(np.sqrt(lam[0]))
 
 
 def resolvent_norm(system, omega):
     """Energy-norm resolvent norm ||(i omega - generator)^{-1}|| at one omega."""
-    return float(_operator(system).norm_svd(float(omega)))
+    return _PencilResolvent(system).norm(omega)
 
 
 def resolvent_sweep(system, omegas):
     """Resolvent norms at many frequencies; returns rows (omega, norm).
 
-    Uses the Schur-triangular inverse-iteration path (SVD fallback) and runs
-    points concurrently, reassembled in input order.
+    K and M are factored once; each frequency costs one sparse LU of the
+    pencil and one Lanczos solve, started from the same vector.
     """
-    op = _operator(system)
+    op = _PencilResolvent(system)
     omegas = np.asarray(omegas, dtype=float)
-    if op.n2 > 900:
-        op.schur()  # factor once before fanning out
-        fn = op.norm_schur
-    else:
-        fn = op.norm_svd
-    results = np.empty(len(omegas))
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        for i, val in enumerate(pool.map(fn, omegas)):
-            results[i] = val
-    return np.stack([omegas, results], axis=1)
+    norms = np.array([op.norm(w) for w in omegas], dtype=float)
+    return np.stack([omegas, norms], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # fits
 # ---------------------------------------------------------------------------
-
-def _lsq_line(x, y):
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), r2
-
 
 def _local_maxima(values):
     """Indices of local maxima (ties included); boundaries compare one side."""
@@ -305,11 +302,11 @@ def growth_fit(sweep, band, n_bins=24):
             xs.append(w[m][i])
             ys.append(val[m][i])
     lx, ly = np.log(np.array(xs)), np.log(np.array(ys))
-    slope0, _ = _lsq_line(lx, ly)
+    slope0, _ = lsq_line(lx, ly)
     front = _monotone_front(lx, ly, increasing=slope0 > 0)
     if len(front) >= 3:
         lx, ly = lx[front], ly[front]
-    slope, r2 = _lsq_line(lx, ly)
+    slope, r2 = lsq_line(lx, ly)
     return slope, r2
 
 
@@ -353,12 +350,12 @@ def damping_branch_fit(report, band, n_bins=24):
         raise InsufficientDataError("too few branch bins", invariant="branch-bins")
     lx = np.log(np.array(xs))
     ly = np.log(np.array(ys))
-    slope0, _ = _lsq_line(lx, ly)
+    slope0, _ = lsq_line(lx, ly)
     # lower envelope of the bin minima, in the direction of the trend
     front = _monotone_front(lx, -ly, increasing=slope0 <= 0)
     if len(front) >= 3:
         lx, ly = lx[front], ly[front]
-    slope, r2 = _lsq_line(lx, ly)
+    slope, r2 = lsq_line(lx, ly)
     return slope, r2
 
 

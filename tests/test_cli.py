@@ -1,10 +1,11 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from platedecay.cli import RunConfig, build_parser, main, run
+from platedecay.cli import RunConfig, _build_system, build_parser, main, run
 from platedecay.errors import ConfigValidationError
 
 SQUARE_CFG = {
@@ -135,6 +136,18 @@ def test_resolvent_command(tmp_path):
     assert rows[0] == "omega,resolvent_norm"
 
 
+def test_resolvent_failed_fit_writes_nothing(tmp_path, capsys):
+    data = json.loads(json.dumps(SQUARE_CFG))
+    data["spectral"].update({"omega_band": [0.01, 0.011], "points": 5})
+    cfg_path = write_cfg(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["resolvent", "--config", cfg_path, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == "band-points"
+    assert not (out / "sweep.csv").exists()
+    assert not (out / "fit_summary.json").exists()
+
+
 def test_verify_command(tmp_path):
     cfg_path = write_cfg(tmp_path, SQUARE_CFG)
     out = tmp_path / "out"
@@ -156,6 +169,10 @@ def test_deterministic_artifacts(tmp_path):
     assert main(["verify", "--config", cfg_path, "--out", str(out2)]) == 0
     assert (out1 / "verify.json").read_bytes() == \
         (out2 / "verify.json").read_bytes()
+    assert main(["resolvent", "--config", cfg_path, "--out", str(out1)]) == 0
+    assert main(["resolvent", "--config", cfg_path, "--out", str(out2)]) == 0
+    for name in ("sweep.csv", "fit_summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_validation_error_exit_code_and_json(tmp_path, capsys):
@@ -168,6 +185,31 @@ def test_validation_error_exit_code_and_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["exit_code"] == 2
     assert err["invariant"] == "clamped-corner-gain"
+
+
+@pytest.mark.parametrize("path, value, invariant", [
+    (("material", "d1"), float("nan"), "d1-finite"),
+    (("domain", "corner_gains", 2), float("inf"), "gain-finite"),
+])
+def test_nonfinite_config_number_rejected(tmp_path, capsys, path, value,
+                                          invariant):
+    data = json.loads(json.dumps(SQUARE_CFG))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path = write_cfg(tmp_path, data)  # json writes NaN / Infinity
+    out = tmp_path / "out"
+    assert main(["resolvent", "--config", cfg_path, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["exit_code"] == 2 and err["invariant"] == invariant
+
+
+def test_shipped_square_config_meshes_h_twelfth():
+    path = Path(__file__).resolve().parents[1] / "configs" / "square.json"
+    cfg = RunConfig.from_dict(json.loads(path.read_text()))
+    assert cfg.mesh.h == 1.0 / 12.0
+    assert _build_system(cfg)[2].n_free == 576
 
 
 def test_broken_json_exit_code(tmp_path, capsys):

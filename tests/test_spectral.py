@@ -2,10 +2,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from platedecay.assembly import assemble, build_dof_map
-from platedecay.errors import (InsufficientDataError, InvalidArgumentError)
+from platedecay import spectral
+from platedecay.errors import (InsufficientDataError, InvalidArgumentError,
+                               SolverError)
 from platedecay.geometry import unit_square_domain
 from platedecay.meshing import triangulate
 from platedecay.plate_forms import PlateMaterial
@@ -43,7 +47,6 @@ def test_undamped_spectrum_purely_imaginary():
     report = pencil_eigenvalues(system)
     lam = report.eigenvalues
     assert np.max(np.abs(lam.real)) < 1e-8 * np.max(np.abs(lam))
-    import scipy.linalg as sla
     w2 = sla.eigh(system.K.toarray(), system.M.toarray(),
                   eigvals_only=True)
     freqs = np.sort(lam.imag[lam.imag > 0])
@@ -62,6 +65,74 @@ def test_spectrum_conjugate_symmetric():
     lam_sorted = lam[np.lexsort((lam.real, lam.imag))]
     conj_sorted = lam.conj()[np.lexsort((lam.conj().real, lam.conj().imag))]
     assert np.allclose(lam_sorted, conj_sorted, atol=1e-7 * np.abs(lam).max())
+
+
+def test_count_eigenvalues_nearest_shift_match_dense():
+    system = build()
+    dense = pencil_eigenvalues(system).eigenvalues
+    k = 6
+    report = pencil_eigenvalues(system, count=k)
+    nearest = dense[np.argsort(np.abs(dense - 1e-3))[:k]]
+    key = lambda lam: lam[np.lexsort((lam.real, lam.imag))]
+    assert np.allclose(key(report.eigenvalues), key(nearest), rtol=1e-8,
+                       atol=0.0)
+    assert report.spectral_abscissa < 0 and report.zero_in_resolvent
+
+
+def dense_resolvent_norm(system, omega):
+    """Oracle: 1 / sigma_min(i omega I - G), G the generator in the energy
+    coordinates of the Cholesky factors of K and M."""
+    E, A = first_order_matrices(system)
+    L = sla.block_diag(sla.cholesky(system.K.toarray(), lower=True),
+                       sla.cholesky(system.M.toarray(), lower=True))
+    G = sla.solve_triangular(L, A.toarray(), lower=True)
+    G = sla.solve_triangular(L, G.T, lower=True).T
+    svals = np.linalg.svd(1j * omega * np.eye(len(G)) - G, compute_uv=False)
+    return 1.0 / svals[-1]
+
+
+def test_sparse_norm_matches_dense_svd():
+    system = build()
+    lam = pencil_eigenvalues(system).eigenvalues
+    peaks = np.sort(lam.imag[lam.imag > 1e-6])[[0, 5, 20]]
+    for omega in np.concatenate([[0.0, 3.0, 40.0, 700.0], peaks]):
+        value = resolvent_norm(system, omega)
+        assert abs(value - dense_resolvent_norm(system, omega)) <= 1e-8 * value
+
+
+def test_resolvent_refuses_indefinite_energy():
+    system = build(h=0.5)
+    w2 = sla.eigh(system.K.toarray(), system.M.toarray(), eigvals_only=True)
+    indefinite = SimpleNamespace(K=system.K - 0.5 * (w2[0] + w2[1]) * system.M,
+                                 M=system.M, D=system.D)
+    for call in (lambda: resolvent_norm(indefinite, 1.0),
+                 lambda: resolvent_sweep(indefinite, [1.0, 2.0])):
+        with pytest.raises(SolverError) as info:
+            call()
+        assert info.value.invariant == "energy-pd"
+
+
+def test_resolvent_infinite_when_factor_exactly_singular():
+    system = scalar_system(1.0, 0.0, 4.0)  # K - omega^2 M = 0 at omega = 2
+    assert resolvent_norm(system, 2.0) == np.inf
+    assert resolvent_norm(system, -2.0) == np.inf
+
+
+def test_nonconverged_lanczos_raises(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([]),
+                                  np.array([]))
+    monkeypatch.setattr(spectral, "eigsh", no_convergence)
+    with pytest.raises(SolverError) as info:
+        resolvent_sweep(build(h=0.5), [1.0])
+    assert info.value.invariant == "sweep-converged"
+
+
+def test_sweep_beyond_dense_limit():
+    system = build(h=1.0 / 24.0)
+    assert 2 * system.n_free > 4096
+    sweep = resolvent_sweep(system, [0.0, 10.0, 100.0])
+    assert np.all(np.isfinite(sweep[:, 1])) and np.all(sweep[:, 1] > 0)
 
 
 def test_resolvent_finite_at_origin():
