@@ -34,14 +34,13 @@ def _reference_nodes(p):
     """Local nodes: 3 vertices, (p-1) per edge (from first vertex), interior."""
     verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     nodes = list(verts)
-    local_edges = [(0, 1), (1, 2), (2, 0)]
-    for (a, b) in local_edges:
+    for (a, b) in [(0, 1), (1, 2), (2, 0)]:
         pa, pb = np.array(verts[a]), np.array(verts[b])
         for k in range(1, p):
             nodes.append(tuple(pa + (pb - pa) * k / p))
     if p >= 3:
         nodes.append((1.0 / 3.0, 1.0 / 3.0))
-    return np.array(nodes), local_edges
+    return np.array(nodes)
 
 
 def _monomial_exponents(p):
@@ -50,9 +49,9 @@ def _monomial_exponents(p):
 
 
 def _eval_monomials(exps, pts, dx=0, dy=0):
-    """Matrix of d^dx/dxi d^dy/deta monomials at reference points."""
+    """d^dx/dxi d^dy/deta of every monomial at points (..., 2)."""
     pts = np.asarray(pts, dtype=float)
-    out = np.zeros((len(pts), len(exps)))
+    out = np.zeros(pts.shape[:-1] + (len(exps),))
     for m, (i, j) in enumerate(exps):
         ii, jj = i - dx, j - dy
         if ii < 0 or jj < 0:
@@ -62,7 +61,7 @@ def _eval_monomials(exps, pts, dx=0, dy=0):
             coef *= i - k
         for k in range(dy):
             coef *= j - k
-        out[:, m] = coef * pts[:, 0] ** ii * pts[:, 1] ** jj
+        out[..., m] = coef * pts[..., 0] ** ii * pts[..., 1] ** jj
     return out
 
 
@@ -71,19 +70,15 @@ class _ReferenceElement:
 
     def __init__(self, p):
         self.p = p
-        self.nodes, self.local_edges = _reference_nodes(p)
+        self.nodes = _reference_nodes(p)
         self.exps = _monomial_exponents(p)
         vand = _eval_monomials(self.exps, self.nodes)
         self.coeffs = np.linalg.inv(vand)  # column a = coeffs of phi_a
         self.n_local = len(self.nodes)
 
     def eval(self, pts, dx=0, dy=0):
-        """(n_pts, n_local) array of basis derivatives at reference points."""
+        """(..., n_local) basis derivatives at reference points (..., 2)."""
         return _eval_monomials(self.exps, pts, dx, dy) @ self.coeffs
-
-    def local_edge_dofs(self, le):
-        """Local dof indices with support needed on local edge le (all dofs)."""
-        return list(range(self.n_local))
 
 
 _REFERENCE = {}
@@ -107,18 +102,23 @@ class DofMap:
     mesh-edge order (slots measured from the lower-numbered endpoint);
     interior dofs come last in triangle order.  The enumeration is a pure
     function of the mesh, so identical input gives identical numbering.
+    ``edge_dofs`` lists per mesh edge its two end vertices, then its own
+    slots; ``edge_labels`` holds the boundary label (-1 inside).
     """
 
     degree: int
     n_dofs: int
     cell_dofs: np.ndarray
     dof_coords: np.ndarray
-    constrained: np.ndarray
+    edge_dofs: np.ndarray
+    edge_labels: np.ndarray
     corner_dofs: np.ndarray
+    constrained: np.ndarray = field(init=False)
     free: np.ndarray = field(init=False)
     free_index: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self.constrained = self.chord_dofs(GAMMA0)
         self.free = np.nonzero(~self.constrained)[0]
         self.free_index = np.full(self.n_dofs, -1, dtype=int)
         self.free_index[self.free] = np.arange(len(self.free))
@@ -126,6 +126,12 @@ class DofMap:
     @property
     def n_free(self):
         return len(self.free)
+
+    def chord_dofs(self, label):
+        """Mask of the dofs whose node lies on a chord labelled ``label``."""
+        mask = np.zeros(self.n_dofs, dtype=bool)
+        mask[self.edge_dofs[self.edge_labels == label]] = True
+        return mask
 
     def interpolate(self, f):
         """Nodal interpolant: f evaluated at all dof coordinates."""
@@ -145,50 +151,36 @@ def build_dof_map(mesh, degree):
         raise InvalidArgumentError(f"unsupported element degree {degree}",
                                    invariant="degree-supported")
     p = degree
-    ref = reference_element(p)
-    edges = mesh.edge_set()
-    edge_index = {tuple(e): i for i, e in enumerate(edges.tolist())}
-    n_nodes = mesh.n_nodes
-    n_edofs = (p - 1) * len(edges)
-    n_cdofs = mesh.n_triangles if p >= 3 else 0
-    n_dofs = n_nodes + n_edofs + n_cdofs
+    table = mesh.edge_table
+    tris = mesh.triangles
+    n_nodes, n_tri, n_edges = mesh.n_nodes, mesh.n_triangles, len(table.edges)
+    n_edofs = (p - 1) * n_edges
+    n_dofs = n_nodes + n_edofs + (n_tri if p >= 3 else 0)
 
-    coords = np.zeros((n_dofs, 2))
-    coords[:n_nodes] = mesh.nodes
-    for (a, b), ei in edge_index.items():
-        pa, pb = mesh.nodes[a], mesh.nodes[b]
-        for s in range(p - 1):
-            coords[n_nodes + (p - 1) * ei + s] = pa + (pb - pa) * (s + 1) / p
+    # slot s of an edge sits at (s + 1) / p from its lower-numbered end
+    s = np.arange(p - 1)
+    slots = n_nodes + (p - 1) * np.arange(n_edges)[:, None] + s
+    pa = mesh.nodes[table.edges[:, 0]][:, None]
+    pb = mesh.nodes[table.edges[:, 1]][:, None]
+    coords = [mesh.nodes,
+              (pa + (pb - pa) * (s + 1)[:, None] / p).reshape(-1, 2)]
 
-    cell_dofs = np.zeros((mesh.n_triangles, ref.n_local), dtype=int)
-    for t, tri in enumerate(mesh.triangles):
-        dofs = list(tri)
-        for (la, lb) in ref.local_edges:
-            ga, gb = int(tri[la]), int(tri[lb])
-            key = (ga, gb) if ga < gb else (gb, ga)
-            ei = edge_index[key]
-            for k in range(1, p):
-                # local point at k/p from ga; slot measured from min(ga, gb)
-                s = (k - 1) if ga < gb else (p - 1 - k)
-                dofs.append(n_nodes + (p - 1) * ei + s)
-        if p >= 3:
-            dofs.append(n_nodes + n_edofs + t)
-            coords[n_nodes + n_edofs + t] = mesh.nodes[tri].mean(axis=0)
-        cell_dofs[t] = dofs
+    # local point k / p from the start of a local edge, in that edge's slots
+    k = np.arange(1, p)
+    forward = (tris < np.roll(tris, -1, axis=1))[:, :, None]
+    local = n_nodes + (p - 1) * table.tri_edges[:, :, None] \
+        + np.where(forward, k - 1, p - 1 - k)
+    cells = [tris, local.reshape(n_tri, -1)]
+    if p >= 3:
+        cells.append(n_nodes + n_edofs + np.arange(n_tri)[:, None])
+        coords.append(mesh.nodes[tris].mean(axis=1))
 
-    constrained = np.zeros(n_dofs, dtype=bool)
-    for (a, b), lab in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels):
-        if lab != GAMMA0:
-            continue
-        constrained[a] = constrained[b] = True
-        key = (a, b) if a < b else (b, a)
-        ei = edge_index[key]
-        constrained[n_nodes + (p - 1) * ei: n_nodes + (p - 1) * (ei + 1)] = True
-
-    corner_dofs = mesh.corner_nodes.copy()
-    return DofMap(degree=p, n_dofs=n_dofs, cell_dofs=cell_dofs,
-                  dof_coords=coords, constrained=constrained,
-                  corner_dofs=corner_dofs)
+    return DofMap(degree=p, n_dofs=n_dofs,
+                  cell_dofs=np.concatenate(cells, axis=1),
+                  dof_coords=np.concatenate(coords),
+                  edge_dofs=np.concatenate([table.edges, slots], axis=1),
+                  edge_labels=table.label,
+                  corner_dofs=mesh.corner_nodes.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +213,6 @@ class AssembledSystem:
         return self.K.shape[0]
 
 
-def _corner_incident_labels(mesh):
-    """Set of boundary labels of the chords touching each corner node."""
-    labels = [set() for _ in mesh.corner_nodes]
-    node_to_corner = {int(c): i for i, c in enumerate(mesh.corner_nodes)}
-    for (a, b), lab in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels):
-        for n in (a, b):
-            if n in node_to_corner:
-                labels[node_to_corner[n]].add(int(lab))
-    return labels
-
-
 def sigma_floor(degree):
     return 2.0 * degree * (degree + 1)
 
@@ -240,57 +221,94 @@ def default_sigma(degree):
     return 10.0 * degree * (degree + 1)
 
 
+def _cell_geometry(mesh):
+    """Affine maps x = x0 + J xi of all triangles: x0, J, J^-1 and det J."""
+    pts = mesh.nodes[mesh.triangles]
+    x0 = pts[:, 0]
+    jac = (pts[:, 1:] - x0[:, None]).transpose(0, 2, 1)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    bad = np.flatnonzero(~(det > 0))
+    if len(bad):
+        raise InvalidGeometryError(f"triangle {bad[0]} is degenerate or flipped",
+                                   invariant="triangle-orientation")
+    adj = np.stack([jac[:, 1, 1], -jac[:, 0, 1], -jac[:, 1, 0], jac[:, 0, 0]],
+                   axis=1).reshape(-1, 2, 2)
+    return x0, jac, adj / det[:, None, None], det
+
+
 def _second_deriv_rows(ref, pts, binv):
-    """Physical (xx, yy, xy) second-derivative rows of all basis functions."""
+    """Physical (xx, yy, xy) second-derivative rows of all basis functions.
+
+    ``binv`` holds one inverse Jacobian per triangle; each row array is
+    (triangles, points, n_local).
+    """
     hxx = ref.eval(pts, 2, 0)
     hxy = ref.eval(pts, 1, 1)
     hyy = ref.eval(pts, 0, 2)
-    b = binv
-    pxx = b[0, 0] ** 2 * hxx + 2 * b[0, 0] * b[1, 0] * hxy + b[1, 0] ** 2 * hyy
-    pyy = b[0, 1] ** 2 * hxx + 2 * b[0, 1] * b[1, 1] * hxy + b[1, 1] ** 2 * hyy
-    pxy = (b[0, 0] * b[0, 1] * hxx
-           + (b[0, 0] * b[1, 1] + b[1, 0] * b[0, 1]) * hxy
-           + b[1, 0] * b[1, 1] * hyy)
+    b = binv[:, :, :, None, None]
+    pxx = b[:, 0, 0] ** 2 * hxx + 2 * b[:, 0, 0] * b[:, 1, 0] * hxy \
+        + b[:, 1, 0] ** 2 * hyy
+    pyy = b[:, 0, 1] ** 2 * hxx + 2 * b[:, 0, 1] * b[:, 1, 1] * hxy \
+        + b[:, 1, 1] ** 2 * hyy
+    pxy = (b[:, 0, 0] * b[:, 0, 1] * hxx
+           + (b[:, 0, 0] * b[:, 1, 1] + b[:, 1, 0] * b[:, 0, 1]) * hxy
+           + b[:, 1, 0] * b[:, 1, 1] * hyy)
     return pxx, pyy, pxy
 
 
-def _gradient_rows(ref, pts, binv):
+def _normal_rows(ref, pts, binv, n):
+    """Rows of the derivative along n (one unit vector per triangle)."""
     gx_ref = ref.eval(pts, 1, 0)
     gy_ref = ref.eval(pts, 0, 1)
-    gx = binv[0, 0] * gx_ref + binv[1, 0] * gy_ref
-    gy = binv[0, 1] * gx_ref + binv[1, 1] * gy_ref
-    return gx, gy
+    b = binv[:, :, :, None, None]
+    gx = b[:, 0, 0] * gx_ref + b[:, 1, 0] * gy_ref
+    gy = b[:, 0, 1] * gx_ref + b[:, 1, 1] * gy_ref
+    return n[:, 0, None, None] * gx + n[:, 1, None, None] * gy
 
 
 def _bending_rows(pxx, pyy, pxy, mu, n):
     """Co-normal bending moment rows: Lap + (1-mu)(2 n1 n2 pxy - n1^2 pyy - n2^2 pxx)."""
-    return (pxx + pyy + (1.0 - mu) * (2.0 * n[0] * n[1] * pxy
-                                      - n[0] ** 2 * pyy - n[1] ** 2 * pxx))
+    n1, n2 = n[:, 0, None, None], n[:, 1, None, None]
+    return (pxx + pyy + (1.0 - mu) * (2.0 * n1 * n2 * pxy
+                                      - n1 ** 2 * pyy - n2 ** 2 * pxx))
+
+
+def _edge_points(mesh, edges, seg_t):
+    """Points (edges, len(seg_t), 2) on sorted-pair edges, and edge lengths."""
+    xa, xb = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
+    d = xb - xa
+    phys = xa[:, None, :] + seg_t[:, None] * d[:, None, :]
+    return phys, np.hypot(d[:, 0], d[:, 1])
+
+
+def _edge_traces(ref, geometry, t, phys, n, mu):
+    """Value, n-derivative and bending rows of triangles t at points phys."""
+    x0, _, binv, _ = geometry
+    b = binv[t]
+    refpts = (phys - x0[t][:, None, :]) @ b.transpose(0, 2, 1)
+    pxx, pyy, pxy = _second_deriv_rows(ref, refpts, b)
+    return (ref.eval(refpts), _normal_rows(ref, refpts, b, n),
+            _bending_rows(pxx, pyy, pxy, mu, n))
+
+
+def _T(a):
+    """Transpose of the last two axes (of every block in a batch)."""
+    return a.swapaxes(-1, -2)
 
 
 def _sym(block):
     """Exact symmetrization; the forms are symmetric, rounding is not."""
-    return 0.5 * (block + block.T)
+    return 0.5 * (block + _T(block))
 
 
-class _Scatter:
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, dofs_r, dofs_c, block):
-        r = np.repeat(dofs_r, len(dofs_c))
-        c = np.tile(dofs_c, len(dofs_r))
-        self.rows.append(r)
-        self.cols.append(c)
-        self.vals.append(np.asarray(block, dtype=float).ravel())
-
-    def matrix(self, n):
-        if not self.rows:
-            return sp.csr_matrix((n, n))
-        return sp.coo_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=(n, n)).tocsr()
+def _csr(n, blocks):
+    """n x n CSR sum of (dofs (b, m), values (b, m, m)) block batches."""
+    rows = [np.broadcast_to(d[:, :, None], v.shape).ravel() for d, v in blocks]
+    cols = [np.broadcast_to(d[:, None, :], v.shape).ravel() for d, v in blocks]
+    vals = [v.ravel() for _, v in blocks]
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
 
 
 def assemble(mesh, dofs, material, gains=None, j_variant=2, sigma=None):
@@ -301,6 +319,10 @@ def assemble(mesh, dofs, material, gains=None, j_variant=2, sigma=None):
     guaranteed.  With j_variant = 1 the corner gains do not enter at all;
     with j_variant = 2 they add diagonal damping at corner vertex dofs, and a
     positive gain at a corner touching the clamped closure is rejected.
+
+    Every element and edge term is formed in one batch: element blocks over
+    all triangles, then the interior, clamped and damped edge groups of the
+    mesh's edge table.
     """
     p = dofs.degree
     if j_variant not in (1, 2):
@@ -326,134 +348,67 @@ def assemble(mesh, dofs, material, gains=None, j_variant=2, sigma=None):
     ref = reference_element(p)
     tri_pts, tri_w = triangle_rule(2 * p)
     seg_t, seg_w = gauss_01(p + 2)
-
-    sc_K = _Scatter()
-    sc_M = _Scatter()
-    sc_Gt = _Scatter()   # gamma1 trace mass
-    sc_Gn = _Scatter()   # gamma1 normal-derivative trace mass
-
-    n_basis = ref.eval(tri_pts)
+    geometry = _cell_geometry(mesh)
+    _, _, binv, det = geometry
+    table = mesh.edge_table
+    cd = dofs.cell_dofs
 
     # element terms: plate energy density and interior mass
-    cell_geoms = []
-    for t in range(mesh.n_triangles):
-        tri = mesh.triangles[t]
-        pts = mesh.nodes[tri]
-        jac = np.array([[pts[1, 0] - pts[0, 0], pts[2, 0] - pts[0, 0]],
-                        [pts[1, 1] - pts[0, 1], pts[2, 1] - pts[0, 1]]])
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if det <= 0:
-            raise InvalidGeometryError(f"triangle {t} is degenerate or flipped",
-                                       invariant="triangle-orientation")
-        binv = np.array([[jac[1, 1], -jac[0, 1]],
-                         [-jac[1, 0], jac[0, 0]]]) / det
-        cell_geoms.append((pts[0], binv, det))
-        w = tri_w * det  # reference weights sum to 1/2: |T| = det/2
-        pxx, pyy, pxy = _second_deriv_rows(ref, tri_pts, binv)
-        kel = _sym((pxx * w[:, None]).T @ pxx + (pyy * w[:, None]).T @ pyy
-                   + mu * ((pxx * w[:, None]).T @ pyy + (pyy * w[:, None]).T @ pxx)
-                   + 2.0 * (1.0 - mu) * (pxy * w[:, None]).T @ pxy)
-        mel = _sym((n_basis * w[:, None]).T @ n_basis)
-        cd = dofs.cell_dofs[t]
-        sc_K.add(cd, cd, kel)
-        sc_M.add(cd, cd, mel)
+    w = (tri_w * det[:, None])[..., None]  # weights sum to 1/2: |T| = det/2
+    pxx, pyy, pxy = _second_deriv_rows(ref, tri_pts, binv)
+    kel = _sym(_T(pxx * w) @ pxx + _T(pyy * w) @ pyy
+               + mu * (_T(pxx * w) @ pyy + _T(pyy * w) @ pxx)
+               + 2.0 * (1.0 - mu) * _T(pxy * w) @ pxy)
+    n_basis = ref.eval(tri_pts)
+    mel = _sym(_T(n_basis * w) @ n_basis)
 
-    # edge adjacency
-    edge_tris = {}
-    for t in range(mesh.n_triangles):
-        tri = mesh.triangles[t]
-        for le, (la, lb) in enumerate(ref.local_edges):
-            a, b = int(tri[la]), int(tri[lb])
-            key = (a, b) if a < b else (b, a)
-            edge_tris.setdefault(key, []).append((t, la, lb))
-    boundary_info = {}
-    for j, (a, b) in enumerate(mesh.boundary_edges.tolist()):
-        key = (a, b) if a < b else (b, a)
-        boundary_info[key] = int(mesh.boundary_labels[j])
+    # edge terms, with the outward normal of each edge's first owner
+    t1, le1 = table.owner[:, 0], table.owner_edge[:, 0]
+    tang = (mesh.nodes[mesh.triangles[t1, (le1 + 1) % 3]]
+            - mesh.nodes[mesh.triangles[t1, le1]])
+    tang = tang / np.hypot(tang[:, 0], tang[:, 1])[:, None]
+    n = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+    phys, length = _edge_points(mesh, table.edges, seg_t)
+    w = (seg_w * length[:, None])[..., None]
+    pen = (sigma / length)[:, None, None]
+    val, dn, bend = _edge_traces(ref, geometry, t1, phys, n, mu)
 
-    def edge_traces(t, la, lb, xa, xb):
-        """Normal-derivative and bending rows of triangle t on segment xa-xb."""
-        x0, binv, _ = cell_geoms[t]
-        phys = xa[None, :] + seg_t[:, None] * (xb - xa)[None, :]
-        refpts = (phys - x0[None, :]) @ binv.T
-        gx, gy = _gradient_rows(ref, refpts, binv)
-        pxx, pyy, pxy = _second_deriv_rows(ref, refpts, binv)
-        nvals = ref.eval(refpts)
-        return gx, gy, pxx, pyy, pxy, nvals
+    inner = np.flatnonzero(table.owner[:, 1] >= 0)
+    t2 = table.owner[inner, 1]
+    _, dn2, bend2 = _edge_traces(ref, geometry, t2, phys[inner], n[inner], mu)
+    jump = np.concatenate([dn[inner], -dn2], axis=2)
+    avg = 0.5 * np.concatenate([bend[inner], bend2], axis=2)
+    wi = w[inner]
+    k_inner = _sym(pen[inner] * _T(jump * wi) @ jump
+                   - _T(avg * wi) @ jump - _T(jump * wi) @ avg)
 
-    for key in sorted(edge_tris):
-        owners = edge_tris[key]
-        a, b = key
-        xa, xb = mesh.nodes[a], mesh.nodes[b]
-        length = float(np.hypot(*(xb - xa)))
-        w = seg_w * length
+    c = np.flatnonzero(table.label == GAMMA0)
+    k_clamped = _sym(pen[c] * _T(dn[c] * w[c]) @ dn[c]
+                     - _T(bend[c] * w[c]) @ dn[c] - _T(dn[c] * w[c]) @ bend[c])
 
-        if len(owners) == 2:
-            (t1, la1, lb1), (t2, la2, lb2) = owners
-            tri1 = mesh.triangles[t1]
-            # outward normal of t1 across this edge, in t1's CCW traversal
-            p_la, p_lb = mesh.nodes[tri1[la1]], mesh.nodes[tri1[lb1]]
-            tang = (p_lb - p_la) / np.hypot(*(p_lb - p_la))
-            n = np.array([tang[1], -tang[0]])
-            gx1, gy1, pxx1, pyy1, pxy1, _ = edge_traces(t1, la1, lb1, xa, xb)
-            gx2, gy2, pxx2, pyy2, pxy2, _ = edge_traces(t2, la2, lb2, xa, xb)
-            dn1 = n[0] * gx1 + n[1] * gy1
-            dn2 = n[0] * gx2 + n[1] * gy2
-            b1 = _bending_rows(pxx1, pyy1, pxy1, mu, n)
-            b2 = _bending_rows(pxx2, pyy2, pxy2, mu, n)
-            jump = np.concatenate([dn1, -dn2], axis=1)
-            avg = 0.5 * np.concatenate([b1, b2], axis=1)
-            union = np.concatenate([dofs.cell_dofs[t1], dofs.cell_dofs[t2]])
-            block = _sym((sigma / length) * (jump * w[:, None]).T @ jump
-                         - (avg * w[:, None]).T @ jump
-                         - (jump * w[:, None]).T @ avg)
-            sc_K.add(union, union, block)
-        else:
-            (t1, la1, lb1) = owners[0]
-            label = boundary_info.get(key)
-            if label is None:
-                raise InvalidGeometryError(
-                    f"triangulation boundary edge {key} missing from boundary list",
-                    invariant="boundary-consistency")
-            tri1 = mesh.triangles[t1]
-            p_la, p_lb = mesh.nodes[tri1[la1]], mesh.nodes[tri1[lb1]]
-            tang = (p_lb - p_la) / np.hypot(*(p_lb - p_la))
-            n = np.array([tang[1], -tang[0]])
-            gx1, gy1, pxx1, pyy1, pxy1, nvals = edge_traces(t1, la1, lb1, xa, xb)
-            dn = n[0] * gx1 + n[1] * gy1
-            cd = dofs.cell_dofs[t1]
-            if label == GAMMA0:
-                b1 = _bending_rows(pxx1, pyy1, pxy1, mu, n)
-                block = _sym((sigma / length) * (dn * w[:, None]).T @ dn
-                             - (b1 * w[:, None]).T @ dn
-                             - (dn * w[:, None]).T @ b1)
-                sc_K.add(cd, cd, block)
-            else:
-                sc_Gt.add(cd, cd, _sym((nvals * w[:, None]).T @ nvals))
-                sc_Gn.add(cd, cd, _sym((dn * w[:, None]).T @ dn))
+    g = np.flatnonzero(table.label == GAMMA1)
+    g_trace = _sym(_T(val[g] * w[g]) @ val[g])
+    g_normal = _sym(_T(dn[g] * w[g]) @ dn[g])
 
-    n = dofs.n_dofs
-    K_full = sc_K.matrix(n)
-    M_int = sc_M.matrix(n)
-    G_t = sc_Gt.matrix(n)
-    G_n = sc_Gn.matrix(n)
+    nd = dofs.n_dofs
+    union = np.concatenate([cd[t1[inner]], cd[t2]], axis=1)
+    K_full = _csr(nd, [(cd, kel), (union, k_inner), (cd[t1[c]], k_clamped)])
+    M_int = _csr(nd, [(cd, mel)])
+    G_t = _csr(nd, [(cd[t1[g]], g_trace)])
+    G_n = _csr(nd, [(cd[t1[g]], g_normal)])
 
     # corner feedback gains
-    corner_rows, corner_vals = [], []
-    incident = _corner_incident_labels(mesh)
-    for i, c in enumerate(mesh.corner_nodes.tolist()):
-        if gains[i] == 0.0:
-            continue
-        if j_variant == 2 and GAMMA0 in incident[i]:
-            raise InvalidArgumentError(
-                f"corner {i} touches the clamped closure; positive feedback "
-                "gain is not admissible there",
-                invariant="clamped-corner-gain")
-        if j_variant == 2:
-            corner_rows.append(c)
-            corner_vals.append(gains[i])
-    D_corner = sp.csr_matrix((corner_vals, (corner_rows, corner_rows)),
-                             shape=(n, n))
+    corners = mesh.corner_nodes
+    fed = (gains != 0.0) & (j_variant == 2)
+    clamped_nodes = mesh.boundary_edges[mesh.boundary_labels == GAMMA0]
+    bad = np.flatnonzero(fed & np.isin(corners, clamped_nodes))
+    if len(bad):
+        raise InvalidArgumentError(
+            f"corner {bad[0]} touches the clamped closure; positive "
+            "feedback gain is not admissible there",
+            invariant="clamped-corner-gain")
+    D_corner = sp.csr_matrix((gains[fed], (corners[fed], corners[fed])),
+                             shape=(nd, nd))
 
     fi = dofs.free
 
@@ -465,16 +420,10 @@ def assemble(mesh, dofs, material, gains=None, j_variant=2, sigma=None):
     Mi, Gt, Gn = restrict(M_int), restrict(G_t), restrict(G_n)
     Dc = restrict(D_corner)
     M = (Mi + material.rho * Gt + material.inertia * Gn).tocsr()
-    if j_variant == 1:
-        D = (material.d1 * Gn + material.d2 * Gt).tocsr()
-        damping_parts = {"d1": (material.d1 * Gn).tocsr(),
-                         "d2": (material.d2 * Gt).tocsr(),
-                         "corner": sp.csr_matrix(Kf.shape)}
-    else:
-        D = (material.d1 * Gn + material.d2 * Gt + Dc).tocsr()
-        damping_parts = {"d1": (material.d1 * Gn).tocsr(),
-                         "d2": (material.d2 * Gt).tocsr(),
-                         "corner": Dc}
+    D = (material.d1 * Gn + material.d2 * Gt + Dc).tocsr()
+    damping_parts = {"d1": (material.d1 * Gn).tocsr(),
+                     "d2": (material.d2 * Gt).tocsr(),
+                     "corner": Dc}
     return AssembledSystem(
         K=Kf, M=M, D=D, j_variant=j_variant, penalty_sigma=float(sigma),
         material=material, gains=gains,
@@ -505,63 +454,42 @@ def assemble_load(mesh, dofs, domain, material, u_exact):
         raise InvalidArgumentError("manufactured loads need straight edges",
                                    invariant="straight-edges")
     p = dofs.degree
+    mu = material.mu
     ref = reference_element(p)
+    geometry = _cell_geometry(mesh)
+    x0, jac, _, det = geometry
     f_field = u_exact.biharmonic()
-    deg_vol = max(f_field.degree, 0) + p
-    tri_pts, tri_w = triangle_rule(deg_vol)
-    n_basis = ref.eval(tri_pts)
-    F = np.zeros(dofs.n_dofs)
+    tri_pts, tri_w = triangle_rule(max(f_field.degree, 0) + p)
+    fw = f_field(x0[:, None, :] + tri_pts @ _T(jac)) * tri_w * det[:, None]
+    at = [dofs.cell_dofs]
+    work = [fw @ ref.eval(tri_pts)]
 
-    for t in range(mesh.n_triangles):
-        tri = mesh.triangles[t]
-        pts = mesh.nodes[tri]
-        jac = np.array([[pts[1, 0] - pts[0, 0], pts[2, 0] - pts[0, 0]],
-                        [pts[1, 1] - pts[0, 1], pts[2, 1] - pts[0, 1]]])
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        phys = pts[0][None, :] + tri_pts @ jac.T
-        fw = f_field(phys) * tri_w * det
-        F[dofs.cell_dofs[t]] += n_basis.T @ fw
-
+    table = mesh.edge_table
+    g = np.flatnonzero(table.label == GAMMA1)
+    src = mesh.boundary_source[table.chord[g]]
+    if np.any(src < 0):
+        raise InvalidArgumentError(
+            "boundary chords must reference domain edges for loads",
+            invariant="boundary-source")
+    normals = np.array([domain.segment_normal(i)
+                        for i in range(domain.n_corners)])
+    nu = normals[src]
     seg_t, seg_w = gauss_01(max(1, (u_exact.degree + p + 2) // 2))
-    edge_tris = {}
-    for t in range(mesh.n_triangles):
-        tri = mesh.triangles[t]
-        for le, (la, lb) in enumerate(ref.local_edges):
-            a, b = int(tri[la]), int(tri[lb])
-            key = (a, b) if a < b else (b, a)
-            edge_tris.setdefault(key, []).append((t, la, lb))
-
-    for j, (a, b) in enumerate(mesh.boundary_edges.tolist()):
-        if mesh.boundary_labels[j] != GAMMA1:
-            continue
-        src = int(mesh.boundary_source[j])
-        if src < 0:
-            raise InvalidArgumentError(
-                "boundary chords must reference domain edges for loads",
-                invariant="boundary-source")
-        nu = domain.segment_normal(src)
-        b1f = bending_trace_field(u_exact, material.mu, nu)
-        b2f = shear_trace_field(u_exact, material.mu, nu)
-        key = (a, b) if a < b else (b, a)
-        (t1, la1, lb1) = edge_tris[key][0]
-        tri = mesh.triangles[t1]
-        x0 = mesh.nodes[tri[0]]
-        pts_t = mesh.nodes[tri]
-        jac = np.array([[pts_t[1, 0] - pts_t[0, 0], pts_t[2, 0] - pts_t[0, 0]],
-                        [pts_t[1, 1] - pts_t[0, 1], pts_t[2, 1] - pts_t[0, 1]]])
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        binv = np.array([[jac[1, 1], -jac[0, 1]],
-                         [-jac[1, 0], jac[0, 0]]]) / det
-        xa, xb = mesh.nodes[a], mesh.nodes[b]
-        length = float(np.hypot(*(xb - xa)))
-        phys = xa[None, :] + seg_t[:, None] * (xb - xa)[None, :]
-        refpts = (phys - x0[None, :]) @ binv.T
-        nvals = ref.eval(refpts)
-        gx, gy = _gradient_rows(ref, refpts, binv)
-        dn = nu[0] * gx + nu[1] * gy
-        w = seg_w * length
-        F[dofs.cell_dofs[t1]] += nvals.T @ (-b2f(phys) * w)
-        F[dofs.cell_dofs[t1]] += dn.T @ (b1f(phys) * w)
+    phys, length = _edge_points(mesh, table.edges[g], seg_t)
+    t = table.owner[g, 0]
+    val, dn, _ = _edge_traces(ref, geometry, t, phys, nu, mu)
+    bending, shear = np.empty((2,) + phys.shape[:2])
+    for i in np.unique(src):
+        on = src == i
+        bending[on] = bending_trace_field(u_exact, mu, normals[i])(phys[on])
+        shear[on] = shear_trace_field(u_exact, mu, normals[i])(phys[on])
+    w = seg_w * length[:, None]
+    at += [dofs.cell_dofs[t]] * 2
+    work += [np.einsum("eqa,eq->ea", val, -shear * w),
+             np.einsum("eqa,eq->ea", dn, bending * w)]
+    F = np.bincount(np.concatenate(at).ravel(),
+                    weights=np.concatenate(work).ravel(),
+                    minlength=dofs.n_dofs)
 
     pcount = domain.n_corners
     for i in range(pcount):
@@ -569,7 +497,7 @@ def assemble_load(mesh, dofs, domain, material, u_exact):
             continue
         nu_in = domain.segment_normal((i - 1) % pcount)
         nu_out = domain.segment_normal(i)
-        jmp = corner_jump(u_exact, material.mu, domain.vertices[i], nu_in, nu_out)
+        jmp = corner_jump(u_exact, mu, domain.vertices[i], nu_in, nu_out)
         F[dofs.corner_dofs[i]] -= jmp
 
     return F[dofs.free]

@@ -125,10 +125,11 @@ class RunConfig:
         if box is not None:
             box = (tuple(box[0]), tuple(box[1]))
         cfg = cls(domain=dom, material=material, gains=gains,
-                  variant=int(data.get("variant", 2)), mesh=mesh, sim=sim,
+                  variant=int(_finite("variant", data.get("variant", 2))),
+                  mesh=mesh, sim=sim,
                   spectral=spectral, search_box=box,
                   condition_g_policy=data.get("condition_g_policy", "refuse"),
-                  seed=int(data.get("seed", 0)),
+                  seed=int(_finite("seed", data.get("seed", 0))),
                   output_dir=data.get("output_dir", "out"),
                   dump_matrices=bool(data.get("dump_matrices", False)),
                   raw=data)
@@ -136,6 +137,17 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        m, sim, spec = self.mesh, self.sim, self.spectral
+        for name, value in (("h", m.h), ("refinements", m.refinements),
+                            ("sigma", m.sigma), ("dt", sim.dt), ("T", sim.T),
+                            ("snapshot_stride", sim.snapshot_stride),
+                            ("fit_window", sim.fit_window),
+                            ("points", spec.points),
+                            ("count", None if spec.count == "all"
+                             else spec.count),
+                            ("omega_band", spec.omega_band),
+                            ("search_box", self.search_box)):
+            _finite(name, value)
         if self.variant not in (1, 2):
             raise ConfigValidationError("variant must be 1 or 2",
                                         invariant="variant")
@@ -159,6 +171,16 @@ class RunConfig:
     def config_hash(self):
         blob = json.dumps(self.raw, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _finite(name, value):
+    """Return ``value`` (a number, a list of them, or None) if none is NaN or
+    infinite; JSON configs may spell both."""
+    if value is not None and not np.all(np.isfinite(np.asarray(value,
+                                                               dtype=float))):
+        raise ConfigValidationError(f"{name} must be finite",
+                                    invariant=f"{name}-finite")
+    return value
 
 
 def _parse_domain(data):
@@ -214,7 +236,7 @@ class _Outputs:
         return path
 
 
-def _build_system(cfg):
+def _build_mesh(cfg):
     mesh = triangulate(cfg.domain, cfg.mesh.h)
     for _ in range(cfg.mesh.refinements):
         mesh = refine(mesh)
@@ -222,6 +244,11 @@ def _build_system(cfg):
     if violations:
         raise InvalidGeometryError("; ".join(violations),
                                    invariant="mesh-valid")
+    return mesh
+
+
+def _build_system(cfg):
+    mesh = _build_mesh(cfg)
     dofs = build_dof_map(mesh, cfg.mesh.degree)
     system = assemble(mesh, dofs, cfg.material, gains=cfg.gains,
                       j_variant=cfg.variant, sigma=cfg.mesh.sigma)
@@ -258,13 +285,7 @@ def _cmd_check(cfg, out):
 
 
 def _cmd_mesh(cfg, out):
-    mesh = triangulate(cfg.domain, cfg.mesh.h)
-    for _ in range(cfg.mesh.refinements):
-        mesh = refine(mesh)
-    violations = validate_mesh(mesh, cfg.domain)
-    if violations:
-        raise InvalidGeometryError("; ".join(violations),
-                                   invariant="mesh-valid")
+    mesh = _build_mesh(cfg)
     path = os.path.join(out.dir, "mesh.txt")
     write_mesh(path, mesh)
     print(f"wrote {path}: {mesh.n_nodes} nodes, {mesh.n_triangles} triangles")

@@ -25,6 +25,7 @@ from scipy.sparse.linalg import splu
 
 from ._lsq import lsq_line
 from .errors import InvalidArgumentError, SolverError
+from .geometry import GAMMA1
 
 SCHEMES = ("midpoint", "newmark")
 
@@ -233,29 +234,6 @@ def decay_fit(trace, window):
 # initial data generators
 # ---------------------------------------------------------------------------
 
-def _gamma1_free_dofs(system):
-    """Free dofs whose Lagrange node lies on a damped boundary chord."""
-    mesh, dofs = system.mesh, system.dofs
-    if mesh is None or dofs is None:
-        raise InvalidArgumentError("system lacks mesh/dof references",
-                                   invariant="system-context")
-    p = dofs.degree
-    n_nodes = mesh.n_nodes
-    edges = mesh.edge_set()
-    edge_index = {tuple(e): i for i, e in enumerate(edges.tolist())}
-    marked = np.zeros(dofs.n_dofs, dtype=bool)
-    from .geometry import GAMMA1
-    for (a, b), lab in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels):
-        if lab != GAMMA1:
-            continue
-        marked[a] = marked[b] = True
-        key = (a, b) if a < b else (b, a)
-        ei = edge_index[key]
-        marked[n_nodes + (p - 1) * ei: n_nodes + (p - 1) * (ei + 1)] = True
-    marked &= ~dofs.constrained
-    return marked
-
-
 def boundary_bump_data(system, center=None, width=None):
     """Stiffness-harmonic lift of a Gaussian bump on the damped boundary.
 
@@ -264,8 +242,10 @@ def boundary_bump_data(system, center=None, width=None):
     rest; biased toward boundary-dominated, weakly damped motion.
     """
     dofs = system.dofs
-    marked = _gamma1_free_dofs(system)
-    trace_global = np.nonzero(marked)[0]
+    if dofs is None:
+        raise InvalidArgumentError("system lacks its dof map",
+                                   invariant="system-context")
+    trace_global = np.nonzero(dofs.chord_dofs(GAMMA1) & ~dofs.constrained)[0]
     if len(trace_global) == 0:
         raise InvalidArgumentError("no free damped-boundary dofs",
                                    invariant="gamma1-dofs")

@@ -60,6 +60,12 @@ class EdgeSpec:
             if self.center is None or self.radius is None:
                 raise InvalidArgumentError("arc edge needs center and radius",
                                            invariant="arc-data")
+            if not all(math.isfinite(c) for c in self.center):
+                raise InvalidGeometryError("arc center must be finite",
+                                           invariant="center-finite")
+            if not math.isfinite(self.radius):
+                raise InvalidGeometryError("arc radius must be finite",
+                                           invariant="radius-finite")
             if not self.radius > 0:
                 raise InvalidGeometryError("arc radius must be positive",
                                            invariant="arc-radius")
@@ -194,6 +200,9 @@ class DomainSpec:
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
+        if not np.all(np.isfinite(self.vertices)):
+            raise InvalidGeometryError("domain vertices must be finite",
+                                       invariant="vertex-finite")
         p = len(self.vertices)
         if p < 2:
             raise InvalidGeometryError("domain needs at least 2 corners",

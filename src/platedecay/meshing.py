@@ -24,7 +24,9 @@ ASCII mesh format (1-based ids, whitespace separated, '#' comments):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +39,8 @@ from .geometry import GAMMA0, GAMMA1
 class Mesh:
     """Triangulation with labeled boundary loop and tracked domain corners.
 
-    Treat instances as immutable once built; refinement returns new meshes.
+    Treat instances as immutable once built (the edge table is cached);
+    refinement returns new meshes.
     ``boundary_source`` holds the originating domain-edge index per boundary
     chord (-1 when unknown, e.g. after file ingestion).
     """
@@ -58,12 +61,14 @@ class Mesh:
     def n_triangles(self):
         return len(self.triangles)
 
+    @cached_property
+    def edge_table(self):
+        """The mesh's ``EdgeTable``, worked out once per mesh."""
+        return build_edge_table(self)
+
     def edge_set(self):
         """Unique undirected triangle edges as sorted pairs."""
-        t = self.triangles
-        pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        pairs.sort(axis=1)
-        return np.unique(pairs, axis=0)
+        return self.edge_table.edges
 
     def triangle_areas(self):
         p = self.nodes
@@ -77,6 +82,57 @@ class Mesh:
         e = self.edge_set()
         d = self.nodes[e[:, 0]] - self.nodes[e[:, 1]]
         return float(np.max(np.hypot(d[:, 0], d[:, 1])))
+
+
+class EdgeTable(NamedTuple):
+    """Edge topology of a triangulation; every array is read-only.
+
+    Local edge ``le`` of triangle ``t`` runs from ``triangles[t, le]`` to
+    ``triangles[t, (le + 1) % 3]``.  Owners are listed in triangle order;
+    a boundary edge has one owner and ``-1`` in the second column.
+    """
+
+    edges: np.ndarray       # (n_edges, 2) sorted pairs, lexicographic order
+    tri_edges: np.ndarray   # (n_tri, 3) edge index of each local edge
+    owner: np.ndarray       # (n_edges, 2) owning triangles
+    owner_edge: np.ndarray  # (n_edges, 2) local edge index in each owner
+    chord: np.ndarray       # (n_edges,) row of boundary_edges, -1 inside
+    label: np.ndarray       # (n_edges,) boundary label, -1 inside
+
+
+def build_edge_table(mesh):
+    """Edges, triangle-to-edge index and edge owners of ``mesh``.
+
+    Raises ``boundary-consistency`` unless the edges with one owner are
+    exactly the listed boundary chords.
+    """
+    slots = mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+    edges, inverse, counts = np.unique(np.sort(slots, axis=1), axis=0,
+                                       return_inverse=True, return_counts=True)
+    inverse = inverse.ravel()  # slot 3 t + le -> edge
+    by_edge = np.argsort(inverse, kind="stable")
+    first = np.cumsum(counts) - counts
+    second = by_edge[np.minimum(first + 1, len(by_edge) - 1)]
+    slot = np.stack([by_edge[first], np.where(counts == 2, second, -1)], 1)
+
+    n = mesh.n_nodes
+    key = edges @ [n, 1]
+    bkey = np.sort(mesh.boundary_edges, axis=1) @ [n, 1]
+    outer = key[counts == 1]
+    odd = np.setxor1d(bkey, outer)
+    if len(odd) or len(bkey) != len(outer) or np.any(counts > 2):
+        where = f" at edge {divmod(int(odd[0]), n)}" if len(odd) else ""
+        raise InvalidGeometryError(
+            "boundary edges differ from the triangulation's one-owner edges"
+            + where, invariant="boundary-consistency")
+    chord = np.full(len(edges), -1)
+    chord[np.searchsorted(key, bkey)] = np.arange(len(bkey))
+    label = np.where(chord >= 0, mesh.boundary_labels[chord], -1)
+    table = EdgeTable(edges, inverse.reshape(-1, 3), slot // 3,
+                      np.where(slot >= 0, slot % 3, -1), chord, label)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

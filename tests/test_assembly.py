@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -5,7 +7,8 @@ import scipy.linalg as sla
 from platedecay.assembly import (assemble, assemble_load, build_dof_map,
                                  default_sigma, dump_coo, energy, sigma_floor,
                                  solve_static)
-from platedecay.errors import (AssemblyStabilityError, InvalidArgumentError)
+from platedecay.errors import (AssemblyStabilityError, InvalidArgumentError,
+                               InvalidGeometryError)
 from platedecay.geometry import unit_square_domain
 from platedecay.meshing import refine, triangulate
 from platedecay.plate_forms import PlateMaterial, PolyField, bilinear_a
@@ -191,6 +194,21 @@ def test_p3_stiffness_is_exact_for_cubics():
     assert abs(float(uI @ (system.K @ uI)) - exact) < 1e-10
 
 
+@pytest.mark.parametrize("h", [0.5, 0.25])
+def test_p3_load_reproduces_cubic_interpolant(h):
+    # the static solve with the load of x1^2 x2 returns its P3 interpolant
+    dom = unit_square_domain(gamma0_edges=(3,))
+    mesh = triangulate(dom, h)
+    dofs = build_dof_map(mesh, 3)
+    system = assemble(mesh, dofs, MAT)
+    uex = PolyField.from_terms({(2, 1): 1.0})
+    F = assemble_load(mesh, dofs, dom, MAT, uex)
+    uh = solve_static(system, F)
+    uI = dofs.restrict(dofs.interpolate(
+        lambda x: x[..., 0] ** 2 * x[..., 1]))
+    assert np.linalg.norm(uh - uI) <= 1e-8 * np.linalg.norm(uI)
+
+
 def test_manufactured_solution_convergence():
     uex = PolyField.monomial(2, 2)
     mesh = triangulate(DOM, 0.25)
@@ -207,6 +225,30 @@ def test_manufactured_solution_convergence():
         mesh = refine(mesh)
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] / errs[2] > 1.8  # at least first-order in energy norm
+
+
+def _flip_one_triangle(mesh):
+    tris = mesh.triangles.copy()
+    tris[3] = tris[3, [0, 2, 1]]
+    return replace(mesh, triangles=tris)
+
+
+def _drop_one_boundary_edge(mesh):
+    return replace(mesh, boundary_edges=mesh.boundary_edges[1:],
+                   boundary_labels=mesh.boundary_labels[1:],
+                   boundary_source=mesh.boundary_source[1:])
+
+
+@pytest.mark.parametrize("broken, invariant", [
+    (_flip_one_triangle, "triangle-orientation"),
+    (_drop_one_boundary_edge, "boundary-consistency"),
+])
+def test_assemble_rejects_malformed_mesh(broken, invariant):
+    mesh = triangulate(DOM, 0.5)
+    dofs = build_dof_map(mesh, 2)
+    with pytest.raises(InvalidGeometryError) as exc:
+        assemble(broken(mesh), dofs, MAT)
+    assert exc.value.invariant == invariant
 
 
 def test_dump_coo_roundtrip(tmp_path):

@@ -190,6 +190,27 @@ def test_validation_error_exit_code_and_json(tmp_path, capsys):
 @pytest.mark.parametrize("path, value, invariant", [
     (("material", "d1"), float("nan"), "d1-finite"),
     (("domain", "corner_gains", 2), float("inf"), "gain-finite"),
+    (("mesh", "h"), float("inf"), "h-finite"),
+    (("mesh", "sigma"), float("nan"), "sigma-finite"),
+    (("mesh", "refinements"), float("inf"), "refinements-finite"),
+    (("sim", "T"), float("nan"), "T-finite"),
+    (("sim", "dt"), float("inf"), "dt-finite"),
+    (("sim", "snapshot_stride"), float("nan"), "snapshot_stride-finite"),
+    (("sim", "fit_window"), [float("nan"), 1.0], "fit_window-finite"),
+    (("spectral", "points"), float("nan"), "points-finite"),
+    (("spectral", "count"), float("inf"), "count-finite"),
+    (("spectral", "omega_band"), [1.0, float("inf")], "omega_band-finite"),
+    (("check",), {"search_box": [[float("nan"), 0], [1, 1]]},
+     "search_box-finite"),
+    (("domain", "vertices", 1, 0), float("nan"), "vertex-finite"),
+    (("variant",), float("inf"), "variant-finite"),
+    (("seed",), float("nan"), "seed-finite"),
+    (("domain", "edges", 0), {"type": "arc", "label": 0,
+                              "center": [float("nan"), 0.0], "radius": 1.0},
+     "center-finite"),
+    (("domain", "edges", 0), {"type": "arc", "label": 0,
+                              "center": [0.5, 0.0], "radius": float("inf")},
+     "radius-finite"),
 ])
 def test_nonfinite_config_number_rejected(tmp_path, capsys, path, value,
                                           invariant):
