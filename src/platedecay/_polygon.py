@@ -20,27 +20,20 @@ def _orient(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _segments_properly_intersect(p1, p2, p3, p4):
-    """True when open segments p1-p2 and p3-p4 cross (shared endpoints ignore)."""
-    o1 = _orient(p1, p2, p3)
-    o2 = _orient(p1, p2, p4)
-    o3 = _orient(p3, p4, p1)
-    o4 = _orient(p3, p4, p2)
-    return (o1 * o2 < 0) and (o3 * o4 < 0)
-
-
 def polygon_is_simple(points):
-    """Check that no two non-adjacent polygon edges cross."""
-    p = np.asarray(points, dtype=float)
+    """Check that no two non-adjacent polygon edges properly cross (shared
+    endpoints and touching are ignored)."""
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    x, y = p[:, :1], p[:, 1:]
+    dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
+    # side[i, j] = _orient(p[i], p[i + 1], p[j]); head[i, j] takes p[j + 1]
+    side = dx * (y.T - y) - dy * (x.T - x)
+    head = np.roll(side, -1, axis=1)
+    cross = (side * head < 0) & (side.T * head.T < 0)
     n = len(p)
-    for i in range(n):
-        a1, a2 = p[i], p[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_properly_intersect(a1, a2, p[j], p[(j + 1) % n]):
-                return False
-    return True
+    non_adjacent = np.triu(np.ones((n, n), dtype=bool), k=2)
+    non_adjacent &= ~np.eye(n, k=n - 1, dtype=bool)  # last edge meets first
+    return not np.any(cross & non_adjacent)
 
 
 def _point_in_triangle(pt, a, b, c, eps):

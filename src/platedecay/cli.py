@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -65,7 +65,6 @@ class SimParams:
 
 @dataclass
 class SpectralParams:
-    mode: str = "eigs"
     count: object = "all"
     omega_band: tuple = None
     points: int = 120
@@ -96,15 +95,16 @@ class RunConfig:
         mat_d.setdefault("mu", dom.poisson_ratio)
         if "J" in mat_d:  # accept the physical symbol as an alias
             mat_d["inertia"] = mat_d.pop("J")
-        material = PlateMaterial(
-            mu=float(mat_d.get("mu", 0.3)), rho=float(mat_d.get("rho", 1.0)),
-            inertia=float(mat_d.get("inertia", 1.0)),
-            d1=float(mat_d.get("d1", 1.0)), d2=float(mat_d.get("d2", 1.0)))
+        material = PlateMaterial(**{
+            name: float(_number(name, mat_d.get(name, default)))
+            for name, default in (("mu", 0.3), ("rho", 1.0), ("inertia", 1.0),
+                                  ("d1", 1.0), ("d2", 1.0))})
         if abs(material.mu - dom.poisson_ratio) > 1e-12:
             raise ConfigValidationError(
                 "material.mu differs from the domain Poisson ratio",
                 invariant="mu-consistent")
-        gains = tuple(float(g) for g in data.get("gains", dom.corner_gains))
+        gains = tuple(float(g) for g in
+                      _number("gain", data.get("gains", dom.corner_gains)))
         if len(gains) != dom.n_corners:
             raise ConfigValidationError("one gain per corner required",
                                         invariant="gain-count")
@@ -125,11 +125,11 @@ class RunConfig:
         if box is not None:
             box = (tuple(box[0]), tuple(box[1]))
         cfg = cls(domain=dom, material=material, gains=gains,
-                  variant=int(_finite("variant", data.get("variant", 2))),
+                  variant=_number("variant", data.get("variant", 2)),
                   mesh=mesh, sim=sim,
                   spectral=spectral, search_box=box,
                   condition_g_policy=data.get("condition_g_policy", "refuse"),
-                  seed=int(_finite("seed", data.get("seed", 0))),
+                  seed=_number("seed", data.get("seed", 0)),
                   output_dir=data.get("output_dir", "out"),
                   dump_matrices=bool(data.get("dump_matrices", False)),
                   raw=data)
@@ -137,17 +137,17 @@ class RunConfig:
         return cfg
 
     def validate(self):
-        m, sim, spec = self.mesh, self.sim, self.spectral
-        for name, value in (("h", m.h), ("refinements", m.refinements),
-                            ("sigma", m.sigma), ("dt", sim.dt), ("T", sim.T),
-                            ("snapshot_stride", sim.snapshot_stride),
-                            ("fit_window", sim.fit_window),
-                            ("points", spec.points),
-                            ("count", None if spec.count == "all"
-                             else spec.count),
-                            ("omega_band", spec.omega_band),
-                            ("search_box", self.search_box)):
-            _finite(name, value)
+        for params, names in ((self.mesh, ("h", "refinements", "degree",
+                                           "sigma")),
+                              (self.sim, ("dt", "T", "snapshot_stride",
+                                          "fit_window")),
+                              (self.spectral, ("points", "count",
+                                               "omega_band")),
+                              (self, ("search_box",))):
+            for name in names:
+                value = getattr(params, name)
+                if not (name == "count" and value == "all"):
+                    setattr(params, name, _number(name, value))
         if self.variant not in (1, 2):
             raise ConfigValidationError("variant must be 1 or 2",
                                         invariant="variant")
@@ -173,14 +173,35 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _finite(name, value):
-    """Return ``value`` (a number, a list of them, or None) if none is NaN or
-    infinite; JSON configs may spell both."""
-    if value is not None and not np.all(np.isfinite(np.asarray(value,
-                                                               dtype=float))):
+_INTEGER_FIELDS = {"refinements", "degree", "snapshot_stride", "points",
+                   "count", "variant", "seed"}
+
+
+def _number(name, value):
+    """Check a config number (or a nested list of them, or None).
+
+    Every entry must be a real number (``<name>-type``) and finite
+    (``<name>-finite``; JSON configs may spell NaN and Infinity).  An
+    integer field must hold a whole number (``<name>-type``) and is
+    returned as an int.
+    """
+    if value is None:
+        return None
+    entries = np.array(value, dtype=object)
+    flat = entries.ravel()
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+               for x in flat):
+        raise ConfigValidationError(f"{name} must be a number",
+                                    invariant=f"{name}-type")
+    if not np.all(np.isfinite(flat.astype(float))):
         raise ConfigValidationError(f"{name} must be finite",
                                     invariant=f"{name}-finite")
-    return value
+    if name not in _INTEGER_FIELDS:
+        return value
+    if entries.ndim or not float(value).is_integer():
+        raise ConfigValidationError(f"{name} must be an integer",
+                                    invariant=f"{name}-type")
+    return int(value)
 
 
 def _parse_domain(data):

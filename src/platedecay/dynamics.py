@@ -276,35 +276,22 @@ def boundary_bump_data(system, center=None, width=None):
 def eigenpacket_data(system, n_modes=6):
     """Superpose the least-damped vibration modes (heuristic worst case).
 
-    Uses the damped pencil's eigenvectors closest to the imaginary axis and
-    normalizes each to unit energy before summing.  The pencil solve is
-    dense, so keep this to desk-scale systems.
+    Takes the generator's eigenvectors closest to the imaginary axis, one
+    per conjugate pair, in energy coordinates, where each has unit energy,
+    and sums their real parts.  The eigensolve is dense, so it is refused
+    above the dense limit (``dense-limit``).
     """
-    from .spectral import first_order_matrices
+    from .spectral import _energy_generator
     import scipy.linalg as sla
 
-    E, A = first_order_matrices(system)
-    lam, W = sla.eig(A.toarray(), E.toarray())
-    n = system.n_free
+    G, L = _energy_generator(system)
+    lam, Y = np.linalg.eig(G)
     order = np.argsort(-lam.real)  # closest to the axis first (Re < 0)
-    picked = 0
-    u0 = np.zeros(n)
-    v0 = np.zeros(n)
-    for idx in order:
-        if picked >= n_modes:
-            break
-        if lam[idx].imag <= 1e-9:  # take one of each conjugate pair
-            continue
-        zu = W[:n, idx]
-        zv = W[n:, idx]
-        scale = np.sqrt(abs(zu.conj() @ (system.K @ zu))
-                        + abs(zv.conj() @ (system.M @ zv)))
-        if scale <= 0:
-            continue
-        u0 += np.real(zu) / scale
-        v0 += np.real(zv) / scale
-        picked += 1
-    if picked == 0:
+    picked = order[lam[order].imag > 1e-9][:n_modes]
+    if len(picked) == 0:
         raise SolverError("no oscillatory modes found for the packet",
                           invariant="eigenpacket")
-    return u0, v0
+    z = sla.solve_triangular(L, Y[:, picked], lower=True, trans="T")
+    z = z.real.sum(axis=1)  # z = L^{-T} y
+    n = system.n_free
+    return z[:n], z[n:]

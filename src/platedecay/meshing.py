@@ -103,8 +103,9 @@ class EdgeTable(NamedTuple):
 def build_edge_table(mesh):
     """Edges, triangle-to-edge index and edge owners of ``mesh``.
 
-    Raises ``boundary-consistency`` unless the edges with one owner are
-    exactly the listed boundary chords.
+    Raises ``boundary-consistency``, naming every offending edge, unless
+    each edge has at most two owners and the edges with one owner are
+    exactly the listed boundary chords, each listed once.
     """
     slots = mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
     edges, inverse, counts = np.unique(np.sort(slots, axis=1), axis=0,
@@ -115,16 +116,25 @@ def build_edge_table(mesh):
     second = by_edge[np.minimum(first + 1, len(by_edge) - 1)]
     slot = np.stack([by_edge[first], np.where(counts == 2, second, -1)], 1)
 
-    n = mesh.n_nodes
+    n = max(mesh.n_nodes, int(mesh.boundary_edges.max(initial=-1)) + 1)
     key = edges @ [n, 1]
     bkey = np.sort(mesh.boundary_edges, axis=1) @ [n, 1]
     outer = key[counts == 1]
-    odd = np.setxor1d(bkey, outer)
-    if len(odd) or len(bkey) != len(outer) or np.any(counts > 2):
-        where = f" at edge {divmod(int(odd[0]), n)}" if len(odd) else ""
-        raise InvalidGeometryError(
-            "boundary edges differ from the triangulation's one-owner edges"
-            + where, invariant="boundary-consistency")
+    listed, times = np.unique(bkey, return_counts=True)
+
+    def pair(k):
+        return "({}, {})".format(*divmod(int(k), n))
+
+    problems = ([f"non-manifold edge {pair(k)}" for k in key[counts > 2]]
+                + [f"boundary edge {pair(k)} is not a boundary edge of the "
+                   "triangulation" for k in np.setdiff1d(listed, outer)]
+                + [f"triangulation boundary edge {pair(k)} missing from "
+                   "boundary list" for k in np.setdiff1d(outer, listed)]
+                + [f"boundary edge {pair(k)} listed {t} times"
+                   for k, t in zip(listed[times > 1], times[times > 1])])
+    if problems:
+        raise InvalidGeometryError("; ".join(problems),
+                                   invariant="boundary-consistency")
     chord = np.full(len(edges), -1)
     chord[np.searchsorted(key, bkey)] = np.arange(len(bkey))
     label = np.where(chord >= 0, mesh.boundary_labels[chord], -1)
@@ -191,55 +201,32 @@ def _structured_rectangle(domain, h):
     ys = np.linspace(ymin, ymax, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
+    nid = np.arange(len(nodes)).reshape(nx + 1, ny + 1)
 
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            n00, n10 = nid(i, j), nid(i + 1, j)
-            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
-    triangles = np.array(tris, dtype=int)
+    # cell (i, j) splits along its diagonal into two triangles, cells in
+    # row-major order
+    n00, n10 = nid[:-1, :-1].ravel(), nid[1:, :-1].ravel()
+    n01, n11 = nid[:-1, 1:].ravel(), nid[1:, 1:].ravel()
+    triangles = np.stack([n00, n10, n11, n00, n11, n01], 1).reshape(-1, 3)
 
     # walk the grid boundary counterclockwise starting at (xmin, ymin)
-    loop = [nid(i, 0) for i in range(nx + 1)]
-    loop += [nid(nx, j) for j in range(1, ny + 1)]
-    loop += [nid(i, ny) for i in range(nx - 1, -1, -1)]
-    loop += [nid(0, j) for j in range(ny - 1, 0, -1)]
-    bedges = np.array([(loop[k], loop[(k + 1) % len(loop)])
-                       for k in range(len(loop))], dtype=int)
+    loop = np.concatenate([nid[:, 0], nid[nx, 1:], nid[nx - 1::-1, ny],
+                           nid[0, ny - 1:0:-1]])
+    bedges = np.stack([loop, np.roll(loop, -1)], 1)
 
-    # map each chord to the domain edge containing it
-    labels = np.empty(len(bedges), dtype=int)
-    source = np.empty(len(bedges), dtype=int)
-    for k, (a, b) in enumerate(bedges):
-        mid = 0.5 * (nodes[a] + nodes[b])
-        source[k] = _segment_containing(domain, mid)
-        labels[k] = domain.edges[source[k]].label
-
-    corner_nodes = np.array([int(np.argmin(np.hypot(nodes[:, 0] - cx,
-                                                    nodes[:, 1] - cy)))
-                             for cx, cy in domain.vertices], dtype=int)
+    # the chords from corner i up to corner i + 1 lie on domain edge i
+    corner_nodes = np.argmin(np.hypot(nodes[:, None, 0] - v[:, 0],
+                                      nodes[:, None, 1] - v[:, 1]), axis=0)
+    at = np.empty(len(nodes), dtype=int)
+    at[loop] = np.arange(len(loop))
+    pos = at[corner_nodes]
+    order = np.argsort(pos)  # the loop starts at a corner: pos[order[0]] = 0
+    source = np.repeat(order, np.diff(pos[order], append=len(loop)))
+    labels = np.array([e.label for e in domain.edges])[source]
     return Mesh(nodes=nodes, triangles=triangles, boundary_edges=bedges,
                 boundary_labels=labels, boundary_source=source,
                 corner_nodes=corner_nodes,
                 corner_gains=np.asarray(domain.corner_gains, dtype=float))
-
-
-def _segment_containing(domain, point):
-    for i in range(domain.n_corners):
-        a, b = domain.edge_endpoints(i)
-        ab = b - a
-        L2 = float(ab @ ab)
-        t = float((point - a) @ ab) / L2
-        cross = abs((point[0] - a[0]) * ab[1] - (point[1] - a[1]) * ab[0])
-        if -1e-12 <= t <= 1.0 + 1e-12 and cross <= 1e-10 * math.sqrt(L2):
-            return i
-    raise InvalidGeometryError(f"boundary point {point} lies on no domain edge",
-                               invariant="boundary-labels")
 
 
 def triangulate(domain, h, max_refinements=30):
@@ -277,44 +264,36 @@ def triangulate(domain, h, max_refinements=30):
 
 
 def refine(mesh):
-    """Uniform red refinement: every triangle splits into four."""
+    """Uniform red refinement: every triangle splits into four.
+
+    Edge midpoints are numbered after the parent's nodes, in the order of
+    each edge's first slot ``3 t + le``; each boundary chord splits in two
+    at its edge's midpoint and keeps its label and source.
+    """
+    table = mesh.edge_table
+    edges = table.edges
+    by_slot = np.argsort(3 * table.owner[:, 0] + table.owner_edge[:, 0])
+    mid = np.empty(len(edges), dtype=int)
+    mid[by_slot] = mesh.n_nodes + np.arange(len(edges))
     nodes = mesh.nodes
-    tris = mesh.triangles
-    midpoint = {}
-    new_nodes = [nodes]
-    next_id = len(nodes)
+    midpoints = 0.5 * (nodes[edges[by_slot, 0]] + nodes[edges[by_slot, 1]])
 
-    def mid(a, b):
-        nonlocal next_id
-        key = (a, b) if a < b else (b, a)
-        if key not in midpoint:
-            midpoint[key] = next_id
-            new_nodes.append(0.5 * (nodes[key[0]] + nodes[key[1]])[None, :])
-            next_id += 1
-        return midpoint[key]
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = mid[table.tri_edges].T
+    children = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc,
+                         mab, mbc, mca], 1).reshape(-1, 3)
 
-    children = np.empty((4 * len(tris), 3), dtype=int)
-    for t, (a, b, c) in enumerate(tris):
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        children[4 * t + 0] = (a, mab, mca)
-        children[4 * t + 1] = (b, mbc, mab)
-        children[4 * t + 2] = (c, mca, mbc)
-        children[4 * t + 3] = (mab, mbc, mca)
+    on = np.flatnonzero(table.chord >= 0)
+    m = np.empty(len(mesh.boundary_edges), dtype=int)
+    m[table.chord[on]] = mid[on]
+    start, end = mesh.boundary_edges.T
+    bedges = np.stack([start, m, m, end], 1).reshape(-1, 2)
 
-    k = len(mesh.boundary_edges)
-    bedges = np.empty((2 * k, 2), dtype=int)
-    labels = np.empty(2 * k, dtype=int)
-    source = np.empty(2 * k, dtype=int)
-    for j, (a, b) in enumerate(mesh.boundary_edges):
-        m = mid(int(a), int(b))
-        bedges[2 * j] = (a, m)
-        bedges[2 * j + 1] = (m, b)
-        labels[2 * j] = labels[2 * j + 1] = mesh.boundary_labels[j]
-        source[2 * j] = source[2 * j + 1] = mesh.boundary_source[j]
-
-    return Mesh(nodes=np.concatenate(new_nodes, axis=0), triangles=children,
-                boundary_edges=bedges, boundary_labels=labels,
-                boundary_source=source, corner_nodes=mesh.corner_nodes.copy(),
+    return Mesh(nodes=np.concatenate([nodes, midpoints]), triangles=children,
+                boundary_edges=bedges,
+                boundary_labels=np.repeat(mesh.boundary_labels, 2),
+                boundary_source=np.repeat(mesh.boundary_source, 2),
+                corner_nodes=mesh.corner_nodes.copy(),
                 corner_gains=mesh.corner_gains.copy())
 
 
@@ -336,44 +315,33 @@ def validate_mesh(mesh, domain=None):
     for t in np.nonzero(areas <= 0)[0]:
         out.append(f"negative area: triangle {t}")
 
-    # edge usage: interior edges twice, boundary edges once
-    pairs = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    spairs = np.sort(pairs, axis=1)
-    uniq, counts = np.unique(spairs, axis=0, return_counts=True)
-    if np.any(counts > 2):
-        for e in uniq[counts > 2]:
-            out.append(f"non-manifold edge ({e[0]}, {e[1]})")
-    tri_boundary = {tuple(e) for e in uniq[counts == 1]}
-    listed = {tuple(sorted(e)) for e in mesh.boundary_edges.tolist()}
-    for e in sorted(listed - tri_boundary):
-        out.append(f"boundary edge {e} is not a boundary edge of the triangulation")
-    for e in sorted(tri_boundary - listed):
-        out.append(f"triangulation boundary edge {e} missing from boundary list")
+    # edge usage: interior edges twice, boundary edges once; without a
+    # consistent table, orientation and Euler are not checked
+    try:
+        table = mesh.edge_table
+    except InvalidGeometryError as exc:
+        out.append(str(exc))
+        table = None
 
     # directed loop: boundary edges traverse counterclockwise, one cycle
-    directed = {tuple(e) for e in pairs.tolist()}
-    succ = {}
+    bedges = mesh.boundary_edges
     loop_ok = True
-    for (a, b) in mesh.boundary_edges.tolist():
-        if (a, b) not in directed:
+    if table is not None:
+        on = np.flatnonzero(table.chord >= 0)
+        j = table.chord[on]
+        t, le = table.owner[on, 0], table.owner_edge[on, 0]
+        owner_dir = np.stack([tris[t, le], tris[t, (le + 1) % 3]], 1)
+        wrong = np.sort(j[np.any(owner_dir != bedges[j], axis=1)])
+        for a, b in bedges[wrong].tolist():
             out.append(f"boundary edge ({a}, {b}) has wrong orientation")
-            loop_ok = False
-        if a in succ:
-            loop_ok = False
-        succ[a] = b
-    if loop_ok and len(succ) == len(mesh.boundary_edges) and succ:
-        start = next(iter(succ))
-        seen, cur = 0, start
-        while seen < len(succ):
-            if cur not in succ:
-                loop_ok = False
-                break
-            cur = succ[cur]
-            seen += 1
-        loop_ok = loop_ok and cur == start
-    else:
-        loop_ok = False
-    if not loop_ok:
+        loop_ok = len(wrong) == 0
+    succ = dict(bedges.tolist())
+    start = cur = int(bedges[0, 0]) if len(bedges) else None
+    visited = set()
+    for _ in range(len(bedges)):
+        visited.add(cur)
+        cur = succ.get(cur)
+    if not (loop_ok and cur == start and len(visited) == len(bedges) > 0):
         out.append("boundary edges do not form a single closed loop")
 
     if np.any(~np.isin(mesh.boundary_labels, (GAMMA0, GAMMA1))):
@@ -388,14 +356,16 @@ def validate_mesh(mesh, domain=None):
                 out.append(f"corner P_{i} has no mesh node")
 
     if domain is not None:
-        for j, s in enumerate(mesh.boundary_source.tolist()):
-            if s >= 0 and mesh.boundary_labels[j] != domain.edges[s].label:
-                out.append(f"label mismatch on boundary edge {j}")
+        src = mesh.boundary_source
+        expected = np.array([e.label for e in domain.edges])[src]
+        for j in np.flatnonzero((src >= 0)
+                                & (mesh.boundary_labels != expected)):
+            out.append(f"label mismatch on boundary edge {j}")
 
-    n_edges = len(uniq)
-    euler = n - n_edges + mesh.n_triangles
-    if euler != 1:
-        out.append(f"Euler relation violated: V-E+F = {euler}")
+    if table is not None:
+        euler = n - len(table.edges) + mesh.n_triangles
+        if euler != 1:
+            out.append(f"Euler relation violated: V-E+F = {euler}")
     return out
 
 

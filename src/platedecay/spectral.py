@@ -16,6 +16,7 @@ energy inner product (Wright & Trefethen, SISC 23, 2001).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,7 @@ def pencil_eigenvalues(system, count="all", shift=None):
         # generator and dissipative in the Euclidean product, so the
         # balanced standard eigensolve keeps Re(lambda) <= 0 where the badly
         # scaled QZ pencil (stiffness vs mass blocks) loses that structure.
-        lam = np.linalg.eigvals(_energy_generator(system))
+        lam = np.linalg.eigvals(_energy_generator(system)[0])
     else:
         E, A = first_order_matrices(system)
         k = int(count)
@@ -105,6 +106,10 @@ def pencil_eigenvalues(system, count="all", shift=None):
         except Exception as exc:
             raise SolverError(f"shift-invert eigensolve failed: {exc}",
                               invariant="eigensolver") from exc
+        finally:
+            # scipy's ARPACK wrapper holds its factor of A - target E in a
+            # reference cycle; free it now, not at the next cyclic collection
+            gc.collect()
     lam = np.asarray(lam)
     lam = lam[np.lexsort((lam.real, lam.imag))]
     report = SpectrumReport(
@@ -116,8 +121,8 @@ def pencil_eigenvalues(system, count="all", shift=None):
 
 
 def _energy_generator(system):
-    """Dense G = L^{-1} A L^{-T} with E = L L': the generator in energy
-    coordinates, where the energy norm is the Euclidean one."""
+    """Dense G = L^{-1} A L^{-T} and L, with E = L L': the generator in
+    energy coordinates, where the energy norm is the Euclidean one."""
     E, A = first_order_matrices(system)
     n2 = E.shape[0]
     if n2 > _DENSE_LIMIT:
@@ -131,7 +136,7 @@ def _energy_generator(system):
     except np.linalg.LinAlgError as exc:
         raise _not_positive_definite() from exc
     G = sla.solve_triangular(L, A.toarray(), lower=True)
-    return sla.solve_triangular(L, G.T, lower=True).T
+    return sla.solve_triangular(L, G.T, lower=True).T, L
 
 
 def _spd_factor(matrix):

@@ -226,6 +226,33 @@ def test_nonfinite_config_number_rejected(tmp_path, capsys, path, value,
     assert err["exit_code"] == 2 and err["invariant"] == invariant
 
 
+@pytest.mark.parametrize("path, value, invariant", [
+    (("mesh", "h"), "abc", "h-type"),
+    (("mesh", "refinements"), 1.5, "refinements-type"),
+    (("mesh", "degree"), 2.0, None),
+    (("spectral", "count"), 2.5, "count-type"),
+    (("sim", "snapshot_stride"), 0.5, "snapshot_stride-type"),
+    (("spectral", "points"), True, "points-type"),
+    (("material", "d1"), "1", "d1-type"),
+    (("variant",), 2.0, None),
+    (("seed",), [0], "seed-type"),
+])
+def test_config_number_type(tmp_path, capsys, path, value, invariant):
+    data = json.loads(json.dumps(SQUARE_CFG))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path = write_cfg(tmp_path, data)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", cfg_path, "--out", str(out)])
+    if invariant is None:  # a whole float stands for its integer
+        assert code == 0
+    else:
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 2 and err["invariant"] == invariant
+
+
 def test_shipped_square_config_meshes_h_twelfth():
     path = Path(__file__).resolve().parents[1] / "configs" / "square.json"
     cfg = RunConfig.from_dict(json.loads(path.read_text()))

@@ -168,3 +168,10 @@ def test_eigenpacket_data_targets_weak_modes():
     assert np.linalg.norm(u0) > 0
     trace = simulate(system, u0, v0, dt=1e-2, T=0.5)
     assert trace.energy[-1] < trace.energy[0]
+
+
+def test_eigenpacket_data_refuses_beyond_dense_limit():
+    system = build(DAMPED, h=1.0 / 24.0)  # 2 x 2304 first-order dofs
+    with pytest.raises(InvalidArgumentError) as info:
+        eigenpacket_data(system)
+    assert info.value.invariant == "dense-limit"

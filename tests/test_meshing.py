@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platedecay._polygon import random_convex_polygon
-from platedecay.errors import InvalidArgumentError
+from platedecay._polygon import polygon_is_simple, random_convex_polygon
+from platedecay.errors import InvalidArgumentError, InvalidGeometryError
 from platedecay.geometry import lens_domain, polygon_domain, unit_square_domain
 from platedecay.meshing import (Mesh, read_mesh, refine, triangulate,
                                 validate_mesh, write_mesh)
@@ -19,6 +19,18 @@ def two_triangle_square():
                 boundary_source=np.array([0, 1, 2, 3]),
                 corner_nodes=np.arange(4),
                 corner_gains=np.zeros(4))
+
+
+def two_disjoint_triangles():
+    return Mesh(nodes=np.array([[0.0, 0], [1, 0], [0, 1],
+                                [3, 0], [4, 0], [3, 1]]),
+                triangles=np.array([[0, 1, 2], [3, 4, 5]]),
+                boundary_edges=np.array([[0, 1], [1, 2], [2, 0],
+                                         [3, 4], [4, 5], [5, 3]]),
+                boundary_labels=np.zeros(6, dtype=int),
+                boundary_source=np.full(6, -1),
+                corner_nodes=np.array([0, 3]),
+                corner_gains=np.zeros(2))
 
 
 def test_structured_square():
@@ -46,6 +58,38 @@ def test_refine_counts():
     finer = refine(fine)
     assert finer.n_triangles == 32
     assert validate_mesh(finer) == []
+
+
+def test_refine_numbers_midpoints_in_first_slot_order():
+    nodes = two_triangle_square().nodes
+    fine = refine(two_triangle_square())
+    expected = [0.5 * (nodes[a] + nodes[b])
+                for a, b in ((0, 1), (1, 2), (0, 2), (2, 3), (0, 3))]
+    assert np.array_equal(fine.nodes[4:], expected)
+
+
+def test_refine_rejects_interior_boundary_chord():
+    mesh = two_triangle_square()
+    mesh.boundary_edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]])
+    mesh.boundary_labels = np.append(mesh.boundary_labels, 1)
+    mesh.boundary_source = np.append(mesh.boundary_source, -1)
+    with pytest.raises(InvalidGeometryError) as info:
+        refine(mesh)
+    assert info.value.invariant == "boundary-consistency"
+
+
+@pytest.mark.parametrize("start", range(4))
+def test_structured_grid_sources_follow_domain_edges(start):
+    corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    dom = polygon_domain(corners[start:] + corners[:start], gamma0_edges={1})
+    mesh = triangulate(dom, 0.3)
+    assert validate_mesh(mesh, dom) == []
+    for (a, b), src in zip(mesh.boundary_edges, mesh.boundary_source):
+        p, q = dom.edge_endpoints(src)
+        dx, dy = q - p
+        for x, y in (mesh.nodes[a] - p, mesh.nodes[b] - p):
+            assert abs(dx * y - dy * x) < 1e-14  # on the edge's line
+            assert -1e-14 <= dx * x + dy * y <= dx * dx + dy * dy
 
 
 def test_refine_preserves_labels_and_corners():
@@ -116,6 +160,41 @@ def test_validate_reports_boundary_mismatch():
     mesh.boundary_source = np.append(mesh.boundary_source, -1)
     violations = validate_mesh(mesh)
     assert any("not a boundary edge" in v for v in violations)
+
+
+def _reverse_first_chord(mesh):
+    mesh.boundary_edges = np.array([[1, 0], [1, 2], [2, 3], [3, 0]])
+    return mesh, None
+
+
+def _relabel_first_chord(mesh):
+    mesh.boundary_labels = np.array([1, 1, 1, 0])
+    return mesh, unit_square_domain(gamma0_edges=(0, 3))
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: _reverse_first_chord(two_triangle_square()),
+     "boundary edge (1, 0) has wrong orientation"),
+    (lambda: (two_disjoint_triangles(), None),
+     "boundary edges do not form a single closed loop"),
+    (lambda: _relabel_first_chord(two_triangle_square()),
+     "label mismatch on boundary edge 0"),
+    (lambda: (two_disjoint_triangles(), None),
+     "Euler relation violated: V-E+F = 2"),
+], ids=["orientation", "loop", "label", "euler"])
+def test_validate_reports_violation(make, expected):
+    mesh, domain = make()
+    assert expected in validate_mesh(mesh, domain)
+
+
+def test_polygon_is_simple():
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    assert polygon_is_simple(square)
+    assert polygon_is_simple([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+    assert not polygon_is_simple([(0, 0), (1, 1), (1, 0), (0, 1)])  # bow tie
+    # touching at a vertex is not a proper crossing
+    assert polygon_is_simple([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)])
+    assert not polygon_is_simple(square + [(2, 0.5), (-1, 0.5)])
 
 
 def test_mesh_file_roundtrip(tmp_path):
