@@ -174,7 +174,7 @@ class RunConfig:
 
 
 _INTEGER_FIELDS = {"refinements", "degree", "snapshot_stride", "points",
-                   "count", "variant", "seed"}
+                   "count", "variant", "seed", "label"}
 
 
 def _number(name, value):
@@ -208,16 +208,22 @@ def _parse_domain(data):
     edges = []
     for e in data["edges"]:
         kind = e.get("type", "segment")
+        ccw = e.get("ccw", True)
+        if not isinstance(ccw, bool):
+            raise ConfigValidationError("ccw must be true or false",
+                                        invariant="ccw-type")
         edges.append(EdgeSpec(
-            kind=kind, label=int(e["label"]),
-            center=tuple(e["center"]) if kind == "arc" else None,
-            radius=float(e["radius"]) if kind == "arc" else None,
-            ccw=bool(e.get("ccw", True))))
+            kind=kind, label=_number("label", e["label"]),
+            center=tuple(_number("center", e["center"]))
+            if kind == "arc" else None,
+            radius=float(_number("radius", e["radius"]))
+            if kind == "arc" else None,
+            ccw=ccw))
     return DomainSpec(
-        vertices=tuple(tuple(v) for v in data["vertices"]),
+        vertices=tuple(tuple(v) for v in _number("vertex", data["vertices"])),
         edges=tuple(edges),
-        corner_gains=data.get("corner_gains"),
-        poisson_ratio=float(data.get("mu", 0.3)))
+        corner_gains=_number("gain", data.get("corner_gains")),
+        poisson_ratio=float(_number("mu", data.get("mu", 0.3))))
 
 
 # ---------------------------------------------------------------------------

@@ -32,32 +32,16 @@ _DENSE_LIMIT = 4096  # first-order dofs beyond which dense solves are refused
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues, axis-distance flags, sweep data and fitted exponents."""
+    """Pencil eigenvalues with their distance-to-axis summary."""
 
-    eigenvalues: np.ndarray = None
-    spectral_abscissa: float = None
-    zero_in_resolvent: bool = None
-    sweep: np.ndarray = None          # rows (omega, resolvent norm)
-    theta_hat: float = None
-    theta_r_squared: float = None
-    branch_slope: float = None
-    branch_r_squared: float = None
-    band: tuple = None
+    eigenvalues: np.ndarray
+    spectral_abscissa: float
+    zero_in_resolvent: bool
 
     def to_dict(self):
-        out = {}
-        if self.eigenvalues is not None:
-            out["n_eigenvalues"] = int(len(self.eigenvalues))
-            out["spectral_abscissa"] = float(self.spectral_abscissa)
-            out["zero_in_resolvent"] = bool(self.zero_in_resolvent)
-        for name in ("theta_hat", "theta_r_squared", "branch_slope",
-                     "branch_r_squared"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = float(val)
-        if self.band is not None:
-            out["band"] = [float(self.band[0]), float(self.band[1])]
-        return out
+        return {"n_eigenvalues": int(len(self.eigenvalues)),
+                "spectral_abscissa": float(self.spectral_abscissa),
+                "zero_in_resolvent": bool(self.zero_in_resolvent)}
 
 
 def first_order_matrices(system):
@@ -76,13 +60,12 @@ def _not_positive_definite():
         invariant="energy-pd")
 
 
-def pencil_eigenvalues(system, count="all", shift=None):
+def pencil_eigenvalues(system, count="all"):
     """Eigenvalues of the first-order generator (roots of the damped pencil).
 
     ``count = 'all'`` performs a dense solve (refused above 4096 first-order
-    dofs); an integer count uses sparse shift-invert iteration for the
-    ``count`` eigenvalues nearest ``shift`` (default 1e-3, near the origin).
-    A real shift keeps the pencil real; a complex one makes it complex.
+    dofs); an integer count uses sparse shift-invert iteration, from a fixed
+    start vector, for the ``count`` eigenvalues nearest the real shift 1e-3.
     """
     if count == "all":
         # Solve in energy coordinates: L^{-1} A L^{-T} is similar to the
@@ -95,29 +78,26 @@ def pencil_eigenvalues(system, count="all", shift=None):
         k = int(count)
         if not 0 < k < E.shape[0] - 1:
             raise InvalidArgumentError("count out of range", invariant="count")
-        target = 1e-3 if shift is None else shift
-        if np.iscomplexobj(target):
-            # scipy rebuilds the eigenvalues of a real pencil with a complex
-            # shift from Ritz vectors, which it does not form here
-            A, E = A.astype(complex), E.astype(complex)
+        # scipy draws a fresh start vector when none is given, which makes
+        # the eigenvalues differ from run to run in the last digits
+        v0 = np.random.default_rng(0).standard_normal(E.shape[0])
         try:
-            lam = eigs(A, k=k, M=E, sigma=target, which="LM",
+            lam = eigs(A, k=k, M=E, sigma=1e-3, which="LM", v0=v0,
                        return_eigenvectors=False)
         except Exception as exc:
             raise SolverError(f"shift-invert eigensolve failed: {exc}",
                               invariant="eigensolver") from exc
         finally:
-            # scipy's ARPACK wrapper holds its factor of A - target E in a
+            # scipy's ARPACK wrapper holds its factor of A - sigma E in a
             # reference cycle; free it now, not at the next cyclic collection
             gc.collect()
     lam = np.asarray(lam)
     lam = lam[np.lexsort((lam.real, lam.imag))]
-    report = SpectrumReport(
+    return SpectrumReport(
         eigenvalues=lam,
         spectral_abscissa=float(np.max(lam.real)),
         zero_in_resolvent=bool(np.min(np.abs(lam)) > 0.0),
     )
-    return report
 
 
 def _energy_generator(system):
@@ -237,131 +217,93 @@ def resolvent_sweep(system, omegas):
 # fits
 # ---------------------------------------------------------------------------
 
-def _local_maxima(values):
-    """Indices of local maxima (ties included); boundaries compare one side."""
-    n = len(values)
-    idx = []
-    for i in range(n):
-        left_ok = i == 0 or values[i] >= values[i - 1]
-        right_ok = i == n - 1 or values[i] >= values[i + 1]
-        if left_ok and right_ok:
-            idx.append(i)
-    return np.array(idx, dtype=int)
+_N_BINS = 24  # log-spaced frequency bins of an envelope fit
 
 
-def _monotone_front(x, y, increasing):
-    """Keep the points forming the monotone envelope of (x, y), x sorted.
-
-    ``increasing`` keeps running maxima left to right; otherwise running
-    maxima scanning from the right (a decreasing upper envelope).
-    """
-    keep = []
-    if increasing:
-        run = -np.inf
-        for i in range(len(x)):
-            if y[i] > run:
-                keep.append(i)
-                run = y[i]
-    else:
-        run = -np.inf
-        for i in range(len(x) - 1, -1, -1):
-            if y[i] > run:
-                keep.append(i)
-                run = y[i]
-        keep.reverse()
-    return np.array(keep, dtype=int)
-
-
-def growth_fit(sweep, band, n_bins=24):
-    """Slope of log(resolvent norm) vs log(omega) on the sweep's upper envelope.
-
-    The resolvent oscillates between eigenvalue branches, so the fit keeps
-    local maxima, reduces them to per-frequency-bin peaks, and follows the
-    monotone front in the direction of the overall trend; raw in-band points
-    are used when the band is too sparse for an envelope (e.g. clean
-    synthetic power laws).
-    """
-    sweep = np.asarray(sweep, dtype=float)
+def _band(band):
     lo, hi = float(band[0]), float(band[1])
     if not hi > lo:
         raise InvalidArgumentError("empty frequency band", invariant="band")
+    return lo, hi
+
+
+def _envelope_fit(x, y, ly):
+    """Log-log line through the upper envelope of the points (x, y).
+
+    The points may come in any order.  The range of x is cut into at most
+    ``_N_BINS`` log-spaced bins, and each non-empty bin keeps its point of
+    largest y (the first one on ties).  Of those bin peaks, the
+    running-maximum front of ``ly`` (a monotone transform of y) in the
+    direction of their least-squares trend is fitted against log x; a zero
+    trend scans from the right.  When the front has fewer than 3 points,
+    every bin peak is fitted.  Returns the slope, R^2 and the number of bins
+    with a peak.
+    """
+    edges = np.logspace(np.log10(x.min()), np.log10(x.max()),
+                        min(_N_BINS, len(x)) + 1)
+    edges[-1] *= 1.0 + 1e-12
+    bins = np.searchsorted(edges, x, side="right") - 1
+    idx = np.flatnonzero((bins >= 0) & (bins < len(edges) - 1))
+    idx = idx[np.lexsort((-y[idx], bins[idx]))]  # stable: first on ties
+    peaks = idx[np.r_[True, bins[idx[1:]] != bins[idx[:-1]]]]
+    lx, ly = np.log(x[peaks]), ly[peaks]
+    trend, _ = lsq_line(lx, ly)
+    scan = slice(None) if trend > 0 else slice(None, None, -1)
+    ahead = ly[scan]
+    front = (ahead > np.maximum.accumulate(np.r_[-np.inf, ahead[:-1]]))[scan]
+    if np.count_nonzero(front) >= 3:
+        lx, ly = lx[front], ly[front]
+    slope, r2 = lsq_line(lx, ly)
+    return slope, r2, len(peaks)
+
+
+def growth_fit(sweep, band):
+    """Slope of log(resolvent norm) vs log(omega) on the sweep's upper envelope.
+
+    The resolvent oscillates between eigenvalue branches, so the fit keeps
+    local maxima (all in-band points when fewer than 3, e.g. clean synthetic
+    power laws) and fits their envelope (``_envelope_fit``).
+    """
+    sweep = np.asarray(sweep, dtype=float)
+    lo, hi = _band(band)
     mask = (sweep[:, 0] >= lo) & (sweep[:, 0] <= hi) & np.isfinite(sweep[:, 1])
     pts = sweep[mask]
     if len(pts) < 10:
         raise InvalidArgumentError(
             f"need at least 10 sweep points in band, found {len(pts)}",
             invariant="band-points")
-    pts = pts[np.argsort(pts[:, 0])]
-    env = _local_maxima(pts[:, 1])
-    if len(env) < 3:
-        env = np.arange(len(pts))
-    w, val = pts[env, 0], pts[env, 1]
-    edges = np.logspace(np.log10(w[0]), np.log10(w[-1]),
-                        min(n_bins, len(w)) + 1)
-    edges[-1] *= 1.0 + 1e-12
-    xs, ys = [], []
-    for b in range(len(edges) - 1):
-        m = (w >= edges[b]) & (w < edges[b + 1])
-        if np.any(m):
-            i = np.argmax(val[m])
-            xs.append(w[m][i])
-            ys.append(val[m][i])
-    lx, ly = np.log(np.array(xs)), np.log(np.array(ys))
-    slope0, _ = lsq_line(lx, ly)
-    front = _monotone_front(lx, ly, increasing=slope0 > 0)
-    if len(front) >= 3:
-        lx, ly = lx[front], ly[front]
-    slope, r2 = lsq_line(lx, ly)
+    w, v = pts[np.argsort(pts[:, 0])].T.copy()  # contiguous rows
+    # local maxima, ties included; the ends compare one side
+    peak = np.r_[True, v[1:] >= v[:-1]] & np.r_[v[:-1] >= v[1:], True]
+    if np.count_nonzero(peak) >= 3:
+        w, v = w[peak], v[peak]
+    slope, r2, _ = _envelope_fit(w, v, np.log(v))
     return slope, r2
 
 
-def damping_branch_fit(report, band, n_bins=24):
+def damping_branch_fit(report, band):
     """Slope of log(-Re) vs log|Im| along the weakly damped eigenvalue branch.
 
     Per frequency bin the eigenvalue closest to the imaginary axis is kept,
-    then the monotone front of those minima (the branch envelope; raw bin
-    minima when the front is too short, e.g. flat synthetic branches).
-    A slope of -2 matches quadratic approach to the axis.
+    then the lower envelope of those minima is fitted (``_envelope_fit`` on
+    -Re; raw bin minima when the front is too short, e.g. flat synthetic
+    branches).  A slope of -2 matches quadratic approach to the axis.
     """
-    if report.eigenvalues is None:
-        raise InvalidArgumentError("report has no eigenvalues",
-                                   invariant="eigenvalues")
-    lo, hi = float(band[0]), float(band[1])
-    if not hi > lo:
-        raise InvalidArgumentError("empty frequency band", invariant="band")
+    lo, hi = _band(band)
     lam = report.eigenvalues
     lam = lam[(lam.imag > 0) & (lam.real < 0)]
-    freq = lam.imag
-    sel = (freq >= lo) & (freq <= hi)
-    lam = lam[sel]
+    lam = lam[(lam.imag >= lo) & (lam.imag <= hi)]
     if len(lam) < 10:
         raise InsufficientDataError(
             f"need at least 10 branch eigenvalues in band, found {len(lam)}",
             invariant="branch-points")
-    freq = lam.imag
     decay = -lam.real
-    edges = np.logspace(np.log10(freq.min()), np.log10(freq.max()),
-                        min(n_bins, len(lam)) + 1)
-    edges[-1] *= 1.0 + 1e-12
-    xs, ys = [], []
-    for b in range(len(edges) - 1):
-        mask = (freq >= edges[b]) & (freq < edges[b + 1])
-        if not np.any(mask):
-            continue
-        i = np.argmin(decay[mask])
-        xs.append(freq[mask][i])
-        ys.append(decay[mask][i])
-    if len(xs) < 3:
+    # -log(d), not log(1/d): the slope is then the exact negative of the
+    # fit of log(d)
+    slope, r2, n_bins = _envelope_fit(lam.imag, -decay, -np.log(decay))
+    if n_bins < 3:
         raise InsufficientDataError("too few branch bins", invariant="branch-bins")
-    lx = np.log(np.array(xs))
-    ly = np.log(np.array(ys))
-    slope0, _ = lsq_line(lx, ly)
-    # lower envelope of the bin minima, in the direction of the trend
-    front = _monotone_front(lx, -ly, increasing=slope0 <= 0)
-    if len(front) >= 3:
-        lx, ly = lx[front], ly[front]
-    slope, r2 = lsq_line(lx, ly)
-    return slope, r2
+    return -slope, r2
 
 
 def suggest_sweep_omegas(report, band, n_grid=40, n_peaks=60):
@@ -371,12 +313,7 @@ def suggest_sweep_omegas(report, band, n_grid=40, n_peaks=60):
     misses them; adding the imaginary parts of the weakly damped in-band
     eigenvalues puts sample points on the envelope itself.
     """
-    if report.eigenvalues is None:
-        raise InvalidArgumentError("report has no eigenvalues",
-                                   invariant="eigenvalues")
-    lo, hi = float(band[0]), float(band[1])
-    if not hi > lo:
-        raise InvalidArgumentError("empty frequency band", invariant="band")
+    lo, hi = _band(band)
     grid = np.logspace(np.log10(lo), np.log10(hi), n_grid)
     lam = report.eigenvalues
     lam = lam[(lam.imag >= lo) & (lam.imag <= hi) & (lam.real < 0)]
@@ -387,14 +324,11 @@ def suggest_sweep_omegas(report, band, n_grid=40, n_peaks=60):
     return np.unique(grid)
 
 
-def resolved_band(report, skip=10, top_fraction=2.0 / 3.0):
-    """Deterministic frequency band for fits: from the ``skip``-th smallest
-    eigenfrequency to ``top_fraction`` of the largest resolved one."""
-    if report.eigenvalues is None:
-        raise InvalidArgumentError("report has no eigenvalues",
-                                   invariant="eigenvalues")
+def resolved_band(report):
+    """Deterministic frequency band for fits: from the 10th smallest
+    eigenfrequency to 2/3 of the largest resolved one."""
     freqs = np.sort(report.eigenvalues.imag[report.eigenvalues.imag > 1e-9])
-    if len(freqs) < skip + 2:
+    if len(freqs) < 12:
         raise InsufficientDataError("too few eigenfrequencies for a band",
                                     invariant="band-data")
-    return float(freqs[skip - 1]), float(top_fraction * freqs[-1])
+    return float(freqs[9]), float((2.0 / 3.0) * freqs[-1])

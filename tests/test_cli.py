@@ -236,6 +236,18 @@ def test_nonfinite_config_number_rejected(tmp_path, capsys, path, value,
     (("material", "d1"), "1", "d1-type"),
     (("variant",), 2.0, None),
     (("seed",), [0], "seed-type"),
+    (("domain", "edges", 1, "label"), "x", "label-type"),
+    (("domain", "edges", 1, "label"), 1.0, None),
+    (("domain", "vertices", 1, 0), "a", "vertex-type"),
+    (("domain", "corner_gains"), ["a", 0, 1.0, 0], "gain-type"),
+    (("domain", "mu"), "0.3", "mu-type"),
+    (("domain", "edges", 0, "ccw"), "no", "ccw-type"),
+    (("domain", "edges", 0), {"type": "arc", "label": 0,
+                              "center": ["a", 0.0], "radius": 1.0},
+     "center-type"),
+    (("domain", "edges", 0), {"type": "arc", "label": 0,
+                              "center": [0.5, 0.0], "radius": "1"},
+     "radius-type"),
 ])
 def test_config_number_type(tmp_path, capsys, path, value, invariant):
     data = json.loads(json.dumps(SQUARE_CFG))
@@ -251,6 +263,16 @@ def test_config_number_type(tmp_path, capsys, path, value, invariant):
     else:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert code == 2 and err["invariant"] == invariant
+
+
+def test_unknown_scheme_rejected(tmp_path, capsys):
+    data = json.loads(json.dumps(SQUARE_CFG))
+    data["sim"]["scheme"] = "newmark"
+    cfg_path = write_cfg(tmp_path, data)
+    code = main(["simulate", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert code == 2 and err["invariant"] == "scheme"
 
 
 def test_shipped_square_config_meshes_h_twelfth():

@@ -75,20 +75,13 @@ def test_channel_decomposition_matches_energy_drop():
 
 
 def test_scheme_agreement_second_order():
-    # Newmark(1/4, 1/2) realizes the same one-step map as the midpoint rule
-    # on linear systems, so the traces agree to rounding at any dt; the
-    # O(dt^2) statement is checked against a fine-step reference instead.
+    # the O(dt^2) statement is checked against a fine-step reference
     system = build(DAMPED)
     u0, v0 = boundary_bump_data(system)
 
     def final_energy(dt, scheme):
         return simulate(system, u0, v0, dt=dt, T=0.4,
                         scheme=scheme).energy[-1]
-
-    e0 = simulate(system, u0, v0, dt=1e-2, T=1e-2).energy[0]
-    for dt in (4e-3, 2e-3):
-        gap = abs(final_energy(dt, "midpoint") - final_energy(dt, "newmark"))
-        assert gap <= 1e-9 * e0
 
     ref = final_energy(5e-4, "midpoint")
     err = [abs(final_energy(dt, "midpoint") - ref) for dt in (8e-3, 4e-3)]

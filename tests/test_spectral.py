@@ -79,6 +79,13 @@ def test_count_eigenvalues_nearest_shift_match_dense():
     assert report.spectral_abscissa < 0 and report.zero_in_resolvent
 
 
+def test_count_eigenvalues_reproducible():
+    system = build()
+    first = pencil_eigenvalues(system, count=6).eigenvalues
+    second = pencil_eigenvalues(system, count=6).eigenvalues
+    assert first.tobytes() == second.tobytes()
+
+
 def dense_resolvent_norm(system, omega):
     """Oracle: 1 / sigma_min(i omega I - G), G the generator in the energy
     coordinates of the Cholesky factors of K and M."""
@@ -181,6 +188,53 @@ def test_growth_fit_synthetic():
     assert abs(growth_fit(np.stack([w, w ** 2], 1), (1, 100))[0] - 2) < 1e-9
     theta, r2 = growth_fit(np.stack([w, np.full_like(w, 3.0)], 1), (1, 100))
     assert abs(theta) < 1e-12 and r2 == 1.0
+
+
+# Envelope cases: 24 log-spaced points over 24 log-spaced bins put one
+# point in each bin; an extra point at gap_point(k) lies in bin k, before
+# point k.
+GRID = np.logspace(0, 2, 24)
+
+
+def gap_point(k, lo=0.0, hi=2.0):
+    return 10.0 ** (lo + (hi - lo) * 0.5 * (k / 24 + k / 23))
+
+
+def test_growth_fit_front_drops_dip():
+    v = GRID ** 2
+    v[12] *= 0.5  # below its left neighbour: off the running-maximum front
+    slope, r2 = growth_fit(np.stack([GRID, v], 1), (1, 100))
+    assert abs(slope - 2.0) < 1e-12 and abs(r2 - 1.0) < 1e-12
+
+
+def test_growth_fit_keeps_bin_peak():
+    w_gap = gap_point(12)
+    v_gap = 0.5 * (GRID[11] ** 2 + w_gap ** 2)  # above bin 11, below w^2
+    w = np.insert(GRID, 12, w_gap)
+    v = np.insert(GRID ** 2, 12, v_gap)
+    slope, r2 = growth_fit(np.stack([w, v], 1), (1, 100))
+    assert abs(slope - 2.0) < 1e-12 and abs(r2 - 1.0) < 1e-12
+
+
+def test_growth_fit_uses_local_maxima():
+    # peaks on w^2 at every 13th point, flanks at half of w^2 between them;
+    # the bins of all 40 points include bins of flank points only
+    w = np.logspace(0, 2, 40)
+    v = 0.5 * w ** 2
+    v[::13] = w[::13] ** 2
+    slope, r2 = growth_fit(np.stack([w, v], 1), (1, 100))
+    assert abs(slope - 2.0) < 1e-12 and abs(r2 - 1.0) < 1e-12
+
+
+def test_branch_fit_keeps_bin_minimum():
+    w = 10.0 * GRID
+    w_gap = gap_point(12, 1.0, 3.0)
+    d_gap = np.sqrt(w[11] ** -2.0 * w_gap ** -2.0)  # off the branch
+    lam = np.insert(-w ** -2.0 + 1j * w, 12, -d_gap + 1j * w_gap)
+    rep = SpectrumReport(eigenvalues=lam, spectral_abscissa=float(max(lam.real)),
+                         zero_in_resolvent=True)
+    slope, r2 = damping_branch_fit(rep, (10, 1000))
+    assert abs(slope + 2.0) < 1e-12 and abs(r2 - 1.0) < 1e-12
 
 
 def test_growth_fit_band_validation():
