@@ -10,7 +10,7 @@ resolvent norm along the imaginary axis in that norm, and log-log fits of
 
 which are the one-sided quantities the decay theory constrains.  The
 resolvent works on the n x n pencil K - omega^2 M + i omega D: one sparse LU
-per frequency and a Lanczos solve for the largest singular value in the
+per frequency and a Lanczos iteration for the largest singular value in the
 energy inner product (Wright & Trefethen, SISC 23, 2001).
 """
 
@@ -22,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh, splu
+from scipy.sparse.linalg import eigs, splu
 
 from ._lsq import lsq_line
 from .errors import (InsufficientDataError, InvalidArgumentError, SolverError)
 
 _DENSE_LIMIT = 4096  # first-order dofs beyond which dense solves are refused
+_LANCZOS_STEPS = 60  # cap on Lanczos steps per frequency (2n if fewer)
 
 
 @dataclass
@@ -140,31 +141,19 @@ class _PencilResolvent:
     For f = (f1, f2), z = R f is z = (u, i omega u - f1) with
     P(omega) u = M f2 + (i omega M + D) f1, P(omega) = K - omega^2 M
     + i omega D.  The adjoint solve reuses the factor of P (trans='H'), so
-    R^H E R costs two sparse solves, and ||R||_E^2 is the largest
-    eigenvalue of R^H E R x = lambda E x (ARPACK, with E^{-1} from the
-    factors of K and M, made once per system).
+    X = E^{-1} R^H E R costs two sparse solves.  ||R||_E^2 is the largest
+    eigenvalue of X, which is self-adjoint in <a, b>_E = a^H E b: Lanczos in
+    that product needs only products with E (Parlett 1998, ch. 13), formed
+    after each orthogonalization so that a badly conditioned E cannot skew
+    the basis.
     """
 
     def __init__(self, system):
         K, M, D = (sp.csc_matrix(X) for X in (system.K, system.M, system.D))
-        n = K.shape[0]
-        self.K, self.M, self.D, self.n = K, M, D, n
-        self.E = sp.block_diag([K, M], format="csr")
-        factors = ((slice(0, n), _spd_factor(K)),
-                   (slice(n, 2 * n), _spd_factor(M)))
-
-        def solve_e(b):
-            b = np.asarray(b).reshape(-1)
-            x = np.empty(2 * n, dtype=complex)
-            for part, lu in factors:
-                y = lu.solve(np.column_stack([b[part].real, b[part].imag]))
-                x[part] = y[:, 0] + 1j * y[:, 1]
-            return x
-
-        self.E_inv = LinearOperator((2 * n, 2 * n), matvec=solve_e,
-                                    dtype=complex)
+        self.K, self.M, self.D, self.n = K, M, D, K.shape[0]
+        _spd_factor(K), _spd_factor(M)  # the energy-pd check
         # a fixed start vector makes every sweep reproducible bit for bit
-        self.v0 = np.random.default_rng(0).standard_normal(2 * n)
+        self.v0 = np.random.default_rng(0).standard_normal(2 * self.n)
 
     def norm(self, omega):
         # P(-omega) is the conjugate of P(omega), so the norm is even in
@@ -176,24 +165,44 @@ class _PencilResolvent:
         except RuntimeError:  # exactly singular: omega is an eigenfrequency
             return np.inf
 
-        def normal_op(f):  # R^H E R f
-            f = np.asarray(f).reshape(-1)
+        def apply(f):  # X f
             f1, f2 = f[:n], f[n:]
             u = lu.solve(M @ (f2 + 1j * w * f1) + D @ f1)
             v = 1j * w * u - f1
             y = lu.solve(D @ u - M @ (1j * w * u + v), trans="H")
-            return np.concatenate([K @ y, M @ (1j * w * y + u)])
+            return np.concatenate([y, 1j * w * y + u])
 
-        op = LinearOperator((2 * n, 2 * n), matvec=normal_op, dtype=complex)
-        try:
-            lam = eigsh(op, k=1, M=self.E, Minv=self.E_inv, v0=self.v0,
-                        ncv=min(10, 2 * n), return_eigenvectors=False)
-        except ArpackError as exc:
-            raise SolverError(
-                f"Lanczos solve for the resolvent norm at omega = {w:.17g} "
-                f"did not converge: {exc}",
-                invariant="sweep-converged") from exc
-        return float(np.sqrt(lam[0]))
+        def e_prod(x):
+            return np.concatenate([K @ x[:n], M @ x[n:]])
+
+        x = self.v0.astype(complex)
+        ex = e_prod(x)
+        Q, EQ, alpha, beta = [], [], [], []
+        b = np.sqrt(np.einsum("i,i", x.conj(), ex).real)
+        for _ in range(_LANCZOS_STEPS):
+            Q.append(x / b), EQ.append(ex / b)
+            x = apply(Q[-1])
+            # two classical Gram-Schmidt passes in the E product; einsum,
+            # not BLAS, whose threads would keep spinning into the next splu
+            basis, e_basis, a = np.array(Q), np.array(EQ), 0.0
+            for _ in range(2):
+                c = np.einsum("ij,j->i", e_basis.conj(), x)
+                x -= np.einsum("i,ij->j", c, basis)
+                a += c[-1].real
+            alpha.append(a)
+            ex = e_prod(x)
+            b = np.sqrt(max(np.einsum("i,i", x.conj(), ex).real, 0.0))
+            theta, s = sla.eigh_tridiagonal(alpha, beta)
+            # ARPACK's tol = 0 test, residual b |s_j| <= eps theta; theta is
+            # exact once the basis spans all 2n dimensions
+            if (b * abs(s[-1, -1]) <= np.finfo(float).eps * theta[-1]
+                    or len(Q) == 2 * n):
+                return float(np.sqrt(theta[-1]))
+            beta.append(b)
+        raise SolverError(
+            f"Lanczos solve for the resolvent norm at omega = {w:.17g} "
+            f"did not converge in {len(alpha)} steps",
+            invariant="sweep-converged")
 
 
 def resolvent_norm(system, omega):
@@ -204,8 +213,8 @@ def resolvent_norm(system, omega):
 def resolvent_sweep(system, omegas):
     """Resolvent norms at many frequencies; returns rows (omega, norm).
 
-    K and M are factored once; each frequency costs one sparse LU of the
-    pencil and one Lanczos solve, started from the same vector.
+    K and M are checked positive definite once; each frequency costs one
+    sparse LU of the pencil and a few Lanczos steps from the same vector.
     """
     op = _PencilResolvent(system)
     omegas = np.asarray(omegas, dtype=float)
@@ -241,7 +250,7 @@ def _envelope_fit(x, y, ly):
     """
     edges = np.logspace(np.log10(x.min()), np.log10(x.max()),
                         min(_N_BINS, len(x)) + 1)
-    edges[-1] *= 1.0 + 1e-12
+    edges[0], edges[-1] = x.min(), edges[-1] * (1.0 + 1e-12)
     bins = np.searchsorted(edges, x, side="right") - 1
     idx = np.flatnonzero((bins >= 0) & (bins < len(edges) - 1))
     idx = idx[np.lexsort((-y[idx], bins[idx]))]  # stable: first on ties
@@ -315,6 +324,7 @@ def suggest_sweep_omegas(report, band, n_grid=40, n_peaks=60):
     """
     lo, hi = _band(band)
     grid = np.logspace(np.log10(lo), np.log10(hi), n_grid)
+    grid[0], grid[-1] = lo, hi  # 10**log10(x) can miss x by an ulp
     lam = report.eigenvalues
     lam = lam[(lam.imag >= lo) & (lam.imag <= hi) & (lam.real < 0)]
     if len(lam):

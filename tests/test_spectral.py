@@ -1,10 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from platedecay.assembly import assemble, build_dof_map
 from platedecay import spectral
@@ -126,13 +129,19 @@ def test_resolvent_infinite_when_factor_exactly_singular():
 
 
 def test_nonconverged_lanczos_raises(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.array([]),
-                                  np.array([]))
-    monkeypatch.setattr(spectral, "eigsh", no_convergence)
+    monkeypatch.setattr(spectral, "_LANCZOS_STEPS", 1)
     with pytest.raises(SolverError) as info:
         resolvent_sweep(build(h=0.5), [1.0])
     assert info.value.invariant == "sweep-converged"
+
+
+def test_sweep_matches_dense_svd_at_every_suggested_point():
+    # a Lanczos solve that settled on a smaller eigenvalue would show here
+    system = build()
+    report = pencil_eigenvalues(system)
+    omegas = suggest_sweep_omegas(report, resolved_band(report))
+    for omega, value in resolvent_sweep(system, omegas):
+        assert abs(value - dense_resolvent_norm(system, omega)) <= 1e-8 * value
 
 
 def test_sweep_beyond_dense_limit():
@@ -286,6 +295,56 @@ def test_suggest_sweep_omegas_includes_peaks():
     weak = in_band[np.argmax(in_band.real)]
     assert np.min(np.abs(omegas - weak.imag)) < 1e-12
     assert np.all(np.diff(omegas) > 0)
+
+
+@pytest.mark.parametrize("band", [(11.443267348584394, 13917.634509495883),
+                                  (11.44326734858471, 13917.634509495852)])
+def test_suggest_sweep_omegas_pinned_to_band_ends(band):
+    # the h = 1/8 band under 1 and 2 BLAS threads; a bare log grid starts
+    # below the second and ends above the first
+    report = SpectrumReport(eigenvalues=np.array([], dtype=complex),
+                            spectral_abscissa=-1.0, zero_in_resolvent=True)
+    omegas = suggest_sweep_omegas(report, band)
+    assert omegas[0] == band[0] and omegas[-1] == band[1]
+
+
+def test_growth_fit_keeps_smallest_frequency():
+    w = 5.0 * np.logspace(0, 2, 10)
+    assert np.logspace(np.log10(w[0]), np.log10(w[-1]), 11)[0] > w[0]
+    v = w ** 2
+    v[0] *= 2.0
+    slope, _ = growth_fit(np.stack([w, v], 1), (5, 500))
+    assert abs(slope - np.polyfit(np.log(w), np.log(v), 1)[0]) < 1e-12
+
+
+THETA_H8 = """
+from platedecay.assembly import assemble, build_dof_map
+from platedecay.geometry import unit_square_domain
+from platedecay.meshing import triangulate
+from platedecay.plate_forms import PlateMaterial
+from platedecay import spectral as S
+mesh = triangulate(unit_square_domain(gamma0_edges=(0, 3),
+                                      corner_gains=(0, 0, 1.0, 0)), 0.125)
+system = assemble(mesh, build_dof_map(mesh, 2),
+                  PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1.0, d2=1.0),
+                  j_variant=2)
+report = S.pencil_eigenvalues(system)
+band = S.resolved_band(report)
+sweep = S.resolvent_sweep(system, S.suggest_sweep_omegas(report, band))
+print(repr(S.growth_fit(sweep, band)[0]))
+"""
+
+
+def test_theta_independent_of_blas_threads():
+    # the band ends move by ulps with the BLAS thread count; the fit must not
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    thetas = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", THETA_H8], env=env,
+                             capture_output=True, text=True, check=True)
+        thetas.append(float(out.stdout))
+    assert abs(thetas[0] - thetas[1]) <= 1e-8
 
 
 def test_first_order_matrices_shapes():
