@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -43,6 +44,9 @@ from .spectral import (damping_branch_fit, growth_fit, pencil_eigenvalues,
 
 _VALIDATION_ERRORS = (ConfigValidationError, InvalidArgumentError,
                       InvalidGeometryError, MissingThresholdError)
+
+# Set-up peaks near 19 KB per triangle, so this many stay near 2 GB.
+MAX_TRIANGLES = 100_000
 
 
 @dataclass
@@ -112,26 +116,17 @@ class RunConfig:
             dom = DomainSpec(vertices=dom.vertices, edges=dom.edges,
                              corner_gains=gains,
                              poisson_ratio=dom.poisson_ratio)
-        mesh = MeshParams(**data.get("mesh", {}))
-        sim_d = dict(data.get("sim", {}))
-        if "fit_window" in sim_d and sim_d["fit_window"] is not None:
-            sim_d["fit_window"] = tuple(sim_d["fit_window"])
-        sim = SimParams(**sim_d)
-        spec_d = dict(data.get("spectral", {}))
-        if "omega_band" in spec_d and spec_d["omega_band"] is not None:
-            spec_d["omega_band"] = tuple(spec_d["omega_band"])
-        spectral = SpectralParams(**spec_d)
-        box = data.get("check", {}).get("search_box")
-        if box is not None:
-            box = (tuple(box[0]), tuple(box[1]))
         cfg = cls(domain=dom, material=material, gains=gains,
                   variant=_number("variant", data.get("variant", 2)),
-                  mesh=mesh, sim=sim,
-                  spectral=spectral, search_box=box,
+                  mesh=MeshParams(**data.get("mesh", {})),
+                  sim=SimParams(**data.get("sim", {})),
+                  spectral=SpectralParams(**data.get("spectral", {})),
+                  search_box=data.get("check", {}).get("search_box"),
                   condition_g_policy=data.get("condition_g_policy", "refuse"),
                   seed=_number("seed", data.get("seed", 0)),
                   output_dir=data.get("output_dir", "out"),
-                  dump_matrices=bool(data.get("dump_matrices", False)),
+                  dump_matrices=_flag("dump_matrices",
+                                      data.get("dump_matrices", False)),
                   raw=data)
         cfg.validate()
         return cfg
@@ -148,6 +143,9 @@ class RunConfig:
                 value = getattr(params, name)
                 if not (name == "count" and value == "all"):
                     setattr(params, name, _number(name, value))
+        if self.mesh.refinements < 0:
+            raise ConfigValidationError("mesh.refinements must be >= 0",
+                                        invariant="refinements-range")
         if self.variant not in (1, 2):
             raise ConfigValidationError("variant must be 1 or 2",
                                         invariant="variant")
@@ -175,15 +173,17 @@ class RunConfig:
 
 _INTEGER_FIELDS = {"refinements", "degree", "snapshot_stride", "points",
                    "count", "variant", "seed", "label"}
+_SHAPES = {"fit_window": (2,), "omega_band": (2,), "search_box": (2, 2)}
 
 
 def _number(name, value):
     """Check a config number (or a nested list of them, or None).
 
     Every entry must be a real number (``<name>-type``) and finite
-    (``<name>-finite``; JSON configs may spell NaN and Infinity).  An
-    integer field must hold a whole number (``<name>-type``) and is
-    returned as an int.
+    (``<name>-finite``; JSON configs may spell NaN and Infinity).  A field
+    in ``_SHAPES`` must have that shape (``<name>-shape``).  An integer
+    field must hold a whole number (``<name>-type``) and is returned as an
+    int.
     """
     if value is None:
         return None
@@ -196,6 +196,9 @@ def _number(name, value):
     if not np.all(np.isfinite(flat.astype(float))):
         raise ConfigValidationError(f"{name} must be finite",
                                     invariant=f"{name}-finite")
+    if entries.shape != _SHAPES.get(name, entries.shape):
+        raise ConfigValidationError(f"{name} must have shape {_SHAPES[name]}",
+                                    invariant=f"{name}-shape")
     if name not in _INTEGER_FIELDS:
         return value
     if entries.ndim or not float(value).is_integer():
@@ -204,21 +207,25 @@ def _number(name, value):
     return int(value)
 
 
+def _flag(name, value):
+    """Check a config switch: a JSON bool, else ``<name>-type``."""
+    if not isinstance(value, bool):
+        raise ConfigValidationError(f"{name} must be true or false",
+                                    invariant=f"{name}-type")
+    return value
+
+
 def _parse_domain(data):
     edges = []
     for e in data["edges"]:
         kind = e.get("type", "segment")
-        ccw = e.get("ccw", True)
-        if not isinstance(ccw, bool):
-            raise ConfigValidationError("ccw must be true or false",
-                                        invariant="ccw-type")
         edges.append(EdgeSpec(
             kind=kind, label=_number("label", e["label"]),
             center=tuple(_number("center", e["center"]))
             if kind == "arc" else None,
             radius=float(_number("radius", e["radius"]))
             if kind == "arc" else None,
-            ccw=ccw))
+            ccw=_flag("ccw", e.get("ccw", True))))
     return DomainSpec(
         vertices=tuple(tuple(v) for v in _number("vertex", data["vertices"])),
         edges=tuple(edges),
@@ -264,8 +271,21 @@ class _Outputs:
 
 
 def _build_mesh(cfg):
-    mesh = triangulate(cfg.domain, cfg.mesh.h)
-    for _ in range(cfg.mesh.refinements):
+    """Mesh, refine and validate; refuses a mesh predicted to exceed
+    ``MAX_TRIANGLES`` (``mesh-size``) before allocating it."""
+    h, levels = cfg.mesh.h, cfg.mesh.refinements
+    lo, hi = cfg.domain.bounding_box()
+    if h > 0:  # triangulate names h <= 0
+        # log10 of 2 (W/h + 1)(H/h + 1) 4^levels, which may overflow a float
+        size = (math.log10(2.0 * math.prod(float(s) / h + 1.0 for s in hi - lo))
+                + levels * math.log10(4.0))
+        if size > math.log10(MAX_TRIANGLES):
+            raise ConfigValidationError(
+                f"mesh.h = {h:g} with {levels} refinements predicts about "
+                f"10^{size:.1f} triangles, above {MAX_TRIANGLES}",
+                invariant="mesh-size")
+    mesh = triangulate(cfg.domain, h)
+    for _ in range(levels):
         mesh = refine(mesh)
     violations = validate_mesh(mesh, cfg.domain)
     if violations:
@@ -356,8 +376,10 @@ def _cmd_simulate(cfg, out):
     if window is None and cfg.sim.T >= 2.0:
         window = (max(1.0, 0.25 * cfg.sim.T), cfg.sim.T)
     if window is not None and np.all(trace.energy > 0):
-        fit = decay_fit(trace, window)
-        payload["decay_fit"] = fit.to_dict()
+        try:
+            payload["decay_fit"] = decay_fit(trace, window).to_dict()
+        except InsufficientDataError as exc:
+            payload["decay_fit_skipped"] = str(exc)
     out.write_json("decay_fit.json", payload)
     print(f"simulated {len(trace) - 1} steps; E0={trace.energy[0]:.6g} "
           f"ET={trace.energy[-1]:.6g}")

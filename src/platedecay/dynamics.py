@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from ._lsq import lsq_line
-from .errors import InvalidArgumentError, SolverError
+from .errors import InsufficientDataError, InvalidArgumentError, SolverError
 from .geometry import GAMMA1
 
 SCHEMES = ("midpoint",)
@@ -191,6 +191,8 @@ def decay_fit(trace, window):
 
     Returns the exponent (positive alpha means decay), the log-log R^2, and
     an exponential-regime flag set when log E against t is the better line.
+    An energy that loses at most 1e-9 of E(t_a) over the window has no
+    decay to fit (``InsufficientDataError``, ``window-flat``).
     """
     t_a, t_b = float(window[0]), float(window[1])
     if t_a < 1.0:
@@ -208,6 +210,10 @@ def decay_fit(trace, window):
     if len(t) < 3:
         raise InvalidArgumentError("need at least 3 samples in the window",
                                    invariant="window-samples")
+    if e[0] - e[-1] <= 1e-9 * e[0]:
+        raise InsufficientDataError(
+            "energy is flat on the fit window (loss <= 1e-9 E(t_a))",
+            invariant="window-flat")
     log_t, log_e = np.log(t), np.log(e)
     slope, r2_pow = lsq_line(log_t, log_e)
     _, r2_exp = lsq_line(t, log_e)
@@ -220,10 +226,11 @@ def decay_fit(trace, window):
 # initial data generators
 # ---------------------------------------------------------------------------
 
-def boundary_bump_data(system, center=None, width=None):
+def boundary_bump_data(system):
     """Stiffness-harmonic lift of a Gaussian bump on the damped boundary.
 
-    Sets the damped-trace dofs to a bump profile, solves the interior dofs
+    Sets the damped-trace dofs to a bump profile (centred at their mean,
+    width a quarter of the free dofs' extent), solves the interior dofs
     from K (discrete harmonic extension in the energy form) and starts from
     rest; biased toward boundary-dominated, weakly damped motion.
     """
@@ -236,13 +243,10 @@ def boundary_bump_data(system, center=None, width=None):
         raise InvalidArgumentError("no free damped-boundary dofs",
                                    invariant="gamma1-dofs")
     coords = dofs.dof_coords[trace_global]
-    if center is None:
-        center = coords.mean(axis=0)
-    if width is None:
-        span = dofs.dof_coords[dofs.free]
-        width = 0.25 * float(np.max(span.max(axis=0) - span.min(axis=0)))
-    center = np.asarray(center, dtype=float)
-    g = np.exp(-np.sum((coords - center) ** 2, axis=1) / (2.0 * width ** 2))
+    span = dofs.dof_coords[dofs.free]
+    width = 0.25 * float(np.max(span.max(axis=0) - span.min(axis=0)))
+    g = np.exp(-np.sum((coords - coords.mean(axis=0)) ** 2, axis=1)
+               / (2.0 * width ** 2))
 
     free_pos = dofs.free_index[trace_global]
     n = system.n_free

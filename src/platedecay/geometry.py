@@ -33,6 +33,7 @@ GAMMA1 = 1  # free portion carrying the damped flange
 OMEGA0_TABLE = {0.3: math.radians(52.054347)}
 
 _TOL = 1e-9
+_ARC_SAMPLES = 256  # LP constraint points per arc of the observer search
 
 
 @dataclass(frozen=True)
@@ -419,19 +420,18 @@ def check_condition_h(domain, x0):
     )
 
 
-def find_observer_point(domain, search_box, arc_samples=256):
+def find_observer_point(domain, search_box):
     """LP search for an observer point inside ``search_box``.
 
     Maximizes gamma subject to (v - x0).nu >= gamma at damped constraint
     points and (v - x0).nu <= 0 at clamped ones.  Segments contribute exact
-    endpoint constraints; arcs are sampled (>= 256 points) and tightened by
+    endpoint constraints; arcs are sampled (``_ARC_SAMPLES``) and tightened by
     a conservative slack, so a positive verdict is trustworthy.  The witness
     is re-verified with the exact checker before reporting success.
     """
     (xmin, ymin), (xmax, ymax) = search_box
     if not (xmax > xmin and ymax > ymin):
         raise InvalidArgumentError("search box is empty", invariant="search-box")
-    arc_samples = max(int(arc_samples), 256)
 
     corners = np.array([[xmin, ymin], [xmin, ymax], [xmax, ymin], [xmax, ymax]])
     lo, hi = domain.bounding_box()
@@ -448,12 +448,12 @@ def find_observer_point(domain, search_box, arc_samples=256):
             slack = 0.0
         else:
             t0, dt = domain.arc_sweep(i)
-            thetas = t0 + dt * np.arange(arc_samples + 1) / arc_samples
+            thetas = t0 + dt * np.arange(_ARC_SAMPLES + 1) / _ARC_SAMPLES
             pts = [domain.arc_point(i, th) for th in thetas]
             nus = [domain.arc_normal(i, th) for th in thetas]
             c = np.asarray(e.center)
             reach = max(np.hypot(*(c - q)) for q in corners) + e.radius
-            slack = 0.5 * reach * abs(dt) / arc_samples
+            slack = 0.5 * reach * abs(dt) / _ARC_SAMPLES
             tol = max(tol, slack)
         for k, v in enumerate(pts):
             nu_k = nu if e.kind == "segment" else nus[k]

@@ -19,7 +19,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.signal import convolve2d
 
-from ._polygon import ear_clip
 from .errors import InvalidArgumentError
 from .quadrature import map_to_segment, map_to_triangle, segment_rule, triangle_rule
 
@@ -263,12 +262,13 @@ def corner_jump(u, mu, point, nu_in, nu_out):
 # ---------------------------------------------------------------------------
 
 def polygon_integral(field, polygon):
-    """Exact integral of a polynomial field over a simple CCW polygon."""
+    """Exact integral of a polynomial field over a simple CCW polygon, convex
+    or not: the signed fan (p_{n-1}, p_i, p_{i+1}) cancels outside it."""
     polygon = np.asarray(polygon, dtype=float)
     pts, w = triangle_rule(field.degree)
     total = 0.0
-    for (i, j, k) in ear_clip(polygon):
-        phys, pw = map_to_triangle(pts, w, polygon[[i, j, k]])
+    for i in range(len(polygon) - 2):
+        phys, pw = map_to_triangle(pts, w, polygon[[-1, i, i + 1]])
         total += float(pw @ field(phys))
     return total
 

@@ -41,14 +41,15 @@ def triangle_rule(degree):
 
 
 def map_to_triangle(points, weights, tri):
-    """Map a reference-triangle rule to the physical triangle ``tri`` (3, 2)."""
+    """Map a reference-triangle rule to the physical triangle ``tri`` (3, 2);
+    the weights carry the signed Jacobian, negative for a clockwise ``tri``."""
     tri = np.asarray(tri, dtype=float)
     a, b, c = tri
     jac = np.array([[b[0] - a[0], c[0] - a[0]],
                     [b[1] - a[1], c[1] - a[1]]])
     det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
     phys = a[None, :] + points @ jac.T
-    return phys, weights * abs(det)
+    return phys, weights * det
 
 
 def map_to_segment(points, weights, a, b):

@@ -302,3 +302,76 @@ def test_parser_grammar():
     args = parser.parse_args(["simulate", "--config", "c.json",
                               "--out", "d", "--seed", "7"])
     assert args.command == "simulate" and args.seed == 7
+
+
+LENS_PATH = Path(__file__).resolve().parents[1] / "configs" / "lens.json"
+
+
+def test_lens_commands_run(tmp_path):
+    cfg_path = str(LENS_PATH)
+    out = tmp_path / "out"
+    for command in ("simulate", "spectrum", "resolvent"):
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+    rows = [line for line in (out / "trace.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    t, energy, d1, d2, dc = np.array([[float(x) for x in r.split(",")]
+                                      for r in rows[1:]]).T
+    balance = np.abs(np.diff(energy) + np.diff(d1 + d2 + dc)) / energy[0]
+    assert balance.max() <= 1e-9
+    assert np.diff(energy).max() <= 1e-12 * energy[0]
+    for name in ("o1", "o2"):
+        assert main(["mesh", "--config", cfg_path,
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "o1" / "mesh.txt").read_bytes() == \
+        (tmp_path / "o2" / "mesh.txt").read_bytes()
+
+
+@pytest.mark.parametrize("config", ["square", "lens"])
+@pytest.mark.parametrize("mesh, invariant", [
+    ({"h": 1e-9}, "mesh-size"),
+    ({"refinements": 40}, "mesh-size"),
+    ({"refinements": -1}, "refinements-range"),
+])
+def test_mesh_size_refused_before_meshing(tmp_path, capsys, config, mesh,
+                                          invariant):
+    data = json.loads((LENS_PATH.parent / f"{config}.json").read_text())
+    data["mesh"].update(mesh)
+    cfg_path = write_cfg(tmp_path, data)
+    assert main(["mesh", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == invariant
+
+
+@pytest.mark.parametrize("path, value, invariant", [
+    (("check",), {"search_box": [[0, 0]]}, "search_box-shape"),
+    (("check",), {"search_box": [0, 0, 1, 1]}, "search_box-shape"),
+    (("spectral", "omega_band"), [3], "omega_band-shape"),
+    (("spectral", "omega_band"), 3, "omega_band-shape"),
+    (("sim", "fit_window"), [1.0], "fit_window-shape"),
+    (("dump_matrices",), "no", "dump_matrices-type"),
+])
+def test_config_field_shape(tmp_path, capsys, path, value, invariant):
+    data = json.loads(json.dumps(SQUARE_CFG))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path = write_cfg(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == invariant
+
+
+def test_undamped_run_skips_decay_fit(tmp_path):
+    data = json.loads(json.dumps(SQUARE_CFG))
+    data["material"].update({"d1": 0.0, "d2": 0.0})
+    data["domain"]["corner_gains"] = [0, 0, 0, 0]
+    data["sim"]["T"] = 2.0  # default window (1, 2)
+    cfg_path = write_cfg(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    payload = json.loads((out / "decay_fit.json").read_text())
+    assert "decay_fit" not in payload
+    assert "flat" in payload["decay_fit_skipped"]

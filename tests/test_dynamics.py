@@ -5,7 +5,7 @@ from platedecay.assembly import assemble, build_dof_map
 from platedecay.dynamics import (DecayFit, EnergyTrace, boundary_bump_data,
                                  decay_fit, dissipation_residual,
                                  eigenpacket_data, simulate)
-from platedecay.errors import InvalidArgumentError
+from platedecay.errors import InsufficientDataError, InvalidArgumentError
 from platedecay.geometry import unit_square_domain
 from platedecay.meshing import triangulate
 from platedecay.plate_forms import PlateMaterial
@@ -168,3 +168,10 @@ def test_eigenpacket_data_refuses_beyond_dense_limit():
     with pytest.raises(InvalidArgumentError) as info:
         eigenpacket_data(system)
     assert info.value.invariant == "dense-limit"
+
+
+def test_decay_fit_refuses_flat_energy():
+    trace = synthetic_trace(lambda t: np.full_like(t, 2.0))
+    with pytest.raises(InsufficientDataError) as info:
+        decay_fit(trace, (1.0, 100.0))
+    assert info.value.invariant == "window-flat"

@@ -1,13 +1,17 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platedecay._polygon import polygon_is_simple, random_convex_polygon
+from platedecay._polygon import (polygon_is_simple, random_convex_polygon,
+                                signed_area)
+from platedecay.cli import RunConfig
 from platedecay.errors import InvalidArgumentError, InvalidGeometryError
 from platedecay.geometry import lens_domain, polygon_domain, unit_square_domain
-from platedecay.meshing import (Mesh, read_mesh, refine, triangulate,
+from platedecay.meshing import (Mesh, _inside, read_mesh, refine, triangulate,
                                 validate_mesh, write_mesh)
 
 
@@ -223,3 +227,84 @@ def test_mesh_file_comments(tmp_path):
     path.write_text(text)
     back = read_mesh(path)
     assert validate_mesh(back) == []
+
+
+LENS_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "lens.json"
+L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+MIN_ANGLE_DEG = 15.0  # smallest measured: 17.3 on the 20 degree lens
+
+
+def min_angle_deg(mesh):
+    p = mesh.nodes[mesh.triangles]
+    u = np.roll(p, -1, axis=1) - p
+    v = np.roll(p, 1, axis=1) - p
+    cos = np.sum(u * v, axis=2) / (np.linalg.norm(u, axis=2)
+                                   * np.linalg.norm(v, axis=2))
+    return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).min())
+
+
+def lens_config_domain():
+    cfg = RunConfig.from_dict(json.loads(LENS_CONFIG.read_text()))
+    return cfg.domain, cfg.mesh.h
+
+
+@pytest.mark.parametrize("make", [
+    lens_config_domain,
+    *[lambda deg=deg, h=h: (lens_domain(math.radians(deg)), h)
+      for deg in (20, 30, 45, 90) for h in (0.1, 0.05)],
+    lambda: (polygon_domain(L_SHAPE, gamma0_edges={0}), 0.25),
+    # no lattice node fits: without added centroids an edge is 2.15 h long
+    lambda: (polygon_domain([(-0.216, 0.615), (-0.383, 0.527), (-0.651, -0.02),
+                             (-0.577, -0.303), (-0.264, -0.596),
+                             (0.391, -0.521)], gamma0_edges={0}), 0.35),
+], ids=["lens-config"] + [f"lens-{d}-h{h}" for d in (20, 30, 45, 90)
+                          for h in (0.1, 0.05)] + ["l-shape", "small-hexagon"])
+def test_delaunay_mesh_quality(make):
+    dom, h = make()
+    mesh = triangulate(dom, h)
+    assert validate_mesh(mesh, dom) == []
+    assert mesh.max_edge_length() <= 2.0 * h
+    assert min_angle_deg(mesh) >= MIN_ANGLE_DEG
+
+
+def test_missing_boundary_chord_is_split():
+    # a narrow asymmetric notch: its first triangulation lacks boundary chords
+    dom = polygon_domain([(0, 0), (2, 0), (2, 2), (1.05, 2), (1, 0.3),
+                          (0.98333, 1.9), (0, 2)], gamma0_edges={0})
+    n_chords = sum(max(1, math.ceil(np.hypot(*(b - a)) / 0.25))
+                   for a, b in map(dom.edge_endpoints, range(dom.n_corners)))
+    mesh = triangulate(dom, 0.25)
+    assert len(mesh.boundary_edges) > n_chords
+    assert validate_mesh(mesh, dom) == []
+    assert mesh.max_edge_length() <= 0.5
+
+
+def test_slit_narrower_than_h_is_refused():
+    # the slit's two sides are chorded out of step, so their chords keep
+    # splitting until the round cap
+    dom = polygon_domain([(0, 0), (2, 0), (2, 1), (0.3, 1), (0.2, 1.0001),
+                          (1.93, 1.0001), (1.93, 2), (0, 2)], gamma0_edges={0})
+    with pytest.raises(InvalidGeometryError) as info:
+        triangulate(dom, 0.25)
+    assert info.value.invariant == "mesh-rounds"
+
+
+
+@pytest.mark.parametrize("seed, h", [(0, 0.2), (3, 0.2), (3, 0.35), (9, 0.35)])
+def test_collinear_hull_points_mesh_exactly(seed, h):
+    # straight edges chorded at h put collinear points on the convex hull;
+    # without the far points Qhull gives these polygons flat triangles
+    rng = np.random.default_rng(seed)
+    vertices = random_convex_polygon(rng, int(rng.integers(3, 9)))
+    dom = polygon_domain(vertices, gamma0_edges={0})
+    mesh = triangulate(dom, h)
+    assert validate_mesh(mesh, dom) == []
+    assert abs(mesh.triangle_areas().sum() - signed_area(vertices)) < 1e-12
+
+
+def test_inside_mask_keeps_margin_from_every_side():
+    square = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
+    q = np.array([[0.5, 0.5], [0.5, 0.95], [0.5, 0.05], [0.05, 0.5],
+                  [0.95, 0.5], [0.95, 0.95], [1.5, 0.5], [0.5, 1.05]])
+    assert _inside(square, q, 0.1).tolist() == [True] + [False] * 7
+    assert _inside(square, q).tolist() == [True] * 6 + [False] * 2

@@ -12,7 +12,8 @@ from platedecay.plate_forms import (FlatCornerWarning, PlateMaterial, PolyField,
                                     greens_identity_residual,
                                     greens_identity_terms,
                                     multiplier_identity_residual,
-                                    multiplier_identity_terms, q_density)
+                                    multiplier_identity_terms,
+                                    polygon_integral, q_density)
 
 SQUARE = unit_square_domain(gamma0_edges=(0, 3))
 MU = 0.3
@@ -195,3 +196,13 @@ def test_material_validation():
     # zero damping and boundary constants are representable
     mat = PlateMaterial(mu=0.3, rho=0.0, inertia=0.0, d1=0.0, d2=0.0)
     assert mat.d1 == 0.0
+
+
+@pytest.mark.parametrize("i, j, exact", [(0, 0, 3.0), (1, 0, 2.5),
+                                         (2, 1, 11.0 / 6.0)])
+def test_polygon_integral_signed_fan_on_l_shape(i, j, exact):
+    # the fan from the last vertex (0, 2) has a clockwise triangle over the
+    # notch, whose negative weights cancel the part outside the L
+    l_shape = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+    value = polygon_integral(PolyField.monomial(i, j), l_shape)
+    assert abs(value - exact) <= 1e-14 * exact
