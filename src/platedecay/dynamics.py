@@ -8,13 +8,16 @@ three channels (normal-derivative damping, trace damping, corner feedback).
 It is the only scheme: Newmark with beta = 1/4, gamma = 1/2 is the same
 one-step map on linear systems.
 
-The step forms its right-hand side, the energy and the refinement
-residuals in np.longdouble and factor the step matrix in double (see
-``_OperatorSolver``).  On x86-64 (80-bit long double) an undamped run at
-h = 1/12 holds its energy to about 2e-13 over 10^4 steps, and the midpoint
-balance residual of the damped square is about 2e-14.  In double, the
-right-hand side M v - (dt/2) K u alone rounds the energy at the 1e-11 level
-over such a run, however many refinement passes follow.
+The step runs in energy coordinates y = (F_M' v, F_K' u), with sparse
+factors F F' = M and F F' = K, so the energy is |y|^2 / 2: a quadratic
+invariant that the midpoint rule keeps (Hairer, Lubich & Wanner 2006).  Each
+step solves the step operator M + (dt/2) D + (dt/2)^2 K for v_mid from
+M v - (dt/2) K u = F_M y2 - (dt/2) F_K y1, with one refinement pass whose
+residual applies the operator through the factors, and all in double.  An
+undamped run at h = 1/12 holds its energy to 3e-13 over 10^4 steps (2e-13
+over 2000 steps at h = 1/24), and the midpoint balance residual of the
+damped square is about 1e-14.  Without the refinement pass, or with a
+residual against the assembled operator, the drift is 1e-10 to 1e-9.
 """
 
 from __future__ import annotations
@@ -22,13 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from ._lsq import lsq_line
 from .errors import InsufficientDataError, InvalidArgumentError, SolverError
 from .geometry import GAMMA1
+from .spectral import _energy_generator, _spd_factor, _spd_root
 
 SCHEMES = ("midpoint",)
+# The trace takes 40 bytes per step (five float arrays) and a CLI simulate
+# peaks near 100, so this many stay near 1 GB.
+MAX_STEPS = 10_000_000
 
 
 @dataclass
@@ -47,43 +56,6 @@ class EnergyTrace:
         return len(self.times)
 
 
-class _OperatorSolver:
-    """LU of a step operator in double, refined against it in long double.
-
-    The operator arrives in ``np.longdouble``, where its entrywise rounding
-    is about 1e-19; the LU is of its double rounding.  Each refinement pass
-    forms the residual b - A x from the long-double right-hand side and the
-    long-double operator, so the solve reaches the long-double system, not
-    its double rounding.  A right-hand side formed in double would already
-    move the energy by its own rounding each step (max|K| is about 4.6e5 at
-    h = 1/12), which no refinement against it recovers: an undamped run at
-    h = 1/12 then drifts by 1.5e-11 over 10^4 steps.  With both in long
-    double the drift is about 2e-13 and the midpoint balance residual about
-    2e-14.  Where np.longdouble is plain double (its eps equals float's, as
-    on MSVC builds) the residual gains nothing.
-    """
-
-    passes = 2  # 1 or 2 both leave the drift at noise level
-
-    def __init__(self, matrix):
-        self.matrix = matrix.tocsr()
-        try:
-            self.lu = splu(self.matrix.astype(float).tocsc())
-        except RuntimeError as exc:  # singular factorization
-            raise SolverError(f"step matrix factorization failed: {exc}",
-                              invariant="step-matrix") from exc
-
-    def solve(self, b):
-        x = self.lu.solve(b.astype(float))
-        for _ in range(self.passes):
-            r = b - self.matrix @ x.astype(np.longdouble)
-            x += self.lu.solve(r.astype(float))
-        if not np.all(np.isfinite(x)):
-            raise SolverError("linear solve produced non-finite values",
-                              invariant="solver-finite")
-        return x
-
-
 def simulate(system, u0, v0, dt, T, scheme="midpoint", snapshot_stride=0):
     """Integrate the free homogeneous dynamics from (u0, v0) up to time T.
 
@@ -96,6 +68,10 @@ def simulate(system, u0, v0, dt, T, scheme="midpoint", snapshot_stride=0):
     if T < dt:
         raise InvalidArgumentError("final time must be at least one step",
                                    invariant="horizon")
+    if not T / dt < MAX_STEPS + 0.5:
+        raise InvalidArgumentError(
+            f"T / dt = {T / dt:.3g} steps; at most {MAX_STEPS} are allowed",
+            invariant="sim-steps")
     if scheme not in SCHEMES:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}; "
                                    f"use one of {SCHEMES}", invariant="scheme")
@@ -106,23 +82,24 @@ def simulate(system, u0, v0, dt, T, scheme="midpoint", snapshot_stride=0):
         raise InvalidArgumentError(f"initial data must have length {n}",
                                    invariant="dof-size")
 
-    ld = np.longdouble
-    K, M, D = (m.astype(ld).tocsr() for m in (system.K, system.M, system.D))
+    half = 0.5 * dt
+    F_K, F_M = _spd_root(system.K), _spd_root(system.M)
+    step_lu = _spd_factor(system.M + half * system.D + half * half * system.K)
+    roots_t = sp.vstack([F_M.T, F_K.T], format="csr")  # w -> (F_M'w, F_K'w)
+    rhs = sp.hstack([F_M, -half * F_K], format="csr")  # y -> M v - (dt/2) K u
+    # the step operator applied through the factors, on (F_M'w, F_K'w, w)
+    step_op = sp.hstack([F_M, half * half * F_K, half * system.D],
+                        format="csr")
     parts = system.damping_parts
-
-    def forces(uu, vv):
-        # K u and M v in long double, each used twice: for the energy
-        # (u.Ku + v.Mv) / 2 and for the next step's right-hand side
-        ku, mv = K @ uu.astype(ld), M @ vv.astype(ld)
-        return ku, mv, 0.5 * (uu @ ku + vv @ mv)
+    channels = sp.vstack([parts["d1"], parts["d2"], parts["corner"]],
+                         format="csr")
 
     n_steps = int(round(T / dt))
     times = np.arange(n_steps + 1) * dt
     E = np.zeros(n_steps + 1)
-    c1 = np.zeros(n_steps + 1)
-    c2 = np.zeros(n_steps + 1)
-    cc = np.zeros(n_steps + 1)
-    ku, mv, E[0] = forces(u, v)
+    diss = np.zeros((3, n_steps + 1))
+    y = np.concatenate([F_M.T @ v, F_K.T @ u])  # (y2, y1)
+    E[0] = 0.5 * (y @ y)
     snapshots = {}
 
     def snap(step):
@@ -131,19 +108,24 @@ def simulate(system, u0, v0, dt, T, scheme="midpoint", snapshot_stride=0):
             snapshots[step] = (u.copy(), v.copy())
 
     snap(0)
-
-    half = ld(0.5 * dt)
-    step_mat = _OperatorSolver(M + half * D + half * half * K)
     for s in range(1, n_steps + 1):
-        v_mid = step_mat.solve(mv - half * ku)
-        u = u + dt * v_mid
-        v = 2.0 * v_mid - v
-        ku, mv, E[s] = forces(u, v)
-        c1[s] = c1[s - 1] + dt * float(v_mid @ (parts["d1"] @ v_mid))
-        c2[s] = c2[s - 1] + dt * float(v_mid @ (parts["d2"] @ v_mid))
-        cc[s] = cc[s - 1] + dt * float(v_mid @ (parts["corner"] @ v_mid))
+        r = rhs @ y
+        w = step_lu.solve(r)
+        # the step moves |y|^2 / 2 by -dt w'Dw + 2 w'(A w - r) with A applied
+        # as below, so the refinement reduces exactly that residual
+        w += step_lu.solve(r - step_op @ np.concatenate([roots_t @ w, w]))
+        fw = roots_t @ w
+        y[:n] = 2.0 * fw[:n] - y[:n]
+        y[n:] += dt * fw[n:]
+        E[s] = 0.5 * (y @ y)
+        diss[:, s] = dt * ((channels @ w).reshape(3, n) @ w)
+        u += dt * w
+        v = 2.0 * w - v
         snap(s)
-
+    if not np.all(np.isfinite(E)):
+        raise SolverError("time stepping produced non-finite values",
+                          invariant="solver-finite")
+    c1, c2, cc = np.cumsum(diss, axis=1, out=diss)
     return EnergyTrace(times=times, energy=E, diss_d1=c1, diss_d2=c2,
                        diss_corner=cc, scheme=scheme, snapshots=snapshots)
 
@@ -271,9 +253,6 @@ def eigenpacket_data(system, n_modes=6):
     and sums their real parts.  The eigensolve is dense, so it is refused
     above the dense limit (``dense-limit``).
     """
-    from .spectral import _energy_generator
-    import scipy.linalg as sla
-
     G, L = _energy_generator(system)
     lam, Y = np.linalg.eig(G)
     order = np.argsort(-lam.real)  # closest to the axis first (Re < 0)

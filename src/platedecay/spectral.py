@@ -135,6 +135,13 @@ def _spd_factor(matrix):
     return lu
 
 
+def _spd_root(matrix):
+    """Sparse F with F F' = matrix: F = Pr' L diag(sqrt(d)) from the
+    L D L' of ``_spd_factor``."""
+    lu = _spd_factor(matrix)
+    return (lu.L @ sp.diags(np.sqrt(lu.U.diagonal())))[lu.perm_r].tocsr()
+
+
 class _PencilResolvent:
     """Energy-norm resolvent R = (i omega E - A)^{-1} E on the n x n pencil.
 

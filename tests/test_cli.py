@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from platedecay.cli import RunConfig, _build_system, build_parser, main, run
 from platedecay.errors import ConfigValidationError
@@ -375,3 +376,33 @@ def test_undamped_run_skips_decay_fit(tmp_path):
     payload = json.loads((out / "decay_fit.json").read_text())
     assert "decay_fit" not in payload
     assert "flat" in payload["decay_fit_skipped"]
+
+
+def test_step_count_refused_before_allocating(tmp_path, capsys):
+    data = json.loads(json.dumps(SQUARE_CFG))
+    data["sim"].update({"dt": 1e-3, "T": 1e10})
+    cfg_path = write_cfg(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == "sim-steps"
+    assert not (out / "trace.csv").exists()
+
+
+def test_indefinite_stiffness_exits_3(tmp_path, capsys, monkeypatch):
+    import platedecay.cli as cli
+
+    def shifted(cfg):
+        mesh, dofs, system = _build_system(cfg)
+        lam_min = np.linalg.eigvalsh(system.K.toarray())[0]
+        system.K = (system.K - 2.0 * lam_min
+                    * sp.identity(system.n_free)).tocsr()
+        return mesh, dofs, system
+
+    monkeypatch.setattr(cli, "_build_system", shifted)
+    cfg_path = write_cfg(tmp_path, SQUARE_CFG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == "energy-pd"
+    assert not (out / "trace.csv").exists()
