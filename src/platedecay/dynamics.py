@@ -36,7 +36,7 @@ from .spectral import _energy_generator, _spd_factor, _spd_root
 
 SCHEMES = ("midpoint",)
 # The trace takes 40 bytes per step (five float arrays) and a CLI simulate
-# peaks near 100, so this many stay near 1 GB.
+# peaks near 90, so this many stay under 1 GB.
 MAX_STEPS = 10_000_000
 
 
@@ -180,12 +180,14 @@ def decay_fit(trace, window):
     if t_a < 1.0:
         raise InvalidArgumentError("fit window must start at t >= 1",
                                    invariant="window-start")
-    mask = (trace.times >= t_a) & (trace.times <= t_b)
-    if not np.any(mask) or trace.times[-1] < t_b - 1e-12:
+    # the times increase, so the window is one slice: views, not copies
+    window_slice = slice(np.searchsorted(trace.times, t_a, side="left"),
+                         np.searchsorted(trace.times, t_b, side="right"))
+    t = trace.times[window_slice]
+    e = trace.energy[window_slice]
+    if len(t) == 0 or not trace.times[-1] >= t_b - 1e-12:  # NaN t_b too
         raise InvalidArgumentError("fit window outside the trace",
                                    invariant="window-range")
-    t = trace.times[mask]
-    e = trace.energy[mask]
     if np.any(e <= 0.0):
         raise InvalidArgumentError("energy must stay positive on the window",
                                    invariant="window-positive")
@@ -250,17 +252,18 @@ def eigenpacket_data(system, n_modes=6):
 
     Takes the generator's eigenvectors closest to the imaginary axis, one
     per conjugate pair, in energy coordinates, where each has unit energy,
-    and sums their real parts.  The eigensolve is dense, so it is refused
-    above the dense limit (``dense-limit``).
+    and sums their real parts, mapped back by z = L^{-T} y block by block.
+    The eigensolve is dense, so it is refused above the dense limit
+    (``dense-limit``).
     """
-    G, L = _energy_generator(system)
+    G, (L_K, L_M) = _energy_generator(system)
     lam, Y = np.linalg.eig(G)
     order = np.argsort(-lam.real)  # closest to the axis first (Re < 0)
     picked = order[lam[order].imag > 1e-9][:n_modes]
     if len(picked) == 0:
         raise SolverError("no oscillatory modes found for the packet",
                           invariant="eigenpacket")
-    z = sla.solve_triangular(L, Y[:, picked], lower=True, trans="T")
-    z = z.real.sum(axis=1)  # z = L^{-T} y
+    y = Y[:, picked].real.sum(axis=1)
     n = system.n_free
-    return z[:n], z[n:]
+    return (sla.solve_triangular(L_K, y[:n], lower=True, trans="T"),
+            sla.solve_triangular(L_M, y[n:], lower=True, trans="T"))

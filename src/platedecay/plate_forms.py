@@ -22,10 +22,6 @@ from scipy.signal import convolve2d
 from .errors import InvalidArgumentError
 from .quadrature import map_to_segment, map_to_triangle, segment_rule, triangle_rule
 
-#: Intended maximum total degree of manufactured fields.  Internal products
-#: (integrands) routinely exceed it; the cap is advisory for inputs.
-MANUFACTURED_DEGREE_CAP = 8
-
 
 class FlatCornerWarning(UserWarning):
     """Emitted when a corner jump is requested at a flat (no-corner) point."""
@@ -295,17 +291,6 @@ def _domain_polygon(domain, arc_points=512):
     return pts
 
 
-def _corner_frames(domain):
-    """(point, nu_in, nu_out) per corner of a straight-edge polygon."""
-    p = domain.n_corners
-    frames = []
-    for i in range(p):
-        frames.append((np.asarray(domain.vertices[i]),
-                       domain.segment_normal((i - 1) % p),
-                       domain.segment_normal(i)))
-    return frames
-
-
 def bilinear_a(u, v, domain, mu):
     """Bending-energy bilinear form a(u, v) over the domain.
 
@@ -320,8 +305,25 @@ def bilinear_a(u, v, domain, mu):
     return polygon_integral(integrand, _domain_polygon(domain))
 
 
-def _normal_derivative_field(v, nu):
-    return nu[0] * v.dx1() + nu[1] * v.dx2()
+def _boundary_work(u, w, domain, mu):
+    """Boundary and corner terms of Green's formula against the test field w
+    on a straight-edge polygon: the edge integral of (shear * w - bending *
+    dw/dnu), and the sum of twisting-moment jumps times w at the corners."""
+    p = domain.n_corners
+    boundary = 0.0
+    for i in range(p):
+        a_pt, b_pt = domain.edge_endpoints(i)
+        nu = domain.segment_normal(i)
+        b1 = bending_trace_field(u, mu, nu)
+        b2 = shear_trace_field(u, mu, nu)
+        integrand = b2 * w - b1 * (nu[0] * w.dx1() + nu[1] * w.dx2())
+        boundary += edge_integral(integrand, a_pt, b_pt)
+    corners = 0.0
+    for i in range(p):  # edge i - 1 comes into vertex i, edge i leaves it
+        pt = np.asarray(domain.vertices[i])
+        corners += corner_jump(u, mu, pt, domain.segment_normal((i - 1) % p),
+                               domain.segment_normal(i)) * float(w(pt))
+    return boundary, corners
 
 
 def greens_identity_terms(u, v, domain, mu):
@@ -335,17 +337,7 @@ def greens_identity_terms(u, v, domain, mu):
     polygon = _straight_polygon(domain)
     volume = polygon_integral(u.biharmonic() * v, polygon)
     a_uv = bilinear_a(u, v, domain, mu)
-    boundary = 0.0
-    for i in range(domain.n_corners):
-        a_pt, b_pt = domain.edge_endpoints(i)
-        nu = domain.segment_normal(i)
-        b1 = bending_trace_field(u, mu, nu)
-        b2 = shear_trace_field(u, mu, nu)
-        integrand = b2 * v - b1 * _normal_derivative_field(v, nu)
-        boundary += edge_integral(integrand, a_pt, b_pt)
-    corners = 0.0
-    for (pt, nu_in, nu_out) in _corner_frames(domain):
-        corners += corner_jump(u, mu, pt, nu_in, nu_out) * float(v(pt))
+    boundary, corners = _boundary_work(u, v, domain, mu)
     return {"volume": volume, "a": a_uv, "boundary": boundary,
             "corners": corners}
 
@@ -378,19 +370,12 @@ def multiplier_identity_terms(u, domain, mu, x0):
     a_uu = bilinear_a(u, u, domain, mu)
     qfield = q_density_field(u, mu)
     q_flux = 0.0
-    boundary = 0.0
     for i in range(domain.n_corners):
         a_pt, b_pt = domain.edge_endpoints(i)
         nu = domain.segment_normal(i)
         mdotnu = nu[0] * m1 + nu[1] * m2
         q_flux += 0.5 * edge_integral(mdotnu * qfield, a_pt, b_pt)
-        b1 = bending_trace_field(u, mu, nu)
-        b2 = shear_trace_field(u, mu, nu)
-        integrand = b2 * mgrad - b1 * _normal_derivative_field(mgrad, nu)
-        boundary += edge_integral(integrand, a_pt, b_pt)
-    corners = 0.0
-    for (pt, nu_in, nu_out) in _corner_frames(domain):
-        corners += corner_jump(u, mu, pt, nu_in, nu_out) * float(mgrad(pt))
+    boundary, corners = _boundary_work(u, mgrad, domain, mu)
     return {"volume": volume, "a": a_uu, "q_flux": q_flux,
             "corners": corners, "boundary": boundary}
 

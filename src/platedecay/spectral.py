@@ -8,21 +8,22 @@ resolvent norm along the imaginary axis in that norm, and log-log fits of
 * the upper envelope of the resolvent sweep (growth exponent), and
 * the weakly damped eigenvalue branch (distance to the axis vs frequency),
 
-which are the one-sided quantities the decay theory constrains.  The
-resolvent works on the n x n pencil K - omega^2 M + i omega D: one sparse LU
-per frequency and a Lanczos iteration for the largest singular value in the
-energy inner product (Wright & Trefethen, SISC 23, 2001).
+which are the one-sided quantities the decay theory constrains.  A and E
+are never assembled: ``_Pencil`` answers the sparse questions from n x n
+factors of P(s) = s^2 M + s D + K, eigenvalues near a shift by the spectral
+transformation (Ericsson & Ruhe, Math. Comp. 35, 1980) and the resolvent
+norm by a Lanczos iteration in the energy inner product (Wright & Trefethen,
+SISC 23, 2001), and the dense generator is built from n x n Cholesky blocks.
 """
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigs, splu
+from scipy.sparse.linalg import LinearOperator, eigs, splu
 
 from ._lsq import lsq_line
 from .errors import (InsufficientDataError, InvalidArgumentError, SolverError)
@@ -45,16 +46,6 @@ class SpectrumReport:
                 "zero_in_resolvent": bool(self.zero_in_resolvent)}
 
 
-def first_order_matrices(system):
-    """E = blockdiag(K, M) and A = [[0, K], [-K, -D]] as sparse matrices."""
-    K, M, D = system.K, system.M, system.D
-    n = K.shape[0]
-    E = sp.block_diag([K, M], format="csr")
-    Z = sp.csr_matrix((n, n))
-    A = sp.bmat([[Z, K], [-K, -D]], format="csr")
-    return E, A
-
-
 def _not_positive_definite():
     return SolverError(
         "energy factorization failed: K or M not positive definite",
@@ -65,34 +56,21 @@ def pencil_eigenvalues(system, count="all"):
     """Eigenvalues of the first-order generator (roots of the damped pencil).
 
     ``count = 'all'`` performs a dense solve (refused above 4096 first-order
-    dofs); an integer count uses sparse shift-invert iteration, from a fixed
-    start vector, for the ``count`` eigenvalues nearest the real shift 1e-3.
+    dofs); an integer count gives the ``count`` eigenvalues nearest the real
+    shift 1e-3 from one sparse n x n factor (``_Pencil.eigenvalues``).  Both
+    stop with ``energy-pd`` unless K and M are positive definite.
     """
     if count == "all":
-        # Solve in energy coordinates: L^{-1} A L^{-T} is similar to the
-        # generator and dissipative in the Euclidean product, so the
-        # balanced standard eigensolve keeps Re(lambda) <= 0 where the badly
-        # scaled QZ pencil (stiffness vs mass blocks) loses that structure.
+        # Solve in energy coordinates: the generator is dissipative in the
+        # Euclidean product there, so the balanced standard eigensolve keeps
+        # Re(lambda) <= 0 where the badly scaled QZ pencil (stiffness vs
+        # mass blocks) loses that structure.
         lam = np.linalg.eigvals(_energy_generator(system)[0])
     else:
-        E, A = first_order_matrices(system)
         k = int(count)
-        if not 0 < k < E.shape[0] - 1:
+        if not 0 < k < 2 * system.K.shape[0] - 1:
             raise InvalidArgumentError("count out of range", invariant="count")
-        # scipy draws a fresh start vector when none is given, which makes
-        # the eigenvalues differ from run to run in the last digits
-        v0 = np.random.default_rng(0).standard_normal(E.shape[0])
-        try:
-            lam = eigs(A, k=k, M=E, sigma=1e-3, which="LM", v0=v0,
-                       return_eigenvectors=False)
-        except Exception as exc:
-            raise SolverError(f"shift-invert eigensolve failed: {exc}",
-                              invariant="eigensolver") from exc
-        finally:
-            # scipy's ARPACK wrapper holds its factor of A - sigma E in a
-            # reference cycle; free it now, not at the next cyclic collection
-            gc.collect()
-    lam = np.asarray(lam)
+        lam = _Pencil(system).eigenvalues(k, 1e-3)
     lam = lam[np.lexsort((lam.real, lam.imag))]
     return SpectrumReport(
         eigenvalues=lam,
@@ -102,22 +80,27 @@ def pencil_eigenvalues(system, count="all"):
 
 
 def _energy_generator(system):
-    """Dense G = L^{-1} A L^{-T} and L, with E = L L': the generator in
-    energy coordinates, where the energy norm is the Euclidean one."""
-    E, A = first_order_matrices(system)
-    n2 = E.shape[0]
-    if n2 > _DENSE_LIMIT:
+    """Dense G = L^{-1} A L^{-T} and (L_K, L_M), L = blockdiag(L_K, L_M) the
+    Cholesky factors of K and M: the generator in energy coordinates, where
+    the energy norm is the Euclidean one.  It is assembled block by block,
+    [[0, B'], [-B, -C]] with B = L_M^{-1} L_K, C = L_M^{-1} D L_M^{-T}."""
+    n = system.K.shape[0]
+    if 2 * n > _DENSE_LIMIT:
         raise InvalidArgumentError(
-            f"dense eigensolve refused for {n2} first-order dofs; "
+            f"dense eigensolve refused for {2 * n} first-order dofs; "
             "request a count with shift-invert instead",
             invariant="dense-limit")
     try:
-        L = sla.block_diag(sla.cholesky(system.K.toarray(), lower=True),
-                           sla.cholesky(system.M.toarray(), lower=True))
+        L_K = sla.cholesky(system.K.toarray(), lower=True)
+        L_M = sla.cholesky(system.M.toarray(), lower=True)
     except np.linalg.LinAlgError as exc:
         raise _not_positive_definite() from exc
-    G = sla.solve_triangular(L, A.toarray(), lower=True)
-    return sla.solve_triangular(L, G.T, lower=True).T, L
+    B = sla.solve_triangular(L_M, L_K, lower=True)
+    C = sla.solve_triangular(L_M, system.D.toarray(), lower=True)
+    C = sla.solve_triangular(L_M, C.T, lower=True).T
+    G = np.zeros((2 * n, 2 * n))
+    G[:n, n:], G[n:, :n], G[n:, n:] = B.T, -B, -C
+    return G, (L_K, L_M)
 
 
 def _spd_factor(matrix):
@@ -142,11 +125,17 @@ def _spd_root(matrix):
     return (lu.L @ sp.diags(np.sqrt(lu.U.diagonal())))[lu.perm_r].tocsr()
 
 
-class _PencilResolvent:
-    """Energy-norm resolvent R = (i omega E - A)^{-1} E on the n x n pencil.
+class _Pencil:
+    """The damped pencil P(s) = s^2 M + s D + K, which answers both
+    frequency questions from n x n factors.
 
-    For f = (f1, f2), z = R f is z = (u, i omega u - f1) with
-    P(omega) u = M f2 + (i omega M + D) f1, P(omega) = K - omega^2 M
+    ``eigenvalues``: lambda = s + 1/mu for the largest mu of
+    (A - s E)^{-1} E, which maps y = (y1, y2) to (u, s u + y1) with
+    P(s) u = -(M y2 + (D + s M) y1), one factor of P(s) for every product.
+
+    ``norm``: the energy-norm resolvent R = (i omega E - A)^{-1} E maps
+    f = (f1, f2) to z = (u, i omega u - f1) with
+    P(i omega) u = M f2 + (i omega M + D) f1, P(i omega) = K - omega^2 M
     + i omega D.  The adjoint solve reuses the factor of P (trans='H'), so
     X = E^{-1} R^H E R costs two sparse solves.  ||R||_E^2 is the largest
     eigenvalue of X, which is self-adjoint in <a, b>_E = a^H E b: Lanczos in
@@ -159,11 +148,30 @@ class _PencilResolvent:
         K, M, D = (sp.csc_matrix(X) for X in (system.K, system.M, system.D))
         self.K, self.M, self.D, self.n = K, M, D, K.shape[0]
         _spd_factor(K), _spd_factor(M)  # the energy-pd check
-        # a fixed start vector makes every sweep reproducible bit for bit
+        # a fixed start vector makes every solve reproducible bit for bit
         self.v0 = np.random.default_rng(0).standard_normal(2 * self.n)
 
+    def eigenvalues(self, k, s):
+        """The k eigenvalues of the generator nearest the real shift s."""
+        K, M, D, n = self.K, self.M, self.D, self.n
+        lu = _spd_factor(K + s * D + (s * s) * M)
+
+        def apply(y):  # (A - s E)^{-1} E y
+            y1 = y[:n]
+            u = -lu.solve(M @ (y[n:] + s * y1) + D @ y1)
+            return np.concatenate([u, s * u + y1])
+
+        op = LinearOperator((2 * n, 2 * n), matvec=apply, dtype=float)
+        try:
+            mu = eigs(op, k=k, which="LM", v0=self.v0,
+                      return_eigenvectors=False)
+        except Exception as exc:
+            raise SolverError(f"shift-invert eigensolve failed: {exc}",
+                              invariant="eigensolver") from exc
+        return s + 1.0 / mu
+
     def norm(self, omega):
-        # P(-omega) is the conjugate of P(omega), so the norm is even in
+        # P(-i omega) is the conjugate of P(i omega), so the norm is even in
         # omega; evaluating at |omega| makes it so bit for bit
         w = abs(float(omega))
         K, M, D, n = self.K, self.M, self.D, self.n
@@ -214,7 +222,7 @@ class _PencilResolvent:
 
 def resolvent_norm(system, omega):
     """Energy-norm resolvent norm ||(i omega - generator)^{-1}|| at one omega."""
-    return _PencilResolvent(system).norm(omega)
+    return _Pencil(system).norm(omega)
 
 
 def resolvent_sweep(system, omegas):
@@ -223,7 +231,7 @@ def resolvent_sweep(system, omegas):
     K and M are checked positive definite once; each frequency costs one
     sparse LU of the pencil and a few Lanczos steps from the same vector.
     """
-    op = _PencilResolvent(system)
+    op = _Pencil(system)
     omegas = np.asarray(omegas, dtype=float)
     norms = np.array([op.norm(w) for w in omegas], dtype=float)
     return np.stack([omegas, norms], axis=1)

@@ -17,8 +17,7 @@ from platedecay.geometry import unit_square_domain
 from platedecay.meshing import triangulate
 from platedecay.plate_forms import PlateMaterial
 from platedecay.spectral import (SpectrumReport, damping_branch_fit,
-                                 first_order_matrices, growth_fit,
-                                 pencil_eigenvalues, resolved_band,
+                                 growth_fit, pencil_eigenvalues, resolved_band,
                                  resolvent_norm, resolvent_sweep,
                                  suggest_sweep_omegas)
 
@@ -71,15 +70,30 @@ def test_spectrum_conjugate_symmetric():
 
 
 def test_count_eigenvalues_nearest_shift_match_dense():
-    system = build()
-    dense = pencil_eigenvalues(system).eigenvalues
-    k = 6
-    report = pencil_eigenvalues(system, count=k)
-    nearest = dense[np.argsort(np.abs(dense - 1e-3))[:k]]
     key = lambda lam: lam[np.lexsort((lam.real, lam.imag))]
-    assert np.allclose(key(report.eigenvalues), key(nearest), rtol=1e-8,
-                       atol=0.0)
-    assert report.spectral_abscissa < 0 and report.zero_in_resolvent
+    for h, k in ((0.25, 6), (0.125, 40)):
+        system = build(h=h)
+        dense = pencil_eigenvalues(system).eigenvalues
+        report = pencil_eigenvalues(system, count=k)
+        nearest = dense[np.argsort(np.abs(dense - 1e-3))[:k]]
+        assert np.allclose(key(report.eigenvalues), key(nearest), rtol=1e-8,
+                           atol=0.0)
+        assert report.spectral_abscissa < 0 and report.zero_in_resolvent
+
+
+def indefinite_energy():
+    """The h = 1/2 square with K shifted between its two lowest
+    eigenvalues (relative to M), so K is indefinite."""
+    system = build(h=0.5)
+    w2 = sla.eigh(system.K.toarray(), system.M.toarray(), eigvals_only=True)
+    return SimpleNamespace(K=system.K - 0.5 * (w2[0] + w2[1]) * system.M,
+                           M=system.M, D=system.D)
+
+
+def test_count_eigenvalues_refuse_indefinite_energy():
+    with pytest.raises(SolverError) as info:
+        pencil_eigenvalues(indefinite_energy(), count=6)
+    assert info.value.invariant == "energy-pd"
 
 
 def test_count_eigenvalues_reproducible():
@@ -89,14 +103,39 @@ def test_count_eigenvalues_reproducible():
     assert first.tobytes() == second.tobytes()
 
 
-def dense_resolvent_norm(system, omega):
-    """Oracle: 1 / sigma_min(i omega I - G), G the generator in the energy
-    coordinates of the Cholesky factors of K and M."""
-    E, A = first_order_matrices(system)
+def first_order_matrices(system):
+    """Oracle: E = blockdiag(K, M) and A = [[0, K], [-K, -D]], sparse."""
+    K, M, D = system.K, system.M, system.D
+    E = sp.block_diag([K, M], format="csr")
+    Z = sp.csr_matrix(K.shape)
+    A = sp.bmat([[Z, K], [-K, -D]], format="csr")
+    return E, A
+
+
+def oracle_generator(system):
+    """Oracle: L^{-1} A L^{-T}, with L the block-diagonal Cholesky factor
+    of E, formed from the assembled first-order matrices."""
+    _, A = first_order_matrices(system)
     L = sla.block_diag(sla.cholesky(system.K.toarray(), lower=True),
                        sla.cholesky(system.M.toarray(), lower=True))
     G = sla.solve_triangular(L, A.toarray(), lower=True)
-    G = sla.solve_triangular(L, G.T, lower=True).T
+    return sla.solve_triangular(L, G.T, lower=True).T
+
+
+def test_energy_generator_blocks():
+    system = build()
+    n = system.n_free
+    G, _ = spectral._energy_generator(system)
+    assert np.all(G[:n, :n] == 0.0)
+    assert np.array_equal(G[:n, n:], -G[n:, :n].T)  # exactly skew
+    # measured 1.9e-14 max|G| here; the bound leaves a factor 5
+    assert np.abs(G - oracle_generator(system)).max() <= 1e-13 * np.abs(G).max()
+
+
+def dense_resolvent_norm(system, omega):
+    """Oracle: 1 / sigma_min(i omega I - G), G the generator in the energy
+    coordinates of the Cholesky factors of K and M."""
+    G = oracle_generator(system)
     svals = np.linalg.svd(1j * omega * np.eye(len(G)) - G, compute_uv=False)
     return 1.0 / svals[-1]
 
@@ -111,10 +150,7 @@ def test_sparse_norm_matches_dense_svd():
 
 
 def test_resolvent_refuses_indefinite_energy():
-    system = build(h=0.5)
-    w2 = sla.eigh(system.K.toarray(), system.M.toarray(), eigvals_only=True)
-    indefinite = SimpleNamespace(K=system.K - 0.5 * (w2[0] + w2[1]) * system.M,
-                                 M=system.M, D=system.D)
+    indefinite = indefinite_energy()
     for call in (lambda: resolvent_norm(indefinite, 1.0),
                  lambda: resolvent_sweep(indefinite, [1.0, 2.0])):
         with pytest.raises(SolverError) as info:
@@ -345,11 +381,3 @@ def test_theta_independent_of_blas_threads():
                              capture_output=True, text=True, check=True)
         thetas.append(float(out.stdout))
     assert abs(thetas[0] - thetas[1]) <= 1e-8
-
-
-def test_first_order_matrices_shapes():
-    system = build(h=0.5)
-    E, A = first_order_matrices(system)
-    n = system.n_free
-    assert E.shape == (2 * n, 2 * n) and A.shape == (2 * n, 2 * n)
-    assert abs(E - E.T).max() == 0.0
