@@ -14,6 +14,7 @@ as diagonal entries on free corner vertex dofs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,13 +82,9 @@ class _ReferenceElement:
         return _eval_monomials(self.exps, pts, dx, dy) @ self.coeffs
 
 
-_REFERENCE = {}
-
-
+@lru_cache(maxsize=None)
 def reference_element(p):
-    if p not in _REFERENCE:
-        _REFERENCE[p] = _ReferenceElement(p)
-    return _REFERENCE[p]
+    return _ReferenceElement(p)
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +136,6 @@ class DofMap:
 
     def restrict(self, full):
         return np.asarray(full)[self.free]
-
-    def extend(self, free_vec):
-        full = np.zeros(self.n_dofs)
-        full[self.free] = free_vec
-        return full
 
 
 def build_dof_map(mesh, degree):

@@ -38,7 +38,8 @@ from .geometry import (DomainSpec, EdgeSpec, check_condition_g,
 from .meshing import refine, triangulate, validate_mesh, write_mesh
 from .assembly import assemble, build_dof_map, dump_coo
 from .plate_forms import PlateMaterial
-from .dynamics import boundary_bump_data, decay_fit, eigenpacket_data, simulate
+from .dynamics import (boundary_bump_data, decay_fit, dissipation_residual,
+                       eigenpacket_data, simulate)
 from .spectral import (damping_branch_fit, growth_fit, pencil_eigenvalues,
                        resolved_band, resolvent_sweep, suggest_sweep_omegas)
 
@@ -247,14 +248,11 @@ class _Outputs:
             "version": __version__,
         }
 
-    def _header_lines(self):
-        return [f"# {k}={v}" for k, v in self.provenance.items()]
-
     def write_csv(self, name, header, rows):
         path = os.path.join(self.dir, name)
         with open(path, "w") as f:
-            for line in self._header_lines():
-                f.write(line + "\n")
+            for key, value in self.provenance.items():
+                f.write(f"# {key}={value}\n")
             f.write(header + "\n")
             for row in rows:
                 f.write(",".join(f"{v:.17g}" for v in row) + "\n")
@@ -370,8 +368,13 @@ def _cmd_simulate(cfg, out):
             f.write("# u v\n")
             for a, b in zip(u, v):
                 f.write(f"{a:.17g} {b:.17g}\n")
+    e0 = trace.energy[0]
+    # relative to E0, as the balance residual is; zero data has neither
+    drift = float(np.max(np.abs(trace.energy - e0)) / e0) if e0 else 0.0
     payload = {"n_free": system.n_free, "scheme": trace.scheme,
-               "E0": float(trace.energy[0]), "ET": float(trace.energy[-1])}
+               "E0": float(e0), "ET": float(trace.energy[-1]),
+               "balance_residual": dissipation_residual(trace),
+               "energy_drift": drift}
     window = cfg.sim.fit_window
     if window is None and cfg.sim.T >= 2.0:
         window = (max(1.0, 0.25 * cfg.sim.T), cfg.sim.T)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.signal import convolve2d
 
 from .errors import InvalidArgumentError
 from .quadrature import map_to_segment, map_to_triangle, segment_rule, triangle_rule
@@ -130,7 +129,14 @@ class PolyField:
     def __mul__(self, other):
         if np.isscalar(other):
             return PolyField(self.coeffs * float(other))
-        return PolyField(convolve2d(self.coeffs, _as_field(other).coeffs))
+        # Kronecker substitution: zero-padded to the product's width m,
+        # c[i, j] sits at i m + j, so a 1-D convolution is the 2-D one
+        a, b = self.coeffs, _as_field(other).coeffs
+        n, m = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
+        pa, pb = np.zeros((a.shape[0], m)), np.zeros((b.shape[0], m))
+        pa[:, : a.shape[1]], pb[:, : b.shape[1]] = a, b
+        product = np.convolve(pa.ravel(), pb.ravel())[: n * m]
+        return PolyField(product.reshape(n, m))
 
     def __rmul__(self, other):
         return self.__mul__(other)

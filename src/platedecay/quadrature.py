@@ -6,13 +6,19 @@ the collapsed degrees.  All rules are reported on reference elements:
 the unit interval [0, 1] and the unit triangle {(x, y): x, y >= 0, x+y <= 1}.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 
+@lru_cache(maxsize=None)
 def gauss_01(n):
-    """n-point Gauss-Legendre rule on [0, 1]; exact for degree 2n-1."""
+    """n-point Gauss-Legendre rule on [0, 1], exact for degree 2n-1;
+    computed once per n and shared, so its arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(int(n))
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def segment_rule(degree):

@@ -87,8 +87,8 @@ def _energy_generator(system):
     n = system.K.shape[0]
     if 2 * n > _DENSE_LIMIT:
         raise InvalidArgumentError(
-            f"dense eigensolve refused for {2 * n} first-order dofs; "
-            "request a count with shift-invert instead",
+            f"dense eigensolve refused for {2 * n} first-order dofs, "
+            f"above the dense limit of {_DENSE_LIMIT}",
             invariant="dense-limit")
     try:
         L_K = sla.cholesky(system.K.toarray(), lower=True)

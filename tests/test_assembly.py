@@ -12,6 +12,7 @@ from platedecay.errors import (AssemblyStabilityError, InvalidArgumentError,
 from platedecay.geometry import unit_square_domain
 from platedecay.meshing import refine, triangulate
 from platedecay.plate_forms import PlateMaterial, PolyField, bilinear_a
+from platedecay.quadrature import gauss_01
 
 DOM = unit_square_domain(gamma0_edges=(0, 3))
 MAT = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1.0, d2=1.0)
@@ -24,6 +25,16 @@ def small_system(h=0.5, degree=2, mat=MAT, gains=None, j_variant=2,
     dofs = build_dof_map(mesh, degree)
     return dom, mesh, dofs, assemble(mesh, dofs, mat, gains=gains,
                                      j_variant=j_variant)
+
+
+def test_gauss_rule_is_computed_once_and_read_only():
+    x, w = gauss_01(4)
+    again = gauss_01(4)
+    assert again[0] is x and again[1] is w
+    assert abs(w.sum() - 1.0) < 1e-15
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_p2_dof_count_example():

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +378,57 @@ def test_undamped_run_skips_decay_fit(tmp_path):
     payload = json.loads((out / "decay_fit.json").read_text())
     assert "decay_fit" not in payload
     assert "flat" in payload["decay_fit_skipped"]
+
+
+@pytest.mark.parametrize("material, initial_data", [
+    ({"d1": 1.0, "d2": 1.0}, "boundary_bump"),
+    ({"d1": 0.0, "d2": 0.0}, "boundary_bump"),
+    ({"d1": 1.0, "d2": 1.0}, "zero"),
+], ids=["damped", "undamped", "zero-data"])
+def test_simulate_records_balance_and_drift(tmp_path, recwarn, material,
+                                            initial_data):
+    data = json.loads(json.dumps(SQUARE_CFG))
+    data["material"].update(material)
+    if material["d1"] == 0.0:
+        data["domain"]["corner_gains"] = [0, 0, 0, 0]
+    data["sim"]["initial_data"] = initial_data
+    cfg_path = write_cfg(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    payload = json.loads((out / "decay_fit.json").read_text())
+    if initial_data == "zero":
+        assert payload["balance_residual"] == 0.0
+        assert payload["energy_drift"] == 0.0
+        assert len(recwarn) == 0
+    elif material["d1"] == 0.0:
+        assert payload["energy_drift"] <= 1e-12  # measured 5.1e-15
+    else:
+        assert payload["balance_residual"] <= 1e-9
+        assert payload["energy_drift"] > 0.0
+
+
+def test_eigenpacket_beyond_dense_limit_exits_2(tmp_path, capsys):
+    data = json.loads(json.dumps(SQUARE_CFG))
+    data["mesh"]["h"] = 1.0 / 24.0  # 2 x 2304 first-order dofs
+    data["sim"]["initial_data"] = "eigenpacket"
+    cfg_path = write_cfg(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == "dense-limit"
+    assert "4608" in err["message"] and "4096" in err["message"]
+    assert "count" not in err["message"]
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    code = ("import sys, platedecay.cli; "
+            "print('scipy.signal' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_step_count_refused_before_allocating(tmp_path, capsys):
