@@ -22,8 +22,7 @@ import scipy.sparse as sp
 from .errors import (AssemblyStabilityError, InvalidArgumentError,
                      InvalidGeometryError)
 from .geometry import GAMMA0, GAMMA1
-from .plate_forms import (PlateMaterial, bending_trace_field, corner_jump,
-                          shear_trace_field)
+from .plate_forms import bending_trace_field, corner_jump, shear_trace_field
 from .quadrature import gauss_01, triangle_rule
 
 
@@ -131,11 +130,8 @@ class DofMap:
         return mask
 
     def interpolate(self, f):
-        """Nodal interpolant: f evaluated at all dof coordinates."""
-        return np.asarray(f(self.dof_coords), dtype=float)
-
-    def restrict(self, full):
-        return np.asarray(full)[self.free]
+        """Nodal interpolant on the free dofs: f at their coordinates."""
+        return np.asarray(f(self.dof_coords[self.free]), dtype=float)
 
 
 def build_dof_map(mesh, degree):
@@ -185,20 +181,15 @@ class AssembledSystem:
 
     ``mass_parts`` holds the unscaled pieces (interior, gamma1 trace, gamma1
     normal-derivative trace); ``damping_parts`` holds the scaled channels
-    (d1, d2, corner), which sum to D exactly.
+    (d1, d2, corner), and D is their sum.
     """
 
     K: sp.csr_matrix
     M: sp.csr_matrix
     D: sp.csr_matrix
-    j_variant: int
-    penalty_sigma: float
-    material: PlateMaterial
-    gains: np.ndarray
     mass_parts: dict
     damping_parts: dict
-    dofs: DofMap = None
-    mesh: object = None
+    dofs: DofMap
 
     @property
     def n_free(self):
@@ -293,14 +284,18 @@ def _sym(block):
     return 0.5 * (block + _T(block))
 
 
-def _csr(n, blocks):
-    """n x n CSR sum of (dofs (b, m), values (b, m, m)) block batches."""
-    rows = [np.broadcast_to(d[:, :, None], v.shape).ravel() for d, v in blocks]
-    cols = [np.broadcast_to(d[:, None, :], v.shape).ravel() for d, v in blocks]
-    vals = [v.ravel() for _, v in blocks]
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+def _csr(dofs, blocks):
+    """n_free x n_free CSR sum of (dofs (b, m), values (b, m, m)) block
+    batches; entries on clamped rows or columns are dropped."""
+    fi = dofs.free_index
+    rows = np.concatenate([np.broadcast_to(fi[d][:, :, None], v.shape).ravel()
+                           for d, v in blocks])
+    cols = np.concatenate([np.broadcast_to(fi[d][:, None, :], v.shape).ravel()
+                           for d, v in blocks])
+    vals = np.concatenate([v.ravel() for _, v in blocks])
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(dofs.n_free,) * 2).tocsr()
 
 
 def assemble(mesh, dofs, material, gains=None, j_variant=2, sigma=None):
@@ -335,6 +330,15 @@ def assemble(mesh, dofs, material, gains=None, j_variant=2, sigma=None):
     if np.any(gains < 0):
         raise InvalidArgumentError("corner gains must be >= 0",
                                    invariant="gain-nonnegative")
+    corners = mesh.corner_nodes
+    fed = (gains != 0.0) & (j_variant == 2)
+    clamped_nodes = mesh.boundary_edges[mesh.boundary_labels == GAMMA0]
+    bad = np.flatnonzero(fed & np.isin(corners, clamped_nodes))
+    if len(bad):
+        raise InvalidArgumentError(
+            f"corner {bad[0]} touches the clamped closure; positive "
+            "feedback gain is not admissible there",
+            invariant="clamped-corner-gain")
 
     mu = material.mu
     ref = reference_element(p)
@@ -382,45 +386,20 @@ def assemble(mesh, dofs, material, gains=None, j_variant=2, sigma=None):
     g_trace = _sym(_T(val[g] * w[g]) @ val[g])
     g_normal = _sym(_T(dn[g] * w[g]) @ dn[g])
 
-    nd = dofs.n_dofs
     union = np.concatenate([cd[t1[inner]], cd[t2]], axis=1)
-    K_full = _csr(nd, [(cd, kel), (union, k_inner), (cd[t1[c]], k_clamped)])
-    M_int = _csr(nd, [(cd, mel)])
-    G_t = _csr(nd, [(cd[t1[g]], g_trace)])
-    G_n = _csr(nd, [(cd[t1[g]], g_normal)])
-
-    # corner feedback gains
-    corners = mesh.corner_nodes
-    fed = (gains != 0.0) & (j_variant == 2)
-    clamped_nodes = mesh.boundary_edges[mesh.boundary_labels == GAMMA0]
-    bad = np.flatnonzero(fed & np.isin(corners, clamped_nodes))
-    if len(bad):
-        raise InvalidArgumentError(
-            f"corner {bad[0]} touches the clamped closure; positive "
-            "feedback gain is not admissible there",
-            invariant="clamped-corner-gain")
-    D_corner = sp.csr_matrix((gains[fed], (corners[fed], corners[fed])),
-                             shape=(nd, nd))
-
-    fi = dofs.free
-
-    def restrict(A):
-        return A.tocsr()[fi][:, fi].tocsr()
-
-    Kf = restrict(K_full)
-    Kf = (0.5 * (Kf + Kf.T)).tocsr()  # scatter order leaves ulp-level skew
-    Mi, Gt, Gn = restrict(M_int), restrict(G_t), restrict(G_n)
-    Dc = restrict(D_corner)
-    M = (Mi + material.rho * Gt + material.inertia * Gn).tocsr()
-    D = (material.d1 * Gn + material.d2 * Gt + Dc).tocsr()
-    damping_parts = {"d1": (material.d1 * Gn).tocsr(),
-                     "d2": (material.d2 * Gt).tocsr(),
-                     "corner": Dc}
+    K = _csr(dofs, [(cd, kel), (union, k_inner), (cd[t1[c]], k_clamped)])
+    K = (0.5 * (K + K.T)).tocsr()  # scatter order leaves ulp-level skew
+    Mi = _csr(dofs, [(cd, mel)])
+    Gt = _csr(dofs, [(cd[t1[g]], g_trace)])
+    Gn = _csr(dofs, [(cd[t1[g]], g_normal)])
+    parts = {"d1": material.d1 * Gn, "d2": material.d2 * Gt,
+             "corner": _csr(dofs, [(corners[fed, None],
+                                    gains[fed, None, None])])}
     return AssembledSystem(
-        K=Kf, M=M, D=D, j_variant=j_variant, penalty_sigma=float(sigma),
-        material=material, gains=gains,
+        K=K, M=Mi + material.rho * Gt + material.inertia * Gn,
+        D=parts["d1"] + parts["d2"] + parts["corner"],
         mass_parts={"interior": Mi, "trace": Gt, "normal": Gn},
-        damping_parts=damping_parts, dofs=dofs, mesh=mesh)
+        damping_parts=parts, dofs=dofs)
 
 
 def energy(system, u, v):
@@ -479,20 +458,17 @@ def assemble_load(mesh, dofs, domain, material, u_exact):
     at += [dofs.cell_dofs[t]] * 2
     work += [np.einsum("eqa,eq->ea", val, -shear * w),
              np.einsum("eqa,eq->ea", dn, bending * w)]
-    F = np.bincount(np.concatenate(at).ravel(),
-                    weights=np.concatenate(work).ravel(),
-                    minlength=dofs.n_dofs)
+    at = dofs.free_index[np.concatenate(at).ravel()]
+    work = np.concatenate(work).ravel()
+    F = np.bincount(at[at >= 0], weights=work[at >= 0],
+                    minlength=dofs.n_free)
 
-    pcount = domain.n_corners
-    for i in range(pcount):
-        if domain.corner_in_clamped_closure(i):
-            continue
-        nu_in = domain.segment_normal((i - 1) % pcount)
-        nu_out = domain.segment_normal(i)
-        jmp = corner_jump(u_exact, mu, domain.vertices[i], nu_in, nu_out)
-        F[dofs.corner_dofs[i]] -= jmp
+    for i in range(domain.n_corners):  # edge i - 1 comes in, edge i leaves
+        if not domain.corner_in_clamped_closure(i):  # its vertex dof is free
+            F[dofs.free_index[dofs.corner_dofs[i]]] -= corner_jump(
+                u_exact, mu, domain.vertices[i], normals[i - 1], normals[i])
 
-    return F[dofs.free]
+    return F
 
 
 def solve_static(system, load):

@@ -13,7 +13,8 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.  Artifacts
 are deterministic for a fixed config and version (no timestamps); every
 file carries a provenance header with the config hash, mesh level and tool
 version.  Validation failures print a JSON error object to stderr naming
-the violated invariant.
+the violated invariant.  A command computes and checks everything before
+its first write, so a failed command leaves no half-written artifact set.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -81,7 +82,6 @@ class RunConfig:
 
     domain: DomainSpec
     material: PlateMaterial
-    gains: tuple
     variant: int = 2
     mesh: MeshParams = field(default_factory=MeshParams)
     sim: SimParams = field(default_factory=SimParams)
@@ -95,8 +95,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data):
-        dom = _parse_domain(data["domain"])
-        mat_d = dict(data.get("material", {}))
+        data = _typed("config", data, dict)
+        dom = _parse_domain(_typed("domain", _field(data, "domain"), dict))
+        mat_d = dict(_typed("material", data.get("material", {}), dict))
         mat_d.setdefault("mu", dom.poisson_ratio)
         if "J" in mat_d:  # accept the physical symbol as an alias
             mat_d["inertia"] = mat_d.pop("J")
@@ -108,45 +109,27 @@ class RunConfig:
             raise ConfigValidationError(
                 "material.mu differs from the domain Poisson ratio",
                 invariant="mu-consistent")
-        gains = tuple(float(g) for g in
-                      _number("gain", data.get("gains", dom.corner_gains)))
-        if len(gains) != dom.n_corners:
-            raise ConfigValidationError("one gain per corner required",
-                                        invariant="gain-count")
-        if gains != dom.corner_gains:
-            dom = DomainSpec(vertices=dom.vertices, edges=dom.edges,
-                             corner_gains=gains,
-                             poisson_ratio=dom.poisson_ratio)
-        cfg = cls(domain=dom, material=material, gains=gains,
+        gains = _number("gain", data.get("gains"))
+        if gains is not None:  # DomainSpec checks the count and the values
+            dom = replace(dom, corner_gains=gains)
+        check = _typed("check", data.get("check", {}), dict)
+        cfg = cls(domain=dom, material=material,
                   variant=_number("variant", data.get("variant", 2)),
-                  mesh=MeshParams(**data.get("mesh", {})),
-                  sim=SimParams(**data.get("sim", {})),
-                  spectral=SpectralParams(**data.get("spectral", {})),
-                  search_box=data.get("check", {}).get("search_box"),
+                  mesh=_params("mesh", MeshParams, data),
+                  sim=_params("sim", SimParams, data),
+                  spectral=_params("spectral", SpectralParams, data),
+                  search_box=_number("search_box", check.get("search_box")),
                   condition_g_policy=data.get("condition_g_policy", "refuse"),
                   seed=_number("seed", data.get("seed", 0)),
-                  output_dir=data.get("output_dir", "out"),
-                  dump_matrices=_flag("dump_matrices",
-                                      data.get("dump_matrices", False)),
+                  output_dir=_typed("output_dir",
+                                    data.get("output_dir", "out"), str),
+                  dump_matrices=_typed("dump_matrices",
+                                       data.get("dump_matrices", False), bool),
                   raw=data)
         cfg.validate()
         return cfg
 
     def validate(self):
-        for params, names in ((self.mesh, ("h", "refinements", "degree",
-                                           "sigma")),
-                              (self.sim, ("dt", "T", "snapshot_stride",
-                                          "fit_window")),
-                              (self.spectral, ("points", "count",
-                                               "omega_band")),
-                              (self, ("search_box",))):
-            for name in names:
-                value = getattr(params, name)
-                if not (name == "count" and value == "all"):
-                    setattr(params, name, _number(name, value))
-        if self.mesh.refinements < 0:
-            raise ConfigValidationError("mesh.refinements must be >= 0",
-                                        invariant="refinements-range")
         if self.variant not in (1, 2):
             raise ConfigValidationError("variant must be 1 or 2",
                                         invariant="variant")
@@ -174,61 +157,100 @@ class RunConfig:
 
 _INTEGER_FIELDS = {"refinements", "degree", "snapshot_stride", "points",
                    "count", "variant", "seed", "label"}
-_SHAPES = {"fit_window": (2,), "omega_band": (2,), "search_box": (2, 2)}
+# fields given as arrays; -1 is any length.  Every other field is a scalar.
+_SHAPES = {"fit_window": (2,), "omega_band": (2,), "search_box": (2, 2),
+           "vertex": (-1, 2), "gain": (-1,), "center": (2,)}
+# fields where null stands for the default
+_OPTIONAL = {"sigma", "fit_window", "omega_band", "search_box", "gain"}
+# lower bounds; a sweep needs both band ends
+_RANGES = {"refinements": 0, "points": 2, "seed": 0}
+_KINDS = {dict: "a JSON object", list: "a list", str: "a string",
+          bool: "true or false"}
 
 
 def _number(name, value):
-    """Check a config number (or a nested list of them, or None).
-
-    Every entry must be a real number (``<name>-type``) and finite
-    (``<name>-finite``; JSON configs may spell NaN and Infinity).  A field
-    in ``_SHAPES`` must have that shape (``<name>-shape``).  An integer
-    field must hold a whole number (``<name>-type``) and is returned as an
-    int.
-    """
-    if value is None:
+    """Check a config number, or an array of them for a field in ``_SHAPES``
+    (``<name>-shape``).  Every entry must be a real number (``<name>-type``;
+    null returns None in ``_OPTIONAL``) and finite (``<name>-finite``; JSON
+    configs may spell NaN and Infinity).  An integer field must be whole
+    (``<name>-type``), is returned as an int and must respect ``_RANGES``
+    (``<name>-range``)."""
+    if value is None and name in _OPTIONAL:
         return None
+    want = _SHAPES.get(name, ())
     entries = np.array(value, dtype=object)
+    if want and (entries.ndim != len(want) or any(
+            w not in (-1, n) for w, n in zip(want, entries.shape))):
+        raise ConfigValidationError(f"{name} must have shape {want}",
+                                    invariant=f"{name}-shape")
     flat = entries.ravel()
-    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-               for x in flat):
+    if (entries.ndim and not want) or not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool)
+            for x in flat):
         raise ConfigValidationError(f"{name} must be a number",
                                     invariant=f"{name}-type")
-    if not np.all(np.isfinite(flat.astype(float))):
+    try:
+        finite = np.all(np.isfinite(flat.astype(float)))
+    except OverflowError:  # a JSON integer beyond the float range
+        finite = False
+    if not finite:
         raise ConfigValidationError(f"{name} must be finite",
                                     invariant=f"{name}-finite")
-    if entries.shape != _SHAPES.get(name, entries.shape):
-        raise ConfigValidationError(f"{name} must have shape {_SHAPES[name]}",
-                                    invariant=f"{name}-shape")
     if name not in _INTEGER_FIELDS:
         return value
-    if entries.ndim or not float(value).is_integer():
+    if not float(value).is_integer():
         raise ConfigValidationError(f"{name} must be an integer",
                                     invariant=f"{name}-type")
+    if value < _RANGES.get(name, value):
+        raise ConfigValidationError(f"{name} must be >= {_RANGES[name]}",
+                                    invariant=f"{name}-range")
     return int(value)
 
 
-def _flag(name, value):
-    """Check a config switch: a JSON bool, else ``<name>-type``."""
-    if not isinstance(value, bool):
-        raise ConfigValidationError(f"{name} must be true or false",
+def _typed(name, value, kind):
+    """Check a config entry's JSON kind, else ``<name>-type``."""
+    if not isinstance(value, kind):
+        raise ConfigValidationError(f"{name} must be {_KINDS[kind]}",
                                     invariant=f"{name}-type")
     return value
 
 
+def _field(section, key):
+    """A required entry of a section (``<key>-missing``)."""
+    if key not in section:
+        raise ConfigValidationError(f"{key} is required",
+                                    invariant=f"{key}-missing")
+    return section[key]
+
+
+def _params(name, params, data):
+    """Section ``name`` as a ``params`` dataclass; a key that is not one of
+    its fields is ``<name>-unknown``, and numbers go through ``_number``."""
+    section = _typed(name, data.get(name, {}), dict)
+    unknown = sorted(set(section) - {f.name for f in fields(params)})
+    if unknown:
+        raise ConfigValidationError(f"unknown {name} key {unknown[0]!r}",
+                                    invariant=f"{name}-unknown")
+    return params(**{key: value if key in ("scheme", "initial_data")
+                     or (key, value) == ("count", "all")
+                     else _number(key, value)
+                     for key, value in section.items()})
+
+
 def _parse_domain(data):
     edges = []
-    for e in data["edges"]:
+    for e in _typed("edges", _field(data, "edges"), list):
+        e = _typed("edge", e, dict)
         kind = e.get("type", "segment")
         edges.append(EdgeSpec(
-            kind=kind, label=_number("label", e["label"]),
-            center=tuple(_number("center", e["center"]))
+            kind=kind, label=_number("label", _field(e, "label")),
+            center=tuple(_number("center", _field(e, "center")))
             if kind == "arc" else None,
-            radius=float(_number("radius", e["radius"]))
+            radius=float(_number("radius", _field(e, "radius")))
             if kind == "arc" else None,
-            ccw=_flag("ccw", e.get("ccw", True))))
+            ccw=_typed("ccw", e.get("ccw", True), bool)))
     return DomainSpec(
-        vertices=tuple(tuple(v) for v in _number("vertex", data["vertices"])),
+        vertices=_number("vertex", _field(data, "vertices")),
         edges=tuple(edges),
         corner_gains=_number("gain", data.get("corner_gains")),
         poisson_ratio=float(_number("mu", data.get("mu", 0.3))))
@@ -295,8 +317,8 @@ def _build_mesh(cfg):
 def _build_system(cfg):
     mesh = _build_mesh(cfg)
     dofs = build_dof_map(mesh, cfg.mesh.degree)
-    system = assemble(mesh, dofs, cfg.material, gains=cfg.gains,
-                      j_variant=cfg.variant, sigma=cfg.mesh.sigma)
+    system = assemble(mesh, dofs, cfg.material, j_variant=cfg.variant,
+                      sigma=cfg.mesh.sigma)
     return mesh, dofs, system
 
 
@@ -307,8 +329,6 @@ def _build_system(cfg):
 def _cmd_check(cfg, out):
     mu = cfg.material.mu
     g_report = check_condition_g(cfg.domain, mu)
-    out.write_json("condition_g.json", {"report": g_report.to_dict(),
-                                        "margins_unit": "radians"})
     if cfg.search_box is not None:
         box = cfg.search_box
     else:
@@ -316,13 +336,15 @@ def _cmd_check(cfg, out):
         pad = float(np.max(hi - lo))
         box = ((lo[0] - pad, lo[1] - pad), (hi[0] + pad, hi[1] + pad))
     lp_report = find_observer_point(cfg.domain, box)
-    out.write_json("observer_point.json", {"report": lp_report.to_dict(),
-                                           "search_box": [list(box[0]),
-                                                          list(box[1])]})
     if lp_report.witness is not None:
         h_report = check_condition_h(cfg.domain, lp_report.witness[0])
     else:
         h_report = lp_report
+    out.write_json("condition_g.json", {"report": g_report.to_dict(),
+                                        "margins_unit": "radians"})
+    out.write_json("observer_point.json", {"report": lp_report.to_dict(),
+                                           "search_box": [list(box[0]),
+                                                          list(box[1])]})
     out.write_json("condition_h.json", {"report": h_report.to_dict()})
     print(f"condition G: {'satisfied' if g_report.satisfied else 'violated'}; "
           f"condition H: {'satisfied' if h_report.satisfied else 'violated'}")
@@ -352,22 +374,10 @@ def _initial_data(cfg, system):
 
 def _cmd_simulate(cfg, out):
     mesh, dofs, system = _build_system(cfg)
-    if cfg.dump_matrices:
-        for name, mat in (("K", system.K), ("M", system.M), ("D", system.D)):
-            dump_coo(os.path.join(out.dir, f"{name}.txt"), mat)
     u0, v0 = _initial_data(cfg, system)
     trace = simulate(system, u0, v0, dt=cfg.sim.dt, T=cfg.sim.T,
                      scheme=cfg.sim.scheme,
                      snapshot_stride=cfg.sim.snapshot_stride)
-    rows = zip(trace.times, trace.energy, trace.diss_d1, trace.diss_d2,
-               trace.diss_corner)
-    out.write_csv("trace.csv", "t,E,diss_d1,diss_d2,diss_corner", rows)
-    for step, (u, v) in sorted(trace.snapshots.items()):
-        path = os.path.join(out.dir, f"state_{step:08d}.txt")
-        with open(path, "w") as f:
-            f.write("# u v\n")
-            for a, b in zip(u, v):
-                f.write(f"{a:.17g} {b:.17g}\n")
     e0 = trace.energy[0]
     # relative to E0, as the balance residual is; zero data has neither
     drift = float(np.max(np.abs(trace.energy - e0)) / e0) if e0 else 0.0
@@ -383,6 +393,15 @@ def _cmd_simulate(cfg, out):
             payload["decay_fit"] = decay_fit(trace, window).to_dict()
         except InsufficientDataError as exc:
             payload["decay_fit_skipped"] = str(exc)
+    if cfg.dump_matrices:
+        for name, mat in (("K", system.K), ("M", system.M), ("D", system.D)):
+            dump_coo(os.path.join(out.dir, f"{name}.txt"), mat)
+    rows = zip(trace.times, trace.energy, trace.diss_d1, trace.diss_d2,
+               trace.diss_corner)
+    out.write_csv("trace.csv", "t,E,diss_d1,diss_d2,diss_corner", rows)
+    for step, (u, v) in sorted(trace.snapshots.items()):
+        np.savetxt(os.path.join(out.dir, f"state_{step:08d}.txt"),
+                   np.column_stack([u, v]), fmt="%.17g", header="u v")
     out.write_json("decay_fit.json", payload)
     print(f"simulated {len(trace) - 1} steps; E0={trace.energy[0]:.6g} "
           f"ET={trace.energy[-1]:.6g}")
@@ -424,16 +443,14 @@ def _cmd_resolvent(cfg, out):
     omegas = suggest_sweep_omegas(report, band, n_grid=cfg.spectral.points)
     sweep = resolvent_sweep(system, omegas)
     theta, r2_theta = growth_fit(sweep, band)
-    payload = {"theta_hat": theta, "R2": {"theta": r2_theta},
-               "bands": {"fit": list(band)}}
+    payload = {**report.to_dict(), "theta_hat": theta,
+               "R2": {"theta": r2_theta}, "bands": {"fit": list(band)}}
     try:
         slope, r2_branch = damping_branch_fit(report, band)
         payload["branch_slope"] = slope
         payload["R2"]["branch"] = r2_branch
     except (InsufficientDataError, InvalidArgumentError) as exc:
         payload["branch_fit_skipped"] = str(exc)
-    # both fits are done before either file is written, so a failed fit
-    # leaves no half-written artifact set
     out.write_csv("sweep.csv", "omega,resolvent_norm", sweep)
     out.write_json("fit_summary.json", payload)
     print(f"sweep of {len(omegas)} points; theta_hat={theta:.4g}")
@@ -527,7 +544,7 @@ def main(argv=None):
         with open(args.config) as f:
             data = json.load(f)
         if args.seed is not None:
-            data["seed"] = args.seed
+            _typed("config", data, dict)["seed"] = args.seed
         cfg = RunConfig.from_dict(data)
         status = run(cfg, args.command, out_dir=args.out)
     except _VALIDATION_ERRORS as exc:

@@ -219,9 +219,6 @@ def boundary_bump_data(system):
     rest; biased toward boundary-dominated, weakly damped motion.
     """
     dofs = system.dofs
-    if dofs is None:
-        raise InvalidArgumentError("system lacks its dof map",
-                                   invariant="system-context")
     trace_global = np.nonzero(dofs.chord_dofs(GAMMA1) & ~dofs.constrained)[0]
     if len(trace_global) == 0:
         raise InvalidArgumentError("no free damped-boundary dofs",

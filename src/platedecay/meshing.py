@@ -155,10 +155,17 @@ def build_edge_table(mesh):
 # generation
 # ---------------------------------------------------------------------------
 
+def _cell_count(length, h):
+    """ceil(length / h), at least 1, where a quotient within 4 ulps above an
+    integer counts as that integer: h = length / k gives k cells."""
+    n = length / h
+    return max(1, math.ceil(n - 4.0 * math.ulp(n)))
+
+
 def _boundary_polyline(domain, h):
     """Boundary points and each chord's source edge: arc chords keep their
     sagitta below h^2 / (8 r) and span at most pi / 3, straight edges split
-    into ceil(length / h) equal chords."""
+    into ``_cell_count`` equal chords."""
     pts, src = [], []
     for i, e in enumerate(domain.edges):
         a, b = domain.edge_endpoints(i)
@@ -170,7 +177,7 @@ def _boundary_polyline(domain, h):
             pts += [a] + [domain.arc_point(i, t0 + dt * k / n_sub)
                           for k in range(1, n_sub)]
         else:
-            n_sub = max(1, math.ceil(math.hypot(*(b - a)) / h))
+            n_sub = _cell_count(math.hypot(*(b - a)), h)
             pts += [a + (b - a) * (k / n_sub) for k in range(n_sub)]
         src += [i] * n_sub
     return np.array(pts, dtype=float), np.array(src)
@@ -192,8 +199,8 @@ def _structured_rectangle(domain, h):
     v = _rectangle_frame(domain)
     xmin, ymin = v.min(axis=0)
     xmax, ymax = v.max(axis=0)
-    nx = max(1, int(math.ceil((xmax - xmin) / h)))
-    ny = max(1, int(math.ceil((ymax - ymin) / h)))
+    nx = _cell_count(xmax - xmin, h)
+    ny = _cell_count(ymax - ymin, h)
     xs = np.linspace(xmin, xmax, nx + 1)
     ys = np.linspace(ymin, ymax, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")

@@ -1,3 +1,5 @@
+import copy
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,8 @@ from platedecay.assembly import (assemble, assemble_load, build_dof_map,
                                  solve_static)
 from platedecay.errors import (AssemblyStabilityError, InvalidArgumentError,
                                InvalidGeometryError)
-from platedecay.geometry import unit_square_domain
+from platedecay.geometry import (GAMMA0, GAMMA1, lens_domain,
+                                unit_square_domain)
 from platedecay.meshing import refine, triangulate
 from platedecay.plate_forms import PlateMaterial, PolyField, bilinear_a
 from platedecay.quadrature import gauss_01
@@ -104,7 +107,7 @@ def test_interior_mass_only_when_boundary_constants_vanish():
 def test_mass_parts_against_polynomial_oracle():
     # g = x1*x2 vanishes on the clamped edges, P2 represents it exactly
     _, mesh, dofs, system = small_system(h=0.25)
-    g = dofs.restrict(dofs.interpolate(lambda x: x[..., 0] * x[..., 1]))
+    g = dofs.interpolate(lambda x: x[..., 0] * x[..., 1])
     interior = float(g @ (system.mass_parts["interior"] @ g))
     trace = float(g @ (system.mass_parts["trace"] @ g))
     normal = float(g @ (system.mass_parts["normal"] @ g))
@@ -183,8 +186,8 @@ def test_stiffness_interpolant_convergence():
     for _ in range(3):
         dofs = build_dof_map(mesh, 2)
         system = assemble(mesh, dofs, MAT)
-        uI = dofs.restrict(dofs.interpolate(
-            lambda x: x[..., 0] ** 2 * x[..., 1] ** 2))
+        uI = dofs.interpolate(
+            lambda x: x[..., 0] ** 2 * x[..., 1] ** 2)
         errs.append(abs(float(uI @ (system.K @ uI)) - exact))
         mesh = refine(mesh)
     assert errs[0] > errs[1] > errs[2]
@@ -199,8 +202,8 @@ def test_p3_stiffness_is_exact_for_cubics():
     dofs = build_dof_map(mesh, 3)
     system = assemble(mesh, dofs, MAT)
     g = PolyField.from_terms({(2, 1): 1.0})
-    uI = dofs.restrict(dofs.interpolate(
-        lambda x: x[..., 0] ** 2 * x[..., 1]))
+    uI = dofs.interpolate(
+        lambda x: x[..., 0] ** 2 * x[..., 1])
     exact = bilinear_a(g, g, dom, MAT.mu)
     assert abs(float(uI @ (system.K @ uI)) - exact) < 1e-10
 
@@ -215,8 +218,8 @@ def test_p3_load_reproduces_cubic_interpolant(h):
     uex = PolyField.from_terms({(2, 1): 1.0})
     F = assemble_load(mesh, dofs, dom, MAT, uex)
     uh = solve_static(system, F)
-    uI = dofs.restrict(dofs.interpolate(
-        lambda x: x[..., 0] ** 2 * x[..., 1]))
+    uI = dofs.interpolate(
+        lambda x: x[..., 0] ** 2 * x[..., 1])
     assert np.linalg.norm(uh - uI) <= 1e-8 * np.linalg.norm(uI)
 
 
@@ -229,13 +232,56 @@ def test_manufactured_solution_convergence():
         system = assemble(mesh, dofs, MAT)
         F = assemble_load(mesh, dofs, DOM, MAT, uex)
         uh = solve_static(system, F)
-        uI = dofs.restrict(dofs.interpolate(
-            lambda x: x[..., 0] ** 2 * x[..., 1] ** 2))
+        uI = dofs.interpolate(
+            lambda x: x[..., 0] ** 2 * x[..., 1] ** 2)
         e = uh - uI
         errs.append(float(np.sqrt(e @ (system.K @ e))))
         mesh = refine(mesh)
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] / errs[2] > 1.8  # at least first-order in energy norm
+
+
+def _all_free(dofs):
+    """The same dof map with no dof clamped."""
+    full = copy.copy(dofs)
+    full.free = full.free_index = np.arange(dofs.n_dofs)
+    return full
+
+
+@pytest.mark.parametrize("dom, h, degree", [
+    (unit_square_domain(gamma0_edges=(0, 3), corner_gains=(0, 0, 1.0, 0)),
+     1.0 / 12.0, 2),
+    (unit_square_domain(gamma0_edges=(3,), corner_gains=(0, 1.0, 1.0, 0)),
+     0.25, 3),
+    (lens_domain(math.radians(60), label_lower=GAMMA0, label_upper=GAMMA1),
+     0.15, 2),
+], ids=["square-p2", "square-p3", "lens-p2"])
+def test_free_dof_scatter_matches_sliced_full_assembly(dom, h, degree):
+    # scattering onto the free dofs equals assembling every dof and slicing
+    # the free rows and columns, up to the order CSR sums duplicates in
+    mesh = triangulate(dom, h)
+    dofs = build_dof_map(mesh, degree)
+    system = assemble(mesh, dofs, MAT)
+    full = assemble(mesh, _all_free(dofs), MAT)
+    free = dofs.free
+    for name in ("K", "M", "D"):
+        got = getattr(system, name)
+        want = getattr(full, name)[free][:, free].tocsr()
+        got.sort_indices()
+        want.sort_indices()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert (np.abs(got.data - want.data).max()
+                <= 1e-15 * np.abs(want.data).max())  # measured 3.3e-16
+    parts = system.damping_parts
+    D = parts["d1"] + parts["d2"] + parts["corner"]
+    assert np.array_equal(D.indices, system.D.indices)
+    assert np.array_equal(D.data, system.D.data)
+    if dom.is_straight():
+        uex = PolyField.from_terms({(2, 1): 1.0})
+        F = assemble_load(mesh, dofs, dom, MAT, uex)
+        F_full = assemble_load(mesh, _all_free(dofs), dom, MAT, uex)
+        assert np.array_equal(F, F_full[free])
 
 
 def _flip_one_triangle(mesh):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 
 from platedecay.cli import RunConfig, _build_system, build_parser, main, run
 from platedecay.errors import ConfigValidationError
+from platedecay.geometry import check_condition_g, lens_domain
 
 SQUARE_CFG = {
     "domain": {
@@ -35,6 +37,25 @@ def write_cfg(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+DROP = object()  # as a value: remove the entry
+
+
+def mutated(path, value, data=SQUARE_CFG):
+    """A copy of ``data`` with the entry at ``path`` set to ``value``; the
+    empty path replaces the whole config."""
+    if not path:
+        return value
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return data
 
 
 def test_config_roundtrip():
@@ -217,11 +238,7 @@ def test_validation_error_exit_code_and_json(tmp_path, capsys):
 ])
 def test_nonfinite_config_number_rejected(tmp_path, capsys, path, value,
                                           invariant):
-    data = json.loads(json.dumps(SQUARE_CFG))
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    data = mutated(path, value)
     cfg_path = write_cfg(tmp_path, data)  # json writes NaN / Infinity
     out = tmp_path / "out"
     assert main(["resolvent", "--config", cfg_path, "--out", str(out)]) == 2
@@ -251,13 +268,13 @@ def test_nonfinite_config_number_rejected(tmp_path, capsys, path, value,
     (("domain", "edges", 0), {"type": "arc", "label": 0,
                               "center": [0.5, 0.0], "radius": "1"},
      "radius-type"),
+    (("mesh", "h"), None, "h-type"),
+    (("sim", "dt"), None, "dt-type"),
+    (("spectral", "count"), None, "count-type"),
+    (("spectral", "points"), None, "points-type"),
 ])
 def test_config_number_type(tmp_path, capsys, path, value, invariant):
-    data = json.loads(json.dumps(SQUARE_CFG))
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    data = mutated(path, value)
     cfg_path = write_cfg(tmp_path, data)
     out = tmp_path / "out"
     code = main(["simulate", "--config", cfg_path, "--out", str(out)])
@@ -353,18 +370,101 @@ def test_mesh_size_refused_before_meshing(tmp_path, capsys, config, mesh,
     (("spectral", "omega_band"), 3, "omega_band-shape"),
     (("sim", "fit_window"), [1.0], "fit_window-shape"),
     (("dump_matrices",), "no", "dump_matrices-type"),
+    (("domain", "vertices"), [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+     "vertex-shape"),
+    (("domain", "vertices"), [0, 0, 1, 0, 1, 1, 0, 1], "vertex-shape"),
+    (("domain", "vertices"), [[0, 0], [1, 0], [1]], "vertex-shape"),
 ])
 def test_config_field_shape(tmp_path, capsys, path, value, invariant):
-    data = json.loads(json.dumps(SQUARE_CFG))
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    data = mutated(path, value)
     cfg_path = write_cfg(tmp_path, data)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["invariant"] == invariant
+
+
+@pytest.mark.parametrize("path, value, invariant", [
+    ((), [], "config-type"),
+    ((), None, "config-type"),
+    (("sim",), None, "sim-type"),
+    (("mesh",), [1], "mesh-type"),
+    (("material",), 3, "material-type"),
+    (("domain",), 3, "domain-type"),
+    (("check",), 3, "check-type"),
+    (("domain", "edges"), 3, "edges-type"),
+    (("domain", "edges", 1), 3, "edge-type"),
+    (("domain",), DROP, "domain-missing"),
+    (("domain", "vertices"), DROP, "vertices-missing"),
+    (("domain", "edges", 1, "label"), DROP, "label-missing"),
+    (("domain", "edges", 0), {"type": "arc", "label": 0, "radius": 1.0},
+     "center-missing"),
+    (("mesh", "hh"), 0.5, "mesh-unknown"),
+    (("sim", "steps"), 10, "sim-unknown"),
+    (("spectral", "band"), [1.0, 2.0], "spectral-unknown"),
+    (("output_dir",), 3, "output_dir-type"),
+    (("seed",), -1, "seed-range"),
+    (("spectral", "points"), -1, "points-range"),
+    (("spectral", "points"), 0, "points-range"),
+])
+def test_config_structure_named(tmp_path, capsys, path, value, invariant):
+    cfg_path = write_cfg(tmp_path, mutated(path, value))
+    out = tmp_path / "out"
+    assert main(["resolvent", "--config", cfg_path, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == invariant
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, changes, invariant", [
+    ("simulate", [(("sim", "fit_window"), [0.5, 1.0]),
+                  (("sim", "snapshot_stride"), 5),
+                  (("dump_matrices",), True)], "window-start"),
+    ("check", [(("check",), {"search_box": [[1, 1], [0, 0]]})],
+     "search-box"),
+])
+def test_failed_command_writes_nothing(tmp_path, capsys, command, changes,
+                                       invariant):
+    data = SQUARE_CFG
+    for path, value in changes:
+        data = mutated(path, value, data)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == invariant
+    assert list(out.iterdir()) == []
+
+
+def lens_90_config():
+    """``configs/lens.json`` with 90 degree corners, above omega_0(0.3)."""
+    data = json.loads(LENS_PATH.read_text())
+    dom = lens_domain(math.radians(90))
+    for edge, spec in zip(data["domain"]["edges"], dom.edges):
+        edge.update(center=list(spec.center), radius=spec.radius)
+    return data
+
+
+@pytest.mark.parametrize("policy", ["warn", None])
+def test_condition_g_policy_on_variant_1(tmp_path, capsys, policy):
+    data = lens_90_config()
+    assert data["variant"] == 1
+    if policy is not None:
+        data["condition_g_policy"] = policy
+    out = tmp_path / "out"
+    code = main(["mesh", "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    margin = min(check_condition_g(lens_domain(math.radians(90)),
+                                   0.3).margins.values())
+    assert margin < 0
+    if policy == "warn":
+        assert code == 0 and (out / "mesh.txt").is_file()
+        warnings = [line for line in err if line.startswith("warning:")]
+        assert len(warnings) == 1 and f"{margin:.4g} rad" in warnings[0]
+    else:
+        assert code == 2
+        assert json.loads(err[-1])["invariant"] == "condition-g"
 
 
 def test_undamped_run_skips_decay_fit(tmp_path):

@@ -11,8 +11,8 @@ from platedecay._polygon import (polygon_is_simple, random_convex_polygon,
 from platedecay.cli import RunConfig
 from platedecay.errors import InvalidArgumentError, InvalidGeometryError
 from platedecay.geometry import lens_domain, polygon_domain, unit_square_domain
-from platedecay.meshing import (Mesh, _inside, read_mesh, refine, triangulate,
-                                validate_mesh, write_mesh)
+from platedecay.meshing import (Mesh, _boundary_polyline, _inside, read_mesh,
+                                refine, triangulate, validate_mesh, write_mesh)
 
 
 def two_triangle_square():
@@ -47,6 +47,14 @@ def test_structured_square():
     for (a, b), lab, src in zip(mesh.boundary_edges, mesh.boundary_labels,
                                 mesh.boundary_source):
         assert lab == dom.edges[src].label
+
+
+def test_h_one_over_k_gives_k_cells():
+    # 1 / (1/49) is 49.00000000000001; a plain ceil would mesh 50 cells
+    dom = unit_square_domain(gamma0_edges=(0, 3))
+    for k in range(2, 201):
+        assert triangulate(dom, 1.0 / k).n_triangles == 2 * k * k
+        assert len(_boundary_polyline(dom, 1.0 / k)[0]) == 4 * k
 
 
 def test_triangulate_requires_positive_h():

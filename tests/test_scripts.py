@@ -22,8 +22,7 @@ def run_study(out, *args):
 
 
 @pytest.mark.parametrize("args, cases", [
-    (["certificate", "--levels", "0.25"],
-     ["spectrum-h0.25", "resolvent-h0.25"]),
+    (["certificate", "--levels", "0.25"], ["resolvent-h0.25"]),
     (["decay", "--h", "0.5", "--T", "0.2"], ["damped", "control"]),
     (["lens", "--angles-deg", "30", "90", "--h", "0.3"],
      ["check-30deg", "mesh-30deg", "check-90deg", "mesh-90deg"]),
@@ -52,6 +51,20 @@ def test_certificate_row_matches_library_pipeline(tmp_path):
     sweep = resolvent_sweep(system, suggest_sweep_omegas(report, band))
     assert fit["theta_hat"] == growth_fit(sweep, band)[0]
     assert fit["branch_slope"] == damping_branch_fit(report, band)[0]
+    for key, value in report.to_dict().items():
+        assert fit[key] == value
+
+
+@pytest.mark.parametrize("args", [
+    ["certificate", "--h", "0.1"],
+    ["lens", "--T", "5"],
+    ["decay", "--levels", "0.5"],
+])
+def test_option_of_another_study_is_refused(tmp_path, args):
+    with pytest.raises(SystemExit) as exc:
+        STUDY["main"]([*args, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "study.json").exists()
 
 
 def test_failed_case_is_tabled_and_fails_the_study(tmp_path):
