@@ -24,6 +24,7 @@ from .errors import (AssemblyStabilityError, InvalidArgumentError,
 from .geometry import GAMMA0, GAMMA1
 from .plate_forms import bending_trace_field, corner_jump, shear_trace_field
 from .quadrature import gauss_01, triangle_rule
+from .spectral import _spd_factor
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +473,9 @@ def assemble_load(mesh, dofs, domain, material, u_exact):
 
 
 def solve_static(system, load):
-    """Direct solve K u = load on the free dofs."""
-    from scipy.sparse.linalg import spsolve
-    return spsolve(system.K.tocsc(), load)
+    """Direct solve K u = load on the free dofs (``energy-pd`` unless K is
+    positive definite)."""
+    return _spd_factor(system.K).solve(load)
 
 
 def dump_coo(path, matrix):

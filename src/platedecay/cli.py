@@ -40,7 +40,8 @@ from .meshing import refine, triangulate, validate_mesh, write_mesh
 from .assembly import assemble, build_dof_map, dump_coo
 from .plate_forms import PlateMaterial
 from .dynamics import (boundary_bump_data, decay_fit, dissipation_residual,
-                       eigenpacket_data, simulate)
+                       eigenpacket_data, fit_window_slice, simulate,
+                       step_times)
 from .spectral import (damping_branch_fit, growth_fit, pencil_eigenvalues,
                        resolved_band, resolvent_sweep, suggest_sweep_omegas)
 
@@ -373,6 +374,11 @@ def _initial_data(cfg, system):
 
 
 def _cmd_simulate(cfg, out):
+    window = cfg.sim.fit_window
+    if window is None and cfg.sim.T >= 2.0:
+        window = (max(1.0, 0.25 * cfg.sim.T), cfg.sim.T)
+    if window is not None:  # decay_fit's checks that need only the config
+        fit_window_slice(step_times(cfg.sim.dt, cfg.sim.T), window)
     mesh, dofs, system = _build_system(cfg)
     u0, v0 = _initial_data(cfg, system)
     trace = simulate(system, u0, v0, dt=cfg.sim.dt, T=cfg.sim.T,
@@ -385,9 +391,6 @@ def _cmd_simulate(cfg, out):
                "E0": float(e0), "ET": float(trace.energy[-1]),
                "balance_residual": dissipation_residual(trace),
                "energy_drift": drift}
-    window = cfg.sim.fit_window
-    if window is None and cfg.sim.T >= 2.0:
-        window = (max(1.0, 0.25 * cfg.sim.T), cfg.sim.T)
     if window is not None and np.all(trace.energy > 0):
         try:
             payload["decay_fit"] = decay_fit(trace, window).to_dict()
@@ -541,8 +544,7 @@ def run(config, command, out_dir=None):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config) as f:
-            data = json.load(f)
+        data = _read_config(args.config)
         if args.seed is not None:
             _typed("config", data, dict)["seed"] = args.seed
         cfg = RunConfig.from_dict(data)
@@ -553,11 +555,25 @@ def main(argv=None):
     except (SolverError, InsufficientDataError, np.linalg.LinAlgError) as exc:
         _emit_error(exc, 3)
         return 3
-    except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         _emit_error(exc, 2)
         return 2
     return status
+
+
+def _read_config(path):
+    """The JSON document in ``path`` (``config-read``, ``config-json``)."""
+    try:
+        with open(path, "rb") as f:
+            text = f.read()
+    except OSError as exc:
+        raise ConfigValidationError(f"cannot read config {path}: {exc}",
+                                    invariant="config-read") from exc
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigValidationError(f"config {path} is not JSON: {exc}",
+                                    invariant="config-json") from exc
 
 
 def _emit_error(exc, code):

@@ -13,11 +13,9 @@ factors F F' = M and F F' = K, so the energy is |y|^2 / 2: a quadratic
 invariant that the midpoint rule keeps (Hairer, Lubich & Wanner 2006).  Each
 step solves the step operator M + (dt/2) D + (dt/2)^2 K for v_mid from
 M v - (dt/2) K u = F_M y2 - (dt/2) F_K y1, with one refinement pass whose
-residual applies the operator through the factors, and all in double.  An
-undamped run at h = 1/12 holds its energy to 3e-13 over 10^4 steps (2e-13
-over 2000 steps at h = 1/24), and the midpoint balance residual of the
-damped square is about 1e-14.  Without the refinement pass, or with a
-residual against the assembled operator, the drift is 1e-10 to 1e-9.
+residual applies the operator through the factors, and all in double.  The
+README's numerical notes give the energy drift and balance residual this
+keeps, and the drift without the refinement pass.
 """
 
 from __future__ import annotations
@@ -25,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from ._lsq import lsq_line
 from .errors import InsufficientDataError, InvalidArgumentError, SolverError
@@ -56,13 +52,8 @@ class EnergyTrace:
         return len(self.times)
 
 
-def simulate(system, u0, v0, dt, T, scheme="midpoint", snapshot_stride=0):
-    """Integrate the free homogeneous dynamics from (u0, v0) up to time T.
-
-    Samples the energy and the cumulative channel dissipation at every step.
-    ``snapshot_stride`` > 0 additionally stores (u, v) every that many steps
-    (step 0 and the final step included).
-    """
+def step_times(dt, T):
+    """Times 0, dt, ..., round(T / dt) dt of a run, after its checks."""
     if not dt > 0:
         raise InvalidArgumentError("dt must be positive", invariant="dt-positive")
     if T < dt:
@@ -72,18 +63,28 @@ def simulate(system, u0, v0, dt, T, scheme="midpoint", snapshot_stride=0):
         raise InvalidArgumentError(
             f"T / dt = {T / dt:.3g} steps; at most {MAX_STEPS} are allowed",
             invariant="sim-steps")
+    return np.arange(int(round(T / dt)) + 1) * dt
+
+
+def simulate(system, u0, v0, dt, T, scheme="midpoint", snapshot_stride=0):
+    """Integrate the free homogeneous dynamics from (u0, v0) up to time T.
+
+    Samples the energy and the cumulative channel dissipation at every step.
+    ``snapshot_stride`` > 0 additionally stores (u, v) every that many steps
+    (step 0 and the final step included).
+    """
+    times = step_times(dt, T)
     if scheme not in SCHEMES:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}; "
                                    f"use one of {SCHEMES}", invariant="scheme")
     n = system.n_free
-    u = np.asarray(u0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
+    u, v = (np.array(x, dtype=float) for x in (u0, v0))
     if u.shape != (n,) or v.shape != (n,):
         raise InvalidArgumentError(f"initial data must have length {n}",
                                    invariant="dof-size")
 
     half = 0.5 * dt
-    F_K, F_M = _spd_root(system.K), _spd_root(system.M)
+    (F_K, _), (F_M, _) = _spd_root(system.K), _spd_root(system.M)
     step_lu = _spd_factor(system.M + half * system.D + half * half * system.K)
     roots_t = sp.vstack([F_M.T, F_K.T], format="csr")  # w -> (F_M'w, F_K'w)
     rhs = sp.hstack([F_M, -half * F_K], format="csr")  # y -> M v - (dt/2) K u
@@ -94,21 +95,19 @@ def simulate(system, u0, v0, dt, T, scheme="midpoint", snapshot_stride=0):
     channels = sp.vstack([parts["d1"], parts["d2"], parts["corner"]],
                          format="csr")
 
-    n_steps = int(round(T / dt))
-    times = np.arange(n_steps + 1) * dt
-    E = np.zeros(n_steps + 1)
-    diss = np.zeros((3, n_steps + 1))
+    E = np.zeros_like(times)
+    diss = np.zeros((3, len(times)))
     y = np.concatenate([F_M.T @ v, F_K.T @ u])  # (y2, y1)
     E[0] = 0.5 * (y @ y)
     snapshots = {}
 
     def snap(step):
         if snapshot_stride > 0 and (step % snapshot_stride == 0
-                                    or step == n_steps):
+                                    or step == len(times) - 1):
             snapshots[step] = (u.copy(), v.copy())
 
     snap(0)
-    for s in range(1, n_steps + 1):
+    for s in range(1, len(times)):
         r = rhs @ y
         w = step_lu.solve(r)
         # the step moves |y|^2 / 2 by -dt w'Dw + 2 w'(A w - r) with A applied
@@ -176,24 +175,12 @@ def decay_fit(trace, window):
     An energy that loses at most 1e-9 of E(t_a) over the window has no
     decay to fit (``InsufficientDataError``, ``window-flat``).
     """
-    t_a, t_b = float(window[0]), float(window[1])
-    if t_a < 1.0:
-        raise InvalidArgumentError("fit window must start at t >= 1",
-                                   invariant="window-start")
     # the times increase, so the window is one slice: views, not copies
-    window_slice = slice(np.searchsorted(trace.times, t_a, side="left"),
-                         np.searchsorted(trace.times, t_b, side="right"))
-    t = trace.times[window_slice]
-    e = trace.energy[window_slice]
-    if len(t) == 0 or not trace.times[-1] >= t_b - 1e-12:  # NaN t_b too
-        raise InvalidArgumentError("fit window outside the trace",
-                                   invariant="window-range")
+    samples = fit_window_slice(trace.times, window)
+    t, e = trace.times[samples], trace.energy[samples]
     if np.any(e <= 0.0):
         raise InvalidArgumentError("energy must stay positive on the window",
                                    invariant="window-positive")
-    if len(t) < 3:
-        raise InvalidArgumentError("need at least 3 samples in the window",
-                                   invariant="window-samples")
     if e[0] - e[-1] <= 1e-9 * e[0]:
         raise InsufficientDataError(
             "energy is flat on the fit window (loss <= 1e-9 E(t_a))",
@@ -203,7 +190,23 @@ def decay_fit(trace, window):
     _, r2_exp = lsq_line(t, log_e)
     return DecayFit(alpha=-slope, r_squared=r2_pow,
                     exponential_regime=bool(r2_exp > r2_pow),
-                    window=(t_a, t_b), n_points=int(len(t)))
+                    window=tuple(map(float, window)), n_points=int(len(t)))
+
+
+def fit_window_slice(times, window):
+    """The slice of ``times`` in a fit window, after its energy-free checks."""
+    t_a, t_b = float(window[0]), float(window[1])
+    if t_a < 1.0:
+        raise InvalidArgumentError("fit window must start at t >= 1",
+                                   invariant="window-start")
+    lo, hi = np.searchsorted(times, t_a), np.searchsorted(times, t_b, "right")
+    if hi <= lo or not times[-1] >= t_b - 1e-12:  # NaN t_b too
+        raise InvalidArgumentError("fit window outside the trace",
+                                   invariant="window-range")
+    if hi - lo < 3:
+        raise InvalidArgumentError("need at least 3 samples in the window",
+                                   invariant="window-samples")
+    return slice(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +234,13 @@ def boundary_bump_data(system):
 
     free_pos = dofs.free_index[trace_global]
     n = system.n_free
-    is_trace = np.zeros(n, dtype=bool)
-    is_trace[free_pos] = True
-    interior = np.nonzero(~is_trace)[0]
+    interior = np.setdiff1d(np.arange(n), free_pos)
     u0 = np.zeros(n)
     u0[free_pos] = g
-    K = system.K.tocsc()
-    K_ii = K[interior][:, interior]
-    K_ib = K[interior][:, free_pos]
+    K_i = system.K[interior]
     if len(interior):
-        u0[interior] = splu(K_ii.tocsc()).solve(-(K_ib @ g))
+        u0[interior] = _spd_factor(K_i[:, interior]).solve(
+            -(K_i[:, free_pos] @ g))
     return u0, np.zeros(n)
 
 
@@ -249,18 +249,16 @@ def eigenpacket_data(system, n_modes=6):
 
     Takes the generator's eigenvectors closest to the imaginary axis, one
     per conjugate pair, in energy coordinates, where each has unit energy,
-    and sums their real parts, mapped back by z = L^{-T} y block by block.
-    The eigensolve is dense, so it is refused above the dense limit
-    (``dense-limit``).
+    and sums their real parts, mapped back by z = F^{-T} y = E^{-1} F y with
+    the roots of ``_energy_generator``.  The eigensolve is dense, so it is
+    refused above the dense limit (``dense-limit``).
     """
-    G, (L_K, L_M) = _energy_generator(system)
+    G, ((F_K, lu_K), (F_M, lu_M)) = _energy_generator(system)
     lam, Y = np.linalg.eig(G)
     order = np.argsort(-lam.real)  # closest to the axis first (Re < 0)
     picked = order[lam[order].imag > 1e-9][:n_modes]
     if len(picked) == 0:
         raise SolverError("no oscillatory modes found for the packet",
                           invariant="eigenpacket")
-    y = Y[:, picked].real.sum(axis=1)
-    n = system.n_free
-    return (sla.solve_triangular(L_K, y[:n], lower=True, trans="T"),
-            sla.solve_triangular(L_M, y[n:], lower=True, trans="T"))
+    y1, y2 = np.split(Y[:, picked].real.sum(axis=1), 2)
+    return lu_K.solve(F_K @ y1), lu_M.solve(F_M @ y2)

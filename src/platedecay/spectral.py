@@ -13,7 +13,7 @@ are never assembled: ``_Pencil`` answers the sparse questions from n x n
 factors of P(s) = s^2 M + s D + K, eigenvalues near a shift by the spectral
 transformation (Ericsson & Ruhe, Math. Comp. 35, 1980) and the resolvent
 norm by a Lanczos iteration in the energy inner product (Wright & Trefethen,
-SISC 23, 2001), and the dense generator is built from n x n Cholesky blocks.
+SISC 23, 2001), and the dense generator from the sparse roots of K and M.
 """
 
 from __future__ import annotations
@@ -46,12 +46,6 @@ class SpectrumReport:
                 "zero_in_resolvent": bool(self.zero_in_resolvent)}
 
 
-def _not_positive_definite():
-    return SolverError(
-        "energy factorization failed: K or M not positive definite",
-        invariant="energy-pd")
-
-
 def pencil_eigenvalues(system, count="all"):
     """Eigenvalues of the first-order generator (roots of the damped pencil).
 
@@ -72,57 +66,59 @@ def pencil_eigenvalues(system, count="all"):
             raise InvalidArgumentError("count out of range", invariant="count")
         lam = _Pencil(system).eigenvalues(k, 1e-3)
     lam = lam[np.lexsort((lam.real, lam.imag))]
-    return SpectrumReport(
-        eigenvalues=lam,
-        spectral_abscissa=float(np.max(lam.real)),
-        zero_in_resolvent=bool(np.min(np.abs(lam)) > 0.0),
-    )
+    return SpectrumReport(eigenvalues=lam,
+                          spectral_abscissa=float(np.max(lam.real)),
+                          zero_in_resolvent=bool(np.min(np.abs(lam)) > 0.0))
 
 
 def _energy_generator(system):
-    """Dense G = L^{-1} A L^{-T} and (L_K, L_M), L = blockdiag(L_K, L_M) the
-    Cholesky factors of K and M: the generator in energy coordinates, where
-    the energy norm is the Euclidean one.  It is assembled block by block,
-    [[0, B'], [-B, -C]] with B = L_M^{-1} L_K, C = L_M^{-1} D L_M^{-T}."""
+    """Dense G = F^{-1} A F^{-T} = [[0, B'], [-B, -C]], B = F_M^{-1} F_K and
+    C = F_M^{-1} D F_M^{-T}: the generator in the energy coordinates of the
+    roots ((F_K, lu_K), (F_M, lu_M)) of ``_spd_root``, F = blockdiag(F_K,
+    F_M), returned beside it; F_M^{-T} = M^{-1} F_M is one solve."""
     n = system.K.shape[0]
     if 2 * n > _DENSE_LIMIT:
         raise InvalidArgumentError(
             f"dense eigensolve refused for {2 * n} first-order dofs, "
             f"above the dense limit of {_DENSE_LIMIT}",
             invariant="dense-limit")
-    try:
-        L_K = sla.cholesky(system.K.toarray(), lower=True)
-        L_M = sla.cholesky(system.M.toarray(), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise _not_positive_definite() from exc
-    B = sla.solve_triangular(L_M, L_K, lower=True)
-    C = sla.solve_triangular(L_M, system.D.toarray(), lower=True)
-    C = sla.solve_triangular(L_M, C.T, lower=True).T
+    roots = (F_K, _), (F_M, lu_M) = _spd_root(system.K), _spd_root(system.M)
+    W = lu_M.solve(F_M.toarray()).T  # F_M^{-1}
+    B = W @ F_K
     G = np.zeros((2 * n, 2 * n))
-    G[:n, n:], G[n:, :n], G[n:, n:] = B.T, -B, -C
-    return G, (L_K, L_M)
+    G[:n, n:], G[n:, :n], G[n:, n:] = B.T, -B, -(W @ (system.D @ W.T))
+    return G, roots
+
+
+def _symmetric_lu(matrix, pivot):
+    """The package's one factorization: sparse LU of a (complex) symmetric
+    matrix, minimum degree on A' + A, keeping each diagonal pivot unless it is
+    below ``pivot`` times its column's largest entry (Demmel et al., SIMAX
+    20, 1999).  Raises RuntimeError when the matrix is exactly singular."""
+    return splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=pivot, options={"SymmetricMode": True})
 
 
 def _spd_factor(matrix):
-    """Sparse LU of a symmetric matrix with diagonal pivots in a symmetric
-    ordering, so that diag(U) is the D of P A P' = L D L'; by Sylvester's
-    law the matrix is positive definite exactly when every pivot is."""
+    """``_symmetric_lu`` with diagonal pivots only, so that diag(U) is the D
+    of P A P' = L D L'; by Sylvester's law the matrix is positive definite
+    exactly when every pivot is (else ``energy-pd``)."""
     try:
-        lu = splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as exc:  # exactly singular
-        raise _not_positive_definite() from exc
-    if not (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.all(lu.U.diagonal() > 0.0)):
-        raise _not_positive_definite()
+        lu = _symmetric_lu(matrix, 0.0)
+    except RuntimeError:  # exactly singular
+        lu = None
+    if lu is None or not (np.array_equal(lu.perm_r, lu.perm_c)
+                          and np.all(lu.U.diagonal() > 0.0)):
+        raise SolverError("energy factorization failed: not positive "
+                          "definite", invariant="energy-pd")
     return lu
 
 
 def _spd_root(matrix):
-    """Sparse F with F F' = matrix: F = Pr' L diag(sqrt(d)) from the
-    L D L' of ``_spd_factor``."""
+    """Sparse F with F F' = matrix, F = Pr' L diag(sqrt(d)) from the L D L'
+    of ``_spd_factor``, and that factor lu: F^{-T} x = lu.solve(F x)."""
     lu = _spd_factor(matrix)
-    return (lu.L @ sp.diags(np.sqrt(lu.U.diagonal())))[lu.perm_r].tocsr()
+    return (lu.L @ sp.diags(np.sqrt(lu.U.diagonal())))[lu.perm_r].tocsr(), lu
 
 
 class _Pencil:
@@ -175,8 +171,8 @@ class _Pencil:
         # omega; evaluating at |omega| makes it so bit for bit
         w = abs(float(omega))
         K, M, D, n = self.K, self.M, self.D, self.n
-        try:
-            lu = splu(sp.csc_matrix(K - (w * w) * M + (1j * w) * D))
+        try:  # P(i omega) is indefinite: pivots may leave the diagonal
+            lu = _symmetric_lu(K - (w * w) * M + (1j * w) * D, 0.1)
         except RuntimeError:  # exactly singular: omega is an eigenfrequency
             return np.inf
 

@@ -308,6 +308,35 @@ def test_broken_json_exit_code(tmp_path, capsys):
     assert main(["check", "--config", str(path)]) == 2
 
 
+def shipped_text(name, fraction):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    text = (configs / f"{name}.json").read_text()
+    return text[:int(fraction * len(text))]
+
+
+@pytest.mark.parametrize("content, invariant", [
+    (None, "config-read"),  # no such file
+    ("", "config-json"),
+    ("{bad", "config-json"),
+    (b"\xff\xfe{", "config-json"),  # not text
+    (shipped_text("square", 0.5), "config-json"),
+    (shipped_text("square", 0.99), "config-json"),
+    (shipped_text("lens", 0.5), "config-json"),
+    (shipped_text("lens", 0.99), "config-json"),
+], ids=["missing", "empty", "brace", "bytes", "square-half", "square-cut",
+        "lens-half", "lens-cut"])
+def test_config_file_errors_named(tmp_path, capsys, content, invariant):
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == invariant and "Traceback" not in err["message"]
+    assert not out.exists()
+
+
 def test_seed_override(tmp_path):
     cfg_path = write_cfg(tmp_path, SQUARE_CFG)
     out = tmp_path / "out"
@@ -434,6 +463,29 @@ def test_failed_command_writes_nothing(tmp_path, capsys, command, changes,
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["invariant"] == invariant
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("sim, invariant", [
+    ({"fit_window": [0.5, 1.0]}, "window-start"),
+    ({"fit_window": [2.0, 50.0]}, "window-range"),
+    ({"fit_window": [5.0, 5.0015]}, "window-samples"),  # t = 5, 5.001
+])
+def test_fit_window_checked_before_the_run(tmp_path, capsys, monkeypatch,
+                                           sim, invariant):
+    import platedecay.cli as cli
+
+    def not_run(*args, **kwargs):
+        raise AssertionError("the time loop ran")
+
+    monkeypatch.setattr(cli, "simulate", not_run)
+    data = json.loads(json.dumps(SQUARE_CFG))
+    data["sim"].update({"dt": 1e-3, "T": 10.0, **sim})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == invariant
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def lens_90_config():

@@ -229,6 +229,20 @@ def test_eigenpacket_data_targets_weak_modes():
     assert trace.energy[-1] < trace.energy[0]
 
 
+def test_eigenpacket_mode_has_its_energy():
+    # one mode y mapped back to (u, v) keeps the energy |Re y|^2 / 2 of the
+    # generator's coordinates
+    from platedecay.assembly import energy
+    from platedecay.spectral import _energy_generator
+
+    system = build(DAMPED)
+    lam, Y = np.linalg.eig(_energy_generator(system)[0])
+    order = np.argsort(-lam.real)
+    y = Y[:, order[lam[order].imag > 1e-9][0]].real
+    u0, v0 = eigenpacket_data(system, n_modes=1)
+    assert abs(energy(system, u0, v0) - 0.5 * (y @ y)) <= 1e-12 * (y @ y)
+
+
 def test_eigenpacket_data_refuses_beyond_dense_limit():
     system = build(DAMPED, h=1.0 / 24.0)  # 2 x 2304 first-order dofs
     with pytest.raises(InvalidArgumentError) as info:
