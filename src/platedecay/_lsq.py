@@ -1,14 +1,15 @@
 """Least-squares line shared by the time-domain and frequency-domain fits."""
 
-import numpy as np
+from .errors import InsufficientDataError
 
 
 def lsq_line(x, y):
     """Slope of the least-squares line y ~ a x + b and its R^2 (1 when y is
-    constant)."""
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), r2
+    constant), from centered sums: no design matrix and no copy beyond the
+    two centered samples.  One distinct x has no line (``lsq-points``)."""
+    dx, dy = x - x.mean(), y - y.mean()
+    sxx, sxy, syy = float(dx @ dx), float(dx @ dy), float(dy @ dy)
+    if sxx == 0.0:
+        raise InsufficientDataError("a line needs two distinct x values",
+                                    invariant="lsq-points")
+    return sxy / sxx, (sxy * sxy / (sxx * syy) if syy > 0 else 1.0)

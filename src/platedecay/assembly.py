@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from .errors import (AssemblyStabilityError, InvalidArgumentError,
                      InvalidGeometryError)
 from .geometry import GAMMA0, GAMMA1
-from .plate_forms import bending_trace_field, corner_jump, shear_trace_field
+from .plate_forms import Partials, corner_jumps, moments
 from .quadrature import gauss_01, triangle_rule
 from .spectral import _spd_factor
 
@@ -430,9 +430,10 @@ def assemble_load(mesh, dofs, domain, material, u_exact):
     ref = reference_element(p)
     geometry = _cell_geometry(mesh)
     x0, jac, _, det = geometry
-    f_field = u_exact.biharmonic()
-    tri_pts, tri_w = triangle_rule(max(f_field.degree, 0) + p)
-    fw = f_field(x0[:, None, :] + tri_pts @ _T(jac)) * tri_w * det[:, None]
+    exact = Partials(u_exact)
+    tri_pts, tri_w = triangle_rule(max(u_exact.degree - 4, 0) + p)
+    fw = (exact(x0[:, None, :] + tri_pts @ _T(jac))["biharmonic"]
+          * tri_w * det[:, None])
     at = [dofs.cell_dofs]
     work = [fw @ ref.eval(tri_pts)]
 
@@ -450,11 +451,7 @@ def assemble_load(mesh, dofs, domain, material, u_exact):
     phys, length = _edge_points(mesh, table.edges[g], seg_t)
     t = table.owner[g, 0]
     val, dn, _ = _edge_traces(ref, geometry, t, phys, nu, mu)
-    bending, shear = np.empty((2,) + phys.shape[:2])
-    for i in np.unique(src):
-        on = src == i
-        bending[on] = bending_trace_field(u_exact, mu, normals[i])(phys[on])
-        shear[on] = shear_trace_field(u_exact, mu, normals[i])(phys[on])
+    bending, shear, _ = moments(exact(phys), mu, nu[:, None, :])
     w = seg_w * length[:, None]
     at += [dofs.cell_dofs[t]] * 2
     work += [np.einsum("eqa,eq->ea", val, -shear * w),
@@ -464,10 +461,12 @@ def assemble_load(mesh, dofs, domain, material, u_exact):
     F = np.bincount(at[at >= 0], weights=work[at >= 0],
                     minlength=dofs.n_free)
 
-    for i in range(domain.n_corners):  # edge i - 1 comes in, edge i leaves
-        if not domain.corner_in_clamped_closure(i):  # its vertex dof is free
-            F[dofs.free_index[dofs.corner_dofs[i]]] -= corner_jump(
-                u_exact, mu, domain.vertices[i], normals[i - 1], normals[i])
+    # corners whose vertex dof is free; edge i - 1 comes in, edge i leaves
+    free = np.array([i for i in range(domain.n_corners)
+                     if not domain.corner_in_clamped_closure(i)], dtype=int)
+    F[dofs.free_index[dofs.corner_dofs[free]]] -= corner_jumps(
+        exact(np.asarray(domain.vertices, dtype=float)[free]), mu,
+        normals[free - 1], normals[free])
 
     return F
 

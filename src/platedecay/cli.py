@@ -375,10 +375,11 @@ def _initial_data(cfg, system):
 
 def _cmd_simulate(cfg, out):
     window = cfg.sim.fit_window
-    if window is None and cfg.sim.T >= 2.0:
-        window = (max(1.0, 0.25 * cfg.sim.T), cfg.sim.T)
-    if window is not None:  # decay_fit's checks that need only the config
-        fit_window_slice(step_times(cfg.sim.dt, cfg.sim.T), window)
+    if window is not None or cfg.sim.T >= 2.0:
+        times = step_times(cfg.sim.dt, cfg.sim.T)
+        if window is None:  # the trace ends at round(T / dt) dt, not at T
+            window = (max(1.0, 0.25 * cfg.sim.T), float(times[-1]))
+        fit_window_slice(times, window)  # decay_fit's checks on the config
     mesh, dofs, system = _build_system(cfg)
     u0, v0 = _initial_data(cfg, system)
     trace = simulate(system, u0, v0, dt=cfg.sim.dt, T=cfg.sim.T,
@@ -469,19 +470,22 @@ def _cmd_verify(cfg, out):
 
     rng = np.random.default_rng(cfg.seed)
     mu = cfg.material.mu
-    worst_g, worst_m, worst_q = 0.0, 0.0, 0.0
+    greens, multiplier, q = [], [], [0.0]
     n_cases = 100
     for _ in range(n_cases):
         poly = random_convex_polygon(rng, int(rng.integers(3, 9)))
         dom = polygon_domain(poly, gamma0_edges={0}, poisson_ratio=mu)
         u = PolyField.random(rng, int(rng.integers(2, 6)))
         v = PolyField.random(rng, int(rng.integers(2, 6)))
-        worst_g = max(worst_g, greens_identity_residual(u, v, dom, mu))
+        greens.append(greens_identity_residual(u, v, dom, mu))
         um = PolyField.random(rng, int(rng.integers(2, 5)))
         x0 = rng.uniform(-2.0, 2.0, size=2)
-        worst_m = max(worst_m, multiplier_identity_residual(um, dom, mu, x0))
+        multiplier.append(multiplier_identity_residual(um, dom, mu, x0))
         x = rng.uniform(-1.0, 1.0, size=2)
-        worst_q = min(worst_q, q_density(u, mu, x))
+        q.append(q_density(u, mu, x))
+    # np.max and np.min keep a NaN, where max(0.0, nan) would drop it
+    worst_g, worst_m = float(np.max(greens)), float(np.max(multiplier))
+    worst_q = float(np.min(q))
 
     from .geometry import unit_square_domain
     square = unit_square_domain(gamma0_edges=(0, 3), poisson_ratio=mu)

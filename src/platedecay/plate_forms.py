@@ -6,7 +6,8 @@ The module serves as the independent oracle for the finite-element side:
 it evaluates the bending-energy form, the natural boundary operators, the
 corner jumps of the twisting moment, and the residuals of the two
 integration-by-parts identities (plain and multiplier form), which must
-vanish to rounding for polynomial inputs on straight-edge polygons.
+vanish to rounding for polynomial inputs on straight-edge polygons, as array
+expressions in one derivative table per field at the quadrature nodes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -55,48 +57,35 @@ class PolyField:
     @classmethod
     def from_terms(cls, terms):
         """Build from a {(i, j): coeff} mapping."""
-        if not terms:
-            return cls.zero()
-        imax = max(i for i, _ in terms)
-        jmax = max(j for _, j in terms)
-        c = np.zeros((imax + 1, jmax + 1))
+        c = np.zeros(tuple(np.max(list(terms) or [(0, 0)], axis=0) + 1))
         for (i, j), v in terms.items():
             c[i, j] = v
         return cls(c)
 
     @classmethod
     def random(cls, rng, degree):
-        """Dense random polynomial of the given total degree."""
+        """Dense random polynomial of the given total degree, drawn by rows."""
         c = np.zeros((degree + 1, degree + 1))
-        for i in range(degree + 1):
-            for j in range(degree + 1 - i):
-                c[i, j] = rng.uniform(-1.0, 1.0)
+        i, j = np.nonzero(np.flipud(np.tri(degree + 1)))  # i + j <= degree
+        c[i, j] = rng.uniform(-1.0, 1.0, size=len(i))
         return cls(c)
 
     # -- algebra -------------------------------------------------------------
 
     @property
     def degree(self):
-        nz = np.argwhere(np.abs(self.coeffs) > 0.0)
-        if nz.size == 0:
-            return 0
-        return int(np.max(nz.sum(axis=1)))
+        i, j = np.nonzero(self.coeffs)
+        return int(np.max(i + j, initial=0))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return npoly.polyval2d(x[..., 0], x[..., 1], self.coeffs)
 
     def dx1(self):
-        c = self.coeffs
-        if c.shape[0] == 1:
-            return PolyField.zero()
-        return PolyField(c[1:, :] * np.arange(1, c.shape[0])[:, None])
+        return PolyField(npoly.polyder(self.coeffs, axis=0))
 
     def dx2(self):
-        c = self.coeffs
-        if c.shape[1] == 1:
-            return PolyField.zero()
-        return PolyField(c[:, 1:] * np.arange(1, c.shape[1])[None, :])
+        return PolyField(npoly.polyder(self.coeffs, axis=1))
 
     def laplacian(self):
         return self.dx1().dx1() + self.dx2().dx2()
@@ -110,15 +99,12 @@ class PolyField:
 
     def __add__(self, other):
         a, b = self.coeffs, _as_field(other).coeffs
-        n = max(a.shape[0], b.shape[0])
-        m = max(a.shape[1], b.shape[1])
-        c = np.zeros((n, m))
+        c = np.zeros(np.maximum(a.shape, b.shape))
         c[: a.shape[0], : a.shape[1]] += a
         c[: b.shape[0], : b.shape[1]] += b
         return PolyField(c)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
         return PolyField(-self.coeffs)
@@ -138,8 +124,7 @@ class PolyField:
         product = np.convolve(pa.ravel(), pb.ravel())[: n * m]
         return PolyField(product.reshape(n, m))
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
 
 def _as_field(v):
@@ -180,215 +165,230 @@ class PlateMaterial:
 # pointwise functionals
 # ---------------------------------------------------------------------------
 
-def _check_unit(normal):
-    nu = np.asarray(normal, dtype=float)
-    if abs(float(nu @ nu) - 1.0) > 1e-10:
+# the rows of a derivative table: u's partials through order 3, keyed by
+# (order in x1, order in x2), and Lap^2 u, each a sum of weighted partials
+_ROWS = {**{k: ((k, 1.0),) for k in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2),
+                                      (1, 1), (3, 0), (2, 1), (1, 2), (0, 3))},
+         "biharmonic": (((4, 0), 1.0), ((2, 2), 2.0), ((0, 4), 1.0))}
+
+
+@lru_cache(maxsize=None)
+def _table_map(n, m):
+    """The linear map from u's n x m coefficients to its table, read-only:
+    entry (k, l rows + r) is monomial l's coefficient in row r of k's."""
+    basis = np.eye(n * m).reshape(n, m, n * m)  # every monomial's coefficients
+    op = np.zeros((n, m, n * m, len(_ROWS)))
+    for r, terms in enumerate(_ROWS.values()):
+        for (a, b), w in terms:
+            d = npoly.polyder(npoly.polyder(basis, a, axis=0), b, axis=1)
+            op[:d.shape[0], :d.shape[1], :, r] += w * d
+    op = op.transpose(2, 0, 1, 3).reshape(n * m, -1)
+    op.flags.writeable = False
+    return op
+
+
+class Partials:
+    """The derivative table of a field u, tabulated once.  Calling it at
+    points x (..., 2) evaluates every row with one Vandermonde product: a
+    dict from the keys of ``_ROWS`` to arrays of x's leading shape."""
+
+    def __init__(self, u):
+        self.n, self.m = n, m = u.coeffs.shape
+        self.table = (u.coeffs.ravel() @ _table_map(n, m)).reshape(n * m, -1)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        vander = ((x[..., :1] ** np.arange(self.n))[..., :, None]
+                  * (x[..., 1:] ** np.arange(self.m))[..., None, :])
+        values = vander.reshape(-1, self.n * self.m) @ self.table
+        return dict(zip(_ROWS, values.T.reshape((len(_ROWS),) + x.shape[:-1])))
+
+
+def _form(d, e, mu):
+    """Density of a(u, v) from the tables d of u and e of v; q(u) if d = e."""
+    return (d[2, 0] * e[2, 0] + d[0, 2] * e[0, 2]
+            + mu * (d[2, 0] * e[0, 2] + d[0, 2] * e[2, 0])
+            + 2.0 * (1.0 - mu) * d[1, 1] * e[1, 1])
+
+
+def moments(d, mu, nu):
+    """Bending moment, effective shear (the natural boundary operators) and
+    twisting moment from a table d at nodes with unit normals nu (..., 2);
+    the shear is d(Lap u)/dnu plus d(twisting)/dtau, tau = (-nu2, nu1)."""
+    nu = np.asarray(nu, dtype=float)
+    if np.any(np.abs(np.sum(nu * nu, axis=-1) - 1.0) > 1e-10):
         raise InvalidArgumentError("normal must be a unit vector",
                                    invariant="unit-normal")
-    return nu
+    n1, n2 = nu[..., 0], nu[..., 1]
+    bending = d[2, 0] + d[0, 2] + (1.0 - mu) * (
+        2.0 * n1 * n2 * d[1, 1] - n1 * n1 * d[0, 2] - n2 * n2 * d[2, 0])
+
+    def twisting(f11, f22, f12):
+        return (1.0 - mu) * ((n1 * n1 - n2 * n2) * f12 + n1 * n2 * (f22 - f11))
+
+    def dtau(a, b):
+        return n1 * d[a, b + 1] - n2 * d[a + 1, b]
+
+    shear = (n1 * (d[3, 0] + d[1, 2]) + n2 * (d[2, 1] + d[0, 3])
+             + twisting(dtau(2, 0), dtau(0, 2), dtau(1, 1)))
+    return bending, shear, twisting(d[2, 0], d[0, 2], d[1, 1])
 
 
-def q_density_field(u, mu):
-    """The quadratic energy density of second derivatives, as a field."""
-    u11, u22, u12 = u.second_derivatives()
-    return (u11 * u11 + u22 * u22 + 2.0 * mu * (u11 * u22)
-            + 2.0 * (1.0 - mu) * (u12 * u12))
+def corner_jumps(d, mu, nu_in, nu_out):
+    """Twisting-moment jumps (outgoing minus incoming) at corners with table
+    d; coincident normals mean no corner: the jump is 0, with a warning."""
+    flat = np.hypot(*(np.asarray(nu_out, float) - nu_in).T) <= 1e-12
+    if np.any(flat):
+        warnings.warn("flat corner: incoming and outgoing normals coincide",
+                      FlatCornerWarning, stacklevel=3)
+    twisting = moments(d, mu, np.stack([nu_out, nu_in]))[2]
+    return np.where(flat, 0.0, twisting[0] - twisting[1])
 
 
 def q_density(u, mu, x):
     """|u_11|^2 + |u_22|^2 + 2*mu*u_11*u_22 + 2*(1-mu)*|u_12|^2 at x."""
-    return float(q_density_field(u, mu)(np.asarray(x, dtype=float)))
-
-
-def bending_trace_field(u, mu, normal):
-    """First natural boundary operator (co-normal bending moment) as a field."""
-    nu = np.asarray(normal, dtype=float)
-    u11, u22, u12 = u.second_derivatives()
-    bracket = 2.0 * nu[0] * nu[1] * u12 - nu[0] ** 2 * u22 - nu[1] ** 2 * u11
-    return u.laplacian() + (1.0 - mu) * bracket
-
-
-def twisting_moment_field(u, mu, normal):
-    """Twisting moment along an edge with the given fixed normal."""
-    nu = np.asarray(normal, dtype=float)
-    u11, u22, u12 = u.second_derivatives()
-    return (1.0 - mu) * ((nu[0] ** 2 - nu[1] ** 2) * u12
-                         + nu[0] * nu[1] * (u22 - u11))
-
-
-def shear_trace_field(u, mu, normal):
-    """Second natural boundary operator (effective transverse shear).
-
-    Combines the normal derivative of the Laplacian with the tangential
-    derivative of the twisting-moment bracket; tau = (-nu2, nu1).
-    """
-    nu = np.asarray(normal, dtype=float)
-    tau = np.array([-nu[1], nu[0]])
-    lap = u.laplacian()
-    dn_lap = nu[0] * lap.dx1() + nu[1] * lap.dx2()
-    tw = twisting_moment_field(u, mu, nu)
-    dt_tw = tau[0] * tw.dx1() + tau[1] * tw.dx2()
-    return dn_lap + dt_tw
+    d = Partials(u)(x)
+    return float(_form(d, d, mu))
 
 
 def boundary_traces(u, mu, x, normal):
     """(bending moment, effective shear, twisting moment) at point x."""
-    nu = _check_unit(normal)
-    x = np.asarray(x, dtype=float)
-    b1 = float(bending_trace_field(u, mu, nu)(x))
-    b2 = float(shear_trace_field(u, mu, nu)(x))
-    tw = float(twisting_moment_field(u, mu, nu)(x))
-    return b1, b2, tw
+    return tuple(float(f) for f in moments(Partials(u)(x), mu, normal))
 
 
 def corner_jump(u, mu, point, nu_in, nu_out):
-    """Jump of the twisting moment across a corner (outgoing minus incoming).
-
-    Normals belong to the edges meeting at the corner under counterclockwise
-    traversal.  Coincident normals mean no corner: returns 0 and warns.
-    """
-    nu_in = _check_unit(nu_in)
-    nu_out = _check_unit(nu_out)
-    point = np.asarray(point, dtype=float)
-    if float(np.hypot(*(nu_out - nu_in))) <= 1e-12:
-        warnings.warn("flat corner: incoming and outgoing normals coincide",
-                      FlatCornerWarning, stacklevel=2)
-        return 0.0
-    m_out = float(twisting_moment_field(u, mu, nu_out)(point))
-    m_in = float(twisting_moment_field(u, mu, nu_in)(point))
-    return m_out - m_in
+    """Jump of the twisting moment across a corner (outgoing minus incoming),
+    from the normals of the edges meeting there in counterclockwise order."""
+    return float(corner_jumps(Partials(u)(point), mu, nu_in, nu_out))
 
 
 # ---------------------------------------------------------------------------
 # integrals over the domain and its boundary
 # ---------------------------------------------------------------------------
 
+def _degrees(u):
+    """Degrees of u's partials of orders 0 to 4.  A rule's degree is the sum
+    of its factors' degrees, so every integral is exact for polynomials."""
+    return [max(u.degree - k, 0) for k in range(5)]
+
+
+def _fan_rule(polygon, degree):
+    """Nodes (N, 2) and weights (N,) of the signed fan (p_{n-1}, p_i,
+    p_{i+1}) of a simple CCW polygon, convex or not: it cancels outside."""
+    fan = np.stack([np.broadcast_to(polygon[-1], polygon[1:-1].shape),
+                    polygon[:-2], polygon[1:-1]], axis=1)
+    x, w = map_to_triangle(*triangle_rule(degree), fan)
+    return x.reshape(-1, 2), w.ravel()
+
+
 def polygon_integral(field, polygon):
-    """Exact integral of a polynomial field over a simple CCW polygon, convex
-    or not: the signed fan (p_{n-1}, p_i, p_{i+1}) cancels outside it."""
-    polygon = np.asarray(polygon, dtype=float)
-    pts, w = triangle_rule(field.degree)
-    total = 0.0
-    for i in range(len(polygon) - 2):
-        phys, pw = map_to_triangle(pts, w, polygon[[-1, i, i + 1]])
-        total += float(pw @ field(phys))
-    return total
+    """Exact integral of a polynomial field over a simple CCW polygon."""
+    x, w = _fan_rule(np.asarray(polygon, dtype=float), field.degree)
+    return float(w @ field(x))
 
 
-def edge_integral(field, a, b):
-    """Exact line integral of a polynomial field along segment a-b."""
-    t, w = segment_rule(field.degree)
-    phys, pw = map_to_segment(t, w, a, b)
-    return float(pw @ field(phys))
+class _Nodes:
+    """A straight-edge polygon's fan rule (area, area_w), stacked edge rule
+    (edge (p, q, 2), edge_w (p, q)) with outward normals (normal (p, 1, 2)),
+    and vertices with the normals of the edges coming in and going out."""
 
-
-def _straight_polygon(domain):
-    if not domain.is_straight():
-        raise InvalidArgumentError(
-            "identity evaluation requires a straight-edge polygon",
-            invariant="straight-edges")
-    return np.asarray(domain.vertices, dtype=float)
-
-
-def _domain_polygon(domain, arc_points=512):
-    if domain.is_straight():
-        return np.asarray(domain.vertices, dtype=float)
-    pts, _ = domain.polygonize(arc_points)
-    return pts
+    def __init__(self, domain, area_degree, edge_degree):
+        if not domain.is_straight():
+            raise InvalidArgumentError(
+                "identity evaluation requires a straight-edge polygon",
+                invariant="straight-edges")
+        self.vertices = p = np.asarray(domain.vertices, dtype=float)
+        self.nu_out = nu = np.array([domain.segment_normal(i)
+                                     for i in range(len(p))])
+        i = np.arange(len(p))
+        self.nu_in, self.normal = nu[i - 1], nu[:, None, :]
+        self.area, self.area_w = _fan_rule(p, area_degree)
+        self.edge, self.edge_w = map_to_segment(*segment_rule(edge_degree), p,
+                                                p[(i + 1) % len(p)])
 
 
 def bilinear_a(u, v, domain, mu):
-    """Bending-energy bilinear form a(u, v) over the domain.
-
-    Quadrature order follows the combined polynomial degree, so the result
-    is exact up to rounding on straight-edge domains; arcs are approximated
-    by a fine polyline.
-    """
-    u11, u22, u12 = u.second_derivatives()
-    v11, v22, v12 = v.second_derivatives()
-    integrand = (u11 * v11 + u22 * v22 + mu * (u11 * v22 + u22 * v11)
-                 + 2.0 * (1.0 - mu) * (u12 * v12))
-    return polygon_integral(integrand, _domain_polygon(domain))
+    """Bending-energy bilinear form a(u, v) over the domain, exact up to
+    rounding on straight-edge domains; arcs become a fine polyline."""
+    polygon = (np.asarray(domain.vertices, dtype=float) if domain.is_straight()
+               else domain.polygonize(512)[0])
+    x, w = _fan_rule(polygon, _degrees(u)[2] + _degrees(v)[2])
+    return float(w @ _form(Partials(u)(x), Partials(v)(x), mu))
 
 
-def _boundary_work(u, w, domain, mu):
-    """Boundary and corner terms of Green's formula against the test field w
-    on a straight-edge polygon: the edge integral of (shear * w - bending *
-    dw/dnu), and the sum of twisting-moment jumps times w at the corners."""
-    p = domain.n_corners
-    boundary = 0.0
-    for i in range(p):
-        a_pt, b_pt = domain.edge_endpoints(i)
-        nu = domain.segment_normal(i)
-        b1 = bending_trace_field(u, mu, nu)
-        b2 = shear_trace_field(u, mu, nu)
-        integrand = b2 * w - b1 * (nu[0] * w.dx1() + nu[1] * w.dx2())
-        boundary += edge_integral(integrand, a_pt, b_pt)
-    corners = 0.0
-    for i in range(p):  # edge i - 1 comes into vertex i, edge i leaves it
-        pt = np.asarray(domain.vertices[i])
-        corners += corner_jump(u, mu, pt, domain.segment_normal((i - 1) % p),
-                               domain.segment_normal(i)) * float(w(pt))
-    return boundary, corners
+def _boundary_work(nodes, mu, u_edge, u_vertex, w_edge, w_vertex):
+    """Boundary and corner terms of Green's formula for u against a test
+    field w, from their tables at the edge nodes and vertices: the edge
+    integral of shear * w - bending * dw/dnu, and the jumps times w."""
+    bending, shear, _ = moments(u_edge, mu, nodes.normal)
+    n1, n2 = nodes.normal[..., 0], nodes.normal[..., 1]
+    w_nu = n1 * w_edge[1, 0] + n2 * w_edge[0, 1]
+    jumps = corner_jumps(u_vertex, mu, nodes.nu_in, nodes.nu_out)
+    work = nodes.edge_w * (shear * w_edge[0, 0] - bending * w_nu)
+    return float(np.sum(work)), float(jumps @ w_vertex[0, 0])
+
+
+def _residual(terms):
+    """|volume minus the other terms| over the largest term; NaN stays NaN."""
+    volume, *rest = terms.values()
+    scale = np.max(np.abs(list(terms.values())))
+    return float(abs(volume - sum(rest)) / scale) if scale != 0.0 else 0.0
 
 
 def greens_identity_terms(u, v, domain, mu):
-    """The four terms of the corner-augmented Green's formula.
-
-    Returns a dict with 'volume' = integral of (Lap^2 u) v, 'a' = a(u, v),
+    """The four terms of the corner-augmented Green's formula, volume = a +
+    boundary + corners: 'volume' = integral of (Lap^2 u) v, 'a' = a(u, v),
     'boundary' = integral of (shear * v - bending * dv/dnu), and 'corners' =
-    sum of twisting-moment jumps times v at the corners.  The identity says
-    volume = a + boundary + corners.
-    """
-    polygon = _straight_polygon(domain)
-    volume = polygon_integral(u.biharmonic() * v, polygon)
-    a_uv = bilinear_a(u, v, domain, mu)
-    boundary, corners = _boundary_work(u, v, domain, mu)
-    return {"volume": volume, "a": a_uv, "boundary": boundary,
-            "corners": corners}
+    sum of twisting-moment jumps times v at the corners."""
+    du, dv = _degrees(u), _degrees(v)
+    nodes = _Nodes(domain, max(du[4] + dv[0], du[2] + dv[2]),
+                   max(du[3] + dv[0], du[2] + dv[1]))
+    U, V = Partials(u), Partials(v)
+    ua, va = U(nodes.area), V(nodes.area)
+    boundary, corners = _boundary_work(nodes, mu, U(nodes.edge),
+                                       U(nodes.vertices), V(nodes.edge),
+                                       V(nodes.vertices))
+    return {"volume": float(nodes.area_w @ (ua["biharmonic"] * va[0, 0])),
+            "a": float(nodes.area_w @ _form(ua, va, mu)),
+            "boundary": boundary, "corners": corners}
 
 
 def greens_identity_residual(u, v, domain, mu):
     """Normalized residual of the corner-augmented Green's formula."""
-    t = greens_identity_terms(u, v, domain, mu)
-    resid = t["volume"] - t["a"] - t["boundary"] - t["corners"]
-    scale = max(abs(t["volume"]), abs(t["a"]), abs(t["boundary"]),
-                abs(t["corners"]))
-    return abs(resid) / scale if scale > 0.0 else 0.0
+    return _residual(greens_identity_terms(u, v, domain, mu))
 
 
 def multiplier_identity_terms(u, domain, mu, x0):
-    """Terms of the multiplier identity with test slot m.grad(u), m = x - x0.
+    """Terms of the multiplier identity with test slot m.grad(u), m = x - x0,
+    volume = a + q_flux + corners + boundary: 'volume' = integral of (Lap^2
+    u)(m.grad u), 'a' = a(u, u), 'q_flux' = 1/2 integral of (m.nu) q(u),
+    'corners' = jump terms against m.grad u, and 'boundary' = integral of
+    shear*(m.grad u) - bending*d(m.grad u)/dnu."""
+    du = _degrees(u)  # m.grad u has degree deg u, its gradient deg u - 1
+    nodes = _Nodes(domain, max(du[4] + du[0], 2 * du[2]),
+                   max(du[3] + du[0], du[2] + du[1], 1 + 2 * du[2]))
 
-    Returns 'volume' = integral of (Lap^2 u)(m.grad u), 'a' = a(u, u),
-    'q_flux' = 1/2 integral of (m.nu) q(u), 'corners' = jump terms against
-    m.grad u, and 'boundary' = integral of shear*(m.grad u) -
-    bending*d(m.grad u)/dnu.  The identity: volume = a + q_flux + corners
-    + boundary.
-    """
-    polygon = _straight_polygon(domain)
-    x0 = np.asarray(x0, dtype=float)
-    m1 = PolyField.monomial(1, 0) - x0[0]
-    m2 = PolyField.monomial(0, 1) - x0[1]
-    mgrad = m1 * u.dx1() + m2 * u.dx2()
+    def slot(d, x):
+        """The table of m.grad u through first order from u's table d at x:
+        grad(m.grad u) = grad u + (Hess u) m."""
+        m1, m2 = x[..., 0] - x0[0], x[..., 1] - x0[1]
+        return {(0, 0): m1 * d[1, 0] + m2 * d[0, 1],
+                (1, 0): d[1, 0] + m1 * d[2, 0] + m2 * d[1, 1],
+                (0, 1): d[0, 1] + m1 * d[1, 1] + m2 * d[0, 2]}
 
-    volume = polygon_integral(u.biharmonic() * mgrad, polygon)
-    a_uu = bilinear_a(u, u, domain, mu)
-    qfield = q_density_field(u, mu)
-    q_flux = 0.0
-    for i in range(domain.n_corners):
-        a_pt, b_pt = domain.edge_endpoints(i)
-        nu = domain.segment_normal(i)
-        mdotnu = nu[0] * m1 + nu[1] * m2
-        q_flux += 0.5 * edge_integral(mdotnu * qfield, a_pt, b_pt)
-    boundary, corners = _boundary_work(u, mgrad, domain, mu)
-    return {"volume": volume, "a": a_uu, "q_flux": q_flux,
+    U = Partials(u)
+    ua, ue, uc = U(nodes.area), U(nodes.edge), U(nodes.vertices)
+    m_nu = np.sum((nodes.edge - x0) * nodes.normal, axis=-1)
+    boundary, corners = _boundary_work(nodes, mu, ue, uc, slot(ue, nodes.edge),
+                                       slot(uc, nodes.vertices))
+    return {"volume": float(nodes.area_w @ (ua["biharmonic"]
+                                            * slot(ua, nodes.area)[0, 0])),
+            "a": float(nodes.area_w @ _form(ua, ua, mu)),
+            "q_flux": 0.5 * float(np.sum(nodes.edge_w * m_nu
+                                         * _form(ue, ue, mu))),
             "corners": corners, "boundary": boundary}
 
 
 def multiplier_identity_residual(u, domain, mu, x0):
     """Normalized residual of the multiplier identity."""
-    t = multiplier_identity_terms(u, domain, mu, x0)
-    resid = t["volume"] - t["a"] - t["q_flux"] - t["corners"] - t["boundary"]
-    scale = max(abs(val) for val in t.values())
-    return abs(resid) / scale if scale > 0.0 else 0.0
+    return _residual(multiplier_identity_terms(u, domain, mu, x0))

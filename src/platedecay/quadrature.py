@@ -47,21 +47,22 @@ def triangle_rule(degree):
 
 
 def map_to_triangle(points, weights, tri):
-    """Map a reference-triangle rule to the physical triangle ``tri`` (3, 2);
-    the weights carry the signed Jacobian, negative for a clockwise ``tri``."""
+    """Map a reference-triangle rule to the physical triangles ``tri``
+    (..., 3, 2): nodes (..., q, 2) and weights (..., q), which carry the
+    signed Jacobian, negative for a clockwise triangle."""
     tri = np.asarray(tri, dtype=float)
-    a, b, c = tri
-    jac = np.array([[b[0] - a[0], c[0] - a[0]],
-                    [b[1] - a[1], c[1] - a[1]]])
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    phys = a[None, :] + points @ jac.T
-    return phys, weights * det
+    a = tri[..., 0, :]
+    e1, e2 = tri[..., 1, :] - a, tri[..., 2, :] - a
+    det = e1[..., 0] * e2[..., 1] - e2[..., 0] * e1[..., 1]
+    phys = (a[..., None, :] + points[:, :1] * e1[..., None, :]
+            + points[:, 1:] * e2[..., None, :])
+    return phys, weights * det[..., None]
 
 
 def map_to_segment(points, weights, a, b):
-    """Map a [0,1] rule to the segment from a to b; weights carry the length."""
+    """Map a [0,1] rule to the segments from a to b (..., 2): nodes
+    (..., q, 2) and weights (..., q), which carry the lengths."""
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    length = float(np.hypot(*(b - a)))
-    phys = a[None, :] + points[:, None] * (b - a)[None, :]
-    return phys, weights * length
+    d = np.asarray(b, dtype=float) - a
+    phys = a[..., None, :] + points[:, None] * d[..., None, :]
+    return phys, weights * np.hypot(d[..., 0], d[..., 1])[..., None]

@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from platedecay.cli import RunConfig, _build_system, build_parser, main, run
+from platedecay.dynamics import step_times
 from platedecay.errors import ConfigValidationError
 from platedecay.geometry import check_condition_g, lens_domain
 
@@ -180,6 +181,30 @@ def test_verify_command(tmp_path):
     assert payload["passed"] is True
     assert payload["greens_max_residual"] <= 1e-9
     assert payload["multiplier_max_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["greens_identity_residual",
+                                  "multiplier_identity_residual",
+                                  "q_density"])
+def test_verify_fails_on_one_nan(tmp_path, capsys, monkeypatch, name):
+    # one non-finite value among the 100 cases must fail the certificate:
+    # Python's max(0.0, nan) and min(0.0, nan) would both drop it
+    import platedecay.plate_forms as plate_forms
+
+    real, calls = getattr(plate_forms, name), []
+
+    def one_nan(*args):
+        calls.append(None)
+        return math.nan if len(calls) == 37 else real(*args)
+
+    monkeypatch.setattr(plate_forms, name, one_nan)
+    out = tmp_path / "out"
+    code = main(["verify", "--config", write_cfg(tmp_path, SQUARE_CFG),
+                 "--out", str(out)])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert code == 3 and err["invariant"] == "identity-tolerance"
+    assert len(calls) == 100
+    assert json.loads((out / "verify.json").read_text())["passed"] is False
 
 
 def test_deterministic_artifacts(tmp_path):
@@ -486,6 +511,27 @@ def test_fit_window_checked_before_the_run(tmp_path, capsys, monkeypatch,
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["invariant"] == invariant
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_default_window_ends_at_the_last_step(tmp_path):
+    # T = 2.0004 with dt = 1e-3 runs 2000 steps, so the trace ends at 2.0
+    data = json.loads(json.dumps(SQUARE_CFG))
+    data["sim"].update({"dt": 1e-3, "T": 2.0004})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)]) == 0
+    payload = json.loads((out / "decay_fit.json").read_text())
+    assert payload["decay_fit"]["window"] == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("config", ["square", "lens"])
+def test_shipped_default_windows_end_at_T(config):
+    # the default window ends at the last step time; for the shipped configs
+    # that is T itself (10^4 steps of 1e-3 end at exactly 10.0), so their
+    # decay_fit.json keeps the window (and bytes) it had when it ended at T
+    cfg = RunConfig.from_dict(
+        json.loads((LENS_PATH.parent / f"{config}.json").read_text()))
+    assert step_times(cfg.sim.dt, cfg.sim.T)[-1] == cfg.sim.T
 
 
 def lens_90_config():

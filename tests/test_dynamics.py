@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from platedecay._lsq import lsq_line
 from platedecay.assembly import assemble, build_dof_map
 from platedecay.dynamics import (DecayFit, EnergyTrace, boundary_bump_data,
                                  decay_fit, dissipation_residual,
@@ -188,6 +189,49 @@ def test_decay_fit_flags_exponential_regime():
     assert fit.exponential_regime
 
 
+def _lstsq_line(x, y):
+    """lsq_line as a design matrix solved by lstsq."""
+    A = np.stack([x, np.ones_like(x)], axis=1)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = y - A @ coef
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return float(coef[0]), 1.0 - float(resid @ resid) / ss_tot
+
+
+def test_lsq_line_matches_lstsq(monkeypatch):
+    # the lines a decay_fit window and an _envelope_fit front ask for
+    import platedecay.dynamics as dynamics
+    import platedecay.spectral as spectral
+
+    lines = []
+
+    def recorded(x, y):
+        lines.append((x.copy(), y.copy()))
+        return lsq_line(x, y)
+
+    monkeypatch.setattr(dynamics, "lsq_line", recorded)
+    monkeypatch.setattr(spectral, "lsq_line", recorded)
+    system = build(DAMPED)
+    trace = simulate(system, *boundary_bump_data(system), dt=1e-2, T=20.0)
+    decay_fit(trace, (5.0, 20.0))
+    x = np.geomspace(1.0, 1e3, 400)
+    y = x ** 1.1 * (1.0 + 30.0 * np.sin(0.37 * np.arange(400)) ** 40)
+    spectral._envelope_fit(x, y, np.log(y))
+    assert len(lines) == 4
+    for x, y in lines:
+        slope, r2 = lsq_line(x, y)
+        want_slope, want_r2 = _lstsq_line(x, y)
+        assert abs(slope - want_slope) <= 1e-12 * abs(want_slope)
+        assert abs(r2 - want_r2) <= 1e-12
+
+
+def test_lsq_line_needs_two_distinct_x():
+    # with a design matrix, lstsq answered a rank-deficient system anyway
+    with pytest.raises(InsufficientDataError) as err:
+        lsq_line(np.full(5, 2.0), np.arange(5.0))
+    assert err.value.invariant == "lsq-points"
+
+
 def test_decay_fit_window_validation():
     trace = synthetic_trace(lambda t: t ** -1.0)
     with pytest.raises(InvalidArgumentError):
@@ -198,7 +242,8 @@ def test_decay_fit_window_validation():
 
 def test_decay_fit_window_is_not_copied():
     # the CLI's default window, the last 75 % of the trace; with the window
-    # sliced, the fit peaked at 36 bytes per step, and at 49 with masks
+    # sliced and the line from centered sums, the fit peaks at 24 bytes per
+    # step (36 with a design matrix and lstsq, 49 with masks)
     n = 200_000
     trace = synthetic_trace(lambda t: (1.0 + t) ** -1.0, t_end=1.0 + 1e-3 * n,
                             n=n + 1)
@@ -209,7 +254,7 @@ def test_decay_fit_window_is_not_copied():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 42 * n
+    assert peak <= 30 * n
 
 
 def test_boundary_bump_data_is_nontrivial_and_at_rest():
