@@ -40,8 +40,8 @@ from .meshing import refine, triangulate, validate_mesh, write_mesh
 from .assembly import assemble, build_dof_map, dump_coo
 from .plate_forms import PlateMaterial
 from .dynamics import (boundary_bump_data, decay_fit, dissipation_residual,
-                       eigenpacket_data, fit_window_slice, simulate,
-                       step_times)
+                       eigenpacket_data, energy_drift, fit_window_slice,
+                       simulate, step_times)
 from .spectral import (damping_branch_fit, growth_fit, pencil_eigenvalues,
                        resolved_band, resolvent_sweep, suggest_sweep_omegas)
 
@@ -50,6 +50,7 @@ _VALIDATION_ERRORS = (ConfigValidationError, InvalidArgumentError,
 
 # Set-up peaks near 19 KB per triangle, so this many stay near 2 GB.
 MAX_TRIANGLES = 100_000
+_CSV_ROWS = 1024  # rows formatted per write
 
 
 @dataclass
@@ -271,23 +272,33 @@ class _Outputs:
             "version": __version__,
         }
 
-    def write_csv(self, name, header, rows):
+    def write_csv(self, name, header, columns):
+        """One row per index of the equal-length float ``columns``, each
+        value as %.17g, formatted ``_CSV_ROWS`` rows at a time."""
         path = os.path.join(self.dir, name)
+        line = ",".join(["%.17g"] * len(columns)) + "\n"
         with open(path, "w") as f:
             for key, value in self.provenance.items():
                 f.write(f"# {key}={value}\n")
             f.write(header + "\n")
-            for row in rows:
-                f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            for lo in range(0, len(columns[0]), _CSV_ROWS):
+                rows = zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in columns))
+                f.write("".join(line % row for row in rows))
         return path
 
     def write_json(self, name, payload):
+        """Write strict JSON: a NaN or infinity stops the command
+        (``artifact-finite``) before the file is opened."""
         path = os.path.join(self.dir, name)
         doc = {"provenance": self.provenance}
         doc.update(payload)
+        try:
+            text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise SolverError(f"{name}: {exc}",
+                              invariant="artifact-finite") from exc
         with open(path, "w") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(text + "\n")
         return path
 
 
@@ -373,25 +384,32 @@ def _initial_data(cfg, system):
                                 invariant="initial-data")
 
 
+def _fit_window(sim):
+    """The fit window of a run: ``sim.fit_window``, else (max(1, T/4), t_N)
+    when T >= 2, else None.  It is checked against the run's times
+    (``decay_fit``'s checks) before any time loop, and those times are
+    dropped again."""
+    window = sim.fit_window
+    if window is None and sim.T < 2.0:
+        return None
+    times = step_times(sim.dt, sim.T)
+    if window is None:  # the trace ends at round(T / dt) dt, not at T
+        window = (max(1.0, 0.25 * sim.T), float(times[-1]))
+    fit_window_slice(times, window)
+    return window
+
+
 def _cmd_simulate(cfg, out):
-    window = cfg.sim.fit_window
-    if window is not None or cfg.sim.T >= 2.0:
-        times = step_times(cfg.sim.dt, cfg.sim.T)
-        if window is None:  # the trace ends at round(T / dt) dt, not at T
-            window = (max(1.0, 0.25 * cfg.sim.T), float(times[-1]))
-        fit_window_slice(times, window)  # decay_fit's checks on the config
+    window = _fit_window(cfg.sim)
     mesh, dofs, system = _build_system(cfg)
     u0, v0 = _initial_data(cfg, system)
     trace = simulate(system, u0, v0, dt=cfg.sim.dt, T=cfg.sim.T,
                      scheme=cfg.sim.scheme,
                      snapshot_stride=cfg.sim.snapshot_stride)
-    e0 = trace.energy[0]
-    # relative to E0, as the balance residual is; zero data has neither
-    drift = float(np.max(np.abs(trace.energy - e0)) / e0) if e0 else 0.0
     payload = {"n_free": system.n_free, "scheme": trace.scheme,
-               "E0": float(e0), "ET": float(trace.energy[-1]),
+               "E0": float(trace.energy[0]), "ET": float(trace.energy[-1]),
                "balance_residual": dissipation_residual(trace),
-               "energy_drift": drift}
+               "energy_drift": energy_drift(trace)}
     if window is not None and np.all(trace.energy > 0):
         try:
             payload["decay_fit"] = decay_fit(trace, window).to_dict()
@@ -400,9 +418,9 @@ def _cmd_simulate(cfg, out):
     if cfg.dump_matrices:
         for name, mat in (("K", system.K), ("M", system.M), ("D", system.D)):
             dump_coo(os.path.join(out.dir, f"{name}.txt"), mat)
-    rows = zip(trace.times, trace.energy, trace.diss_d1, trace.diss_d2,
-               trace.diss_corner)
-    out.write_csv("trace.csv", "t,E,diss_d1,diss_d2,diss_corner", rows)
+    out.write_csv("trace.csv", "t,E,diss_d1,diss_d2,diss_corner",
+                  (trace.times, trace.energy, trace.diss_d1, trace.diss_d2,
+                   trace.diss_corner))
     for step, (u, v) in sorted(trace.snapshots.items()):
         np.savetxt(os.path.join(out.dir, f"state_{step:08d}.txt"),
                    np.column_stack([u, v]), fmt="%.17g", header="u v")
@@ -417,7 +435,7 @@ def _cmd_spectrum(cfg, out):
     count = cfg.spectral.count
     report = pencil_eigenvalues(system, count=count)
     lam = report.eigenvalues
-    out.write_csv("spectrum.csv", "re,im", zip(lam.real, lam.imag))
+    out.write_csv("spectrum.csv", "re,im", (lam.real, lam.imag))
     payload = report.to_dict()
     band = cfg.spectral.omega_band or _try_band(report)
     if band is not None:
@@ -455,7 +473,7 @@ def _cmd_resolvent(cfg, out):
         payload["R2"]["branch"] = r2_branch
     except (InsufficientDataError, InvalidArgumentError) as exc:
         payload["branch_fit_skipped"] = str(exc)
-    out.write_csv("sweep.csv", "omega,resolvent_norm", sweep)
+    out.write_csv("sweep.csv", "omega,resolvent_norm", sweep.T)
     out.write_json("fit_summary.json", payload)
     print(f"sweep of {len(omegas)} points; theta_hat={theta:.4g}")
     return 0
@@ -496,17 +514,26 @@ def _cmd_verify(cfg, out):
     payload = {
         "passed": bool(ok),
         "tolerance": tol,
-        "greens_max_residual": worst_g,
-        "multiplier_max_residual": worst_m,
-        "q_density_min": worst_q,
         "n_cases": n_cases,
         "hand_case_square_terms": {k: float(v) for k, v in hand.items()},
     }
+    # JSON has no NaN: a value that is not finite is null, with the reason
+    worst = {"greens_max_residual": worst_g,
+             "multiplier_max_residual": worst_m, "q_density_min": worst_q}
+    for key, value in worst.items():
+        if math.isfinite(value):
+            payload[key] = value
+        else:
+            payload[key] = None
+            payload.setdefault("non_finite", {})[key] = (
+                f"{value} in at least one of the {n_cases} cases")
     out.write_json("verify.json", payload)
     print(f"verify: {'PASS' if ok else 'FAIL'} "
           f"(greens {worst_g:.3e}, multiplier {worst_m:.3e})")
     if not ok:
-        raise SolverError("identity residuals exceed tolerance",
+        what = ("are not finite" if "non_finite" in payload
+                else "exceed tolerance")
+        raise SolverError(f"identity residuals {what}",
                           invariant="identity-tolerance")
     return 0
 

@@ -32,8 +32,9 @@ from .spectral import _energy_generator, _spd_factor, _spd_root
 
 SCHEMES = ("midpoint",)
 # The trace takes 40 bytes per step (five float arrays) and a CLI simulate
-# peaks near 90, so this many stay under 1 GB.
+# peaks near 60, so this many stay under 1 GB.
 MAX_STEPS = 10_000_000
+_CHUNK = 1 << 13  # samples per slice of a reduction over the trace
 
 
 @dataclass
@@ -140,9 +141,31 @@ def dissipation_residual(trace):
     e0 = trace.energy[0]
     if e0 == 0.0:
         return 0.0
-    total = trace.diss_d1 + trace.diss_d2 + trace.diss_corner
-    resid = np.diff(trace.energy) + np.diff(total)
-    return float(np.max(np.abs(resid)) / e0)
+
+    def residuals(lo, hi):  # of steps lo + 1 .. hi
+        s = slice(lo, hi + 1)
+        total = trace.diss_d1[s] + trace.diss_d2[s] + trace.diss_corner[s]
+        return np.abs(np.diff(trace.energy[s]) + np.diff(total))
+
+    return float(_chunked_max(len(trace) - 1, residuals) / e0)
+
+
+def energy_drift(trace):
+    """Largest |E(t) - E0| over the trace, relative to E0 as the balance
+    residual is; zero data has neither (0)."""
+    e0 = trace.energy[0]
+    if e0 == 0.0:
+        return 0.0
+    return float(_chunked_max(
+        len(trace), lambda lo, hi: np.abs(trace.energy[lo:hi] - e0)) / e0)
+
+
+def _chunked_max(n, values):
+    """The largest entry of values(lo, hi) over consecutive [lo, hi) that
+    cover range(n): the number one np.max over all n gives, NaN included,
+    with temporaries of at most ``_CHUNK`` samples."""
+    return np.max([np.max(values(lo, min(lo + _CHUNK, n)))
+                   for lo in range(0, n, _CHUNK)])
 
 
 @dataclass(frozen=True)
@@ -185,8 +208,8 @@ def decay_fit(trace, window):
         raise InsufficientDataError(
             "energy is flat on the fit window (loss <= 1e-9 E(t_a))",
             invariant="window-flat")
-    log_t, log_e = np.log(t), np.log(e)
-    slope, r2_pow = lsq_line(log_t, log_e)
+    log_e = np.log(e)
+    slope, r2_pow = lsq_line(np.log(t), log_e, overwrite_x=True)
     _, r2_exp = lsq_line(t, log_e)
     return DecayFit(alpha=-slope, r_squared=r2_pow,
                     exponential_regime=bool(r2_exp > r2_pow),

@@ -30,6 +30,7 @@ from .errors import (InsufficientDataError, InvalidArgumentError, SolverError)
 
 _DENSE_LIMIT = 4096  # first-order dofs beyond which dense solves are refused
 _LANCZOS_STEPS = 60  # cap on Lanczos steps per frequency (2n if fewer)
+_BLOCK = 32  # right-hand sides per solve in _energy_generator
 
 
 @dataclass
@@ -50,16 +51,23 @@ def pencil_eigenvalues(system, count="all"):
     """Eigenvalues of the first-order generator (roots of the damped pencil).
 
     ``count = 'all'`` performs a dense solve (refused above 4096 first-order
-    dofs); an integer count gives the ``count`` eigenvalues nearest the real
-    shift 1e-3 from one sparse n x n factor (``_Pencil.eigenvalues``).  Both
-    stop with ``energy-pd`` unless K and M are positive definite.
+    dofs) on the G of ``_energy_generator``, which LAPACK overwrites, so the
+    solve holds little more than G itself; a G that is not finite stops it
+    (``generator-finite``).  An integer count gives the ``count``
+    eigenvalues nearest the real shift 1e-3 from one sparse n x n factor
+    (``_Pencil.eigenvalues``).  Both stop with ``energy-pd`` unless K and M
+    are positive definite.
     """
     if count == "all":
         # Solve in energy coordinates: the generator is dissipative in the
         # Euclidean product there, so the balanced standard eigensolve keeps
         # Re(lambda) <= 0 where the badly scaled QZ pencil (stiffness vs
         # mass blocks) loses that structure.
-        lam = np.linalg.eigvals(_energy_generator(system)[0])
+        G = _energy_generator(system)[0]
+        if not np.isfinite(G).all():
+            raise SolverError("dense generator is not finite",
+                              invariant="generator-finite")
+        lam = sla.eigvals(G, overwrite_a=True, check_finite=False)
     else:
         k = int(count)
         if not 0 < k < 2 * system.K.shape[0] - 1:
@@ -75,7 +83,15 @@ def _energy_generator(system):
     """Dense G = F^{-1} A F^{-T} = [[0, B'], [-B, -C]], B = F_M^{-1} F_K and
     C = F_M^{-1} D F_M^{-T}: the generator in the energy coordinates of the
     roots ((F_K, lu_K), (F_M, lu_M)) of ``_spd_root``, F = blockdiag(F_K,
-    F_M), returned beside it; F_M^{-T} = M^{-1} F_M is one solve."""
+    F_M), returned beside it.
+
+    G is allocated once, in Fortran order (LAPACK's, so that
+    ``pencil_eigenvalues`` can hand it over to be overwritten), and its
+    blocks are written in place.  F_M^{-1} = F_M' M^{-1} is one solve with
+    lu_M and one sparse product, applied to ``_BLOCK`` columns of F_K at a
+    time; B' and -B are written from the same numbers, so the off-diagonal
+    blocks are exactly skew.  C = X D_S X' needs only the columns X of
+    F_M^{-1} on the support S of D (the damped boundary dofs)."""
     n = system.K.shape[0]
     if 2 * n > _DENSE_LIMIT:
         raise InvalidArgumentError(
@@ -83,10 +99,24 @@ def _energy_generator(system):
             f"above the dense limit of {_DENSE_LIMIT}",
             invariant="dense-limit")
     roots = (F_K, _), (F_M, lu_M) = _spd_root(system.K), _spd_root(system.M)
-    W = lu_M.solve(F_M.toarray()).T  # F_M^{-1}
-    B = W @ F_K
-    G = np.zeros((2 * n, 2 * n))
-    G[:n, n:], G[n:, :n], G[n:, n:] = B.T, -B, -(W @ (system.D @ W.T))
+
+    def inverse_root(R, out):  # out = F_M^{-1} R, _BLOCK columns at a time
+        for j in range(0, R.shape[1], _BLOCK):
+            cols = slice(j, j + _BLOCK)
+            out[:, cols] = F_M.T @ lu_M.solve(R[:, cols].toarray())
+        return out
+
+    G = np.zeros((2 * n, 2 * n), order="F")
+    B = inverse_root(F_K, G[n:, :n])
+    G[:n, n:] = B.T
+    np.negative(B, out=B)
+    D = sp.csr_matrix(system.D)
+    S = np.union1d(*D.nonzero())
+    X = inverse_root(sp.eye(n, format="csr")[:, S], np.empty((n, len(S))))
+    minus_D, lower = -D[S][:, S], G[n:, n:]
+    for j in range(0, n, _BLOCK):
+        cols = slice(j, j + _BLOCK)
+        np.matmul(X, minus_D @ X[cols].T, out=lower[:, cols])
     return G, roots
 
 

@@ -203,8 +203,46 @@ def test_verify_fails_on_one_nan(tmp_path, capsys, monkeypatch, name):
                  "--out", str(out)])
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert code == 3 and err["invariant"] == "identity-tolerance"
+    assert "not finite" in err["message"]
     assert len(calls) == 100
-    assert json.loads((out / "verify.json").read_text())["passed"] is False
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    # a strict parser: Python's json.loads would read a bare NaN
+    payload = json.loads((out / "verify.json").read_text(),
+                         parse_constant=refuse)
+    key = {"greens_identity_residual": "greens_max_residual",
+           "multiplier_identity_residual": "multiplier_max_residual",
+           "q_density": "q_density_min"}[name]
+    assert payload["passed"] is False and payload[key] is None
+    assert payload["non_finite"] == {
+        key: "nan in at least one of the 100 cases"}
+
+
+def test_json_artifacts_refuse_non_finite_numbers(tmp_path, capsys,
+                                                  monkeypatch):
+    import platedecay.cli as cli
+
+    monkeypatch.setattr(cli, "dissipation_residual", lambda trace: math.inf)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", write_cfg(tmp_path, SQUARE_CFG),
+                 "--out", str(out)])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert code == 3 and err["invariant"] == "artifact-finite"
+    assert not (out / "decay_fit.json").exists()
+
+
+def test_csv_values_as_formatted_one_at_a_time(tmp_path, monkeypatch):
+    import platedecay.cli as cli
+
+    monkeypatch.setattr(cli, "_CSV_ROWS", 3)  # slices, the last one short
+    columns = (np.array([0.0, -0.0, 1e-300, np.inf, -np.inf, np.nan, 1 / 3]),
+               0.1 * np.arange(7.0))
+    out = cli._Outputs(RunConfig.from_dict(SQUARE_CFG), str(tmp_path), 0)
+    lines = Path(out.write_csv("x.csv", "a,b", columns)).read_text()
+    assert lines.splitlines()[-8:] == ["a,b"] + [
+        ",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
 
 
 def test_deterministic_artifacts(tmp_path):
@@ -603,6 +641,42 @@ def test_simulate_records_balance_and_drift(tmp_path, recwarn, material,
     else:
         assert payload["balance_residual"] <= 1e-9
         assert payload["energy_drift"] > 0.0
+
+
+def test_simulate_peak_bytes_per_step(tmp_path, monkeypatch):
+    # What a CLI simulate adds to its trace.  The time loop is replaced by a
+    # trace of the same five float arrays (40 bytes per step): 4e5 steps at
+    # h = 0.5 take 30 s, and ten times that under tracemalloc.  The window
+    # check drops its times before the run, the balance residual and the
+    # drift reduce the trace in slices, and decay_fit centers log t in
+    # place.  Measured 58.1 bytes per step (72.3 with the check's times
+    # kept, whole-trace temporaries in both reductions and a centered copy
+    # of log t)
+    import tracemalloc
+
+    import platedecay.cli as cli
+    from platedecay.dynamics import EnergyTrace
+
+    def decaying_trace(system, u0, v0, dt, T, scheme, snapshot_stride):
+        times = step_times(dt, T)
+        energy = 1.0 / (1.0 + times)
+        loss = energy[0] - energy
+        return EnergyTrace(times=times, energy=energy, diss_d1=0.5 * loss,
+                           diss_d2=0.25 * loss, diss_corner=0.25 * loss,
+                           scheme=scheme)
+
+    monkeypatch.setattr(cli, "simulate", decaying_trace)
+    data = json.loads(json.dumps(SQUARE_CFG))
+    data["sim"].update({"dt": 1e-3, "T": 400.0})
+    cfg_path = write_cfg(tmp_path, data)
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 400_000
 
 
 def test_eigenpacket_beyond_dense_limit_exits_2(tmp_path, capsys):

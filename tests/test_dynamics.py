@@ -8,7 +8,7 @@ from platedecay._lsq import lsq_line
 from platedecay.assembly import assemble, build_dof_map
 from platedecay.dynamics import (DecayFit, EnergyTrace, boundary_bump_data,
                                  decay_fit, dissipation_residual,
-                                 eigenpacket_data, simulate)
+                                 eigenpacket_data, energy_drift, simulate)
 from platedecay.errors import (InsufficientDataError, InvalidArgumentError,
                                SolverError)
 from platedecay.geometry import unit_square_domain
@@ -167,6 +167,27 @@ def test_dissipation_residual_empty_trace():
         dissipation_residual(trace)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 13])
+def test_trace_reductions_by_slices(monkeypatch, chunk):
+    # the balance residual and the drift reduce the trace slice by slice;
+    # each slice size gives the numbers of one pass over the whole trace
+    import platedecay.dynamics as dynamics
+
+    rng = np.random.default_rng(0)
+    n = 1001
+    E = 1.0 + 1e-3 * rng.standard_normal(n)
+    d1, d2, dc = np.cumsum(1e-4 * rng.random((3, n)), axis=1)
+    trace = EnergyTrace(times=1e-3 * np.arange(n), energy=E, diss_d1=d1,
+                        diss_d2=d2, diss_corner=dc, scheme="midpoint")
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    resid = np.diff(E) + np.diff(d1 + d2 + dc)
+    assert dissipation_residual(trace) == float(np.max(np.abs(resid)) / E[0])
+    assert energy_drift(trace) == float(np.max(np.abs(E - E[0])) / E[0])
+    E[500] = np.nan  # a NaN is kept, not dropped
+    assert np.isnan(dissipation_residual(trace))
+    assert np.isnan(energy_drift(trace))
+
+
 def synthetic_trace(f, t_end=100.0, n=2000):
     t = np.linspace(0.5, t_end, n)
     zeros = np.zeros_like(t)
@@ -205,9 +226,9 @@ def test_lsq_line_matches_lstsq(monkeypatch):
 
     lines = []
 
-    def recorded(x, y):
+    def recorded(x, y, **options):
         lines.append((x.copy(), y.copy()))
-        return lsq_line(x, y)
+        return lsq_line(x, y, **options)
 
     monkeypatch.setattr(dynamics, "lsq_line", recorded)
     monkeypatch.setattr(spectral, "lsq_line", recorded)

@@ -143,6 +143,38 @@ def test_energy_generator_blocks():
     assert np.abs(G - root_generator(system)).max() <= 1e-13 * np.abs(G).max()
 
 
+def test_dense_spectrum_footprint():
+    """The dense spectrum holds G, the roots and column blocks, and LAPACK
+    overwrites G: no dense F_M^{-1}, no full-size B and no copy of G."""
+    import tracemalloc
+
+    system = build(h=1.0 / 12.0)
+    n = system.n_free
+    tracemalloc.start()
+    try:
+        pencil_eigenvalues(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 1.22 x 8 (2n)^2 bytes at n = 576 (2.38 with the dense
+    # F_M^{-1} and numpy's private copy of G); the bound leaves 7 %
+    assert peak <= 1.3 * 8 * (2 * n) ** 2
+
+
+def test_dense_spectrum_refuses_non_finite_generator(monkeypatch):
+    generator = spectral._energy_generator
+
+    def with_nan(system):
+        G, roots = generator(system)
+        G[3, 5] = np.nan
+        return G, roots
+
+    monkeypatch.setattr(spectral, "_energy_generator", with_nan)
+    with pytest.raises(SolverError) as info:
+        pencil_eigenvalues(build())
+    assert info.value.invariant == "generator-finite"
+
+
 @pytest.mark.parametrize("name", ["K", "M"])
 def test_spd_root_factors_its_matrix(name):
     matrix = getattr(build(h=0.125), name)
@@ -287,6 +319,21 @@ def test_sweep_beyond_dense_limit():
     assert 2 * system.n_free > 4096
     sweep = resolvent_sweep(system, [0.0, 10.0, 100.0])
     assert np.all(np.isfinite(sweep[:, 1])) and np.all(sweep[:, 1] > 0)
+
+
+def test_dense_limit_refused_before_allocating():
+    import tracemalloc
+
+    system = build(h=1.0 / 24.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgumentError) as info:
+            pencil_eigenvalues(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.invariant == "dense-limit"
+    assert peak <= 100_000  # G alone would take 170 MB
 
 
 def test_resolvent_finite_at_origin():
