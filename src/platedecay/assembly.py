@@ -287,15 +287,28 @@ def _sym(block):
 
 def _csr(dofs, blocks):
     """n_free x n_free CSR sum of (dofs (b, m), values (b, m, m)) block
-    batches; entries on clamped rows or columns are dropped."""
-    fi = dofs.free_index
-    rows = np.concatenate([np.broadcast_to(fi[d][:, :, None], v.shape).ravel()
-                           for d, v in blocks])
-    cols = np.concatenate([np.broadcast_to(fi[d][:, None, :], v.shape).ravel()
-                           for d, v in blocks])
-    vals = np.concatenate([v.ravel() for _, v in blocks])
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+    batches; entries on clamped rows or columns are dropped.
+
+    The kept entries go batch by batch into int32 rows and columns sized by
+    their count, in the order of the whole batches one after another, so
+    one coo -> csr sums duplicates in the same order whatever is dropped.
+    """
+    fi = dofs.free_index.astype(np.int32)
+    local = [fi[d] for d, _ in blocks]
+    n_kept = sum(int((np.count_nonzero(f >= 0, axis=1) ** 2).sum())
+                 for f in local)
+    rows, cols = np.empty((2, n_kept), dtype=np.int32)
+    vals = np.empty(n_kept)
+    start = 0
+    for f, (_, v) in zip(local, blocks):
+        free = f >= 0
+        keep = free[:, :, None] & free[:, None, :]
+        stop = start + np.count_nonzero(keep)
+        rows[start:stop] = np.broadcast_to(f[:, :, None], v.shape)[keep]
+        cols[start:stop] = np.broadcast_to(f[:, None, :], v.shape)[keep]
+        vals[start:stop] = v[keep]
+        start = stop
+    return sp.coo_matrix((vals, (rows, cols)),
                          shape=(dofs.n_free,) * 2).tocsr()
 
 

@@ -48,7 +48,8 @@ from .spectral import (damping_branch_fit, growth_fit, pencil_eigenvalues,
 _VALIDATION_ERRORS = (ConfigValidationError, InvalidArgumentError,
                       InvalidGeometryError, MissingThresholdError)
 
-# Set-up peaks near 19 KB per triangle, so this many stay near 2 GB.
+# Set-up peaks near 15 KB per triangle at degree 2 (39 KB at degree 3), so
+# this many stay near 1.5 GB (4 GB).
 MAX_TRIANGLES = 100_000
 _CSV_ROWS = 1024  # rows formatted per write
 

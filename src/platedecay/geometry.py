@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._polygon import polygon_is_simple, signed_area
 from .errors import InvalidArgumentError, InvalidGeometryError, MissingThresholdError
@@ -428,7 +427,12 @@ def find_observer_point(domain, search_box):
     endpoint constraints; arcs are sampled (``_ARC_SAMPLES``) and tightened by
     a conservative slack, so a positive verdict is trustworthy.  The witness
     is re-verified with the exact checker before reporting success.
+
+    ``scipy.optimize`` is imported here, not at module level: only the
+    ``check`` command solves this LP, so no other command loads it.
     """
+    from scipy.optimize import linprog
+
     (xmin, ymin), (xmax, ymax) = search_box
     if not (xmax > xmin and ymax > ymin):
         raise InvalidArgumentError("search box is empty", invariant="search-box")

@@ -27,7 +27,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from ._polygon import polygon_is_simple
 from .errors import InvalidArgumentError, InvalidGeometryError
@@ -264,12 +263,16 @@ def triangulate(domain, h):
     applies, each round splits the boundary chords missing from the
     triangulation, else adds the centroids of triangles with an edge over
     2h, else moves the interior nodes by a Laplacian pass.
+
+    ``scipy.spatial`` (Qhull) is imported in the Delaunay branch only, so a
+    process that meshes nothing but rectangles never loads it.
     """
     if not h > 0:
         raise InvalidArgumentError("target edge length h must be positive",
                                    invariant="h-positive")
     if _rectangle_frame(domain) is not None:
         return _structured_rectangle(domain, h)
+    from scipy.spatial import Delaunay
 
     loop, src = _boundary_polyline(domain, h)
     if not polygon_is_simple(loop):

@@ -1,16 +1,22 @@
 import copy
+import json
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
+from platedecay import assembly
 from platedecay.assembly import (_T, _cell_geometry, _edge_points,
                                  _edge_traces, assemble, assemble_load,
                                  build_dof_map, default_sigma, dump_coo,
                                  energy, reference_element, sigma_floor,
                                  solve_static)
+from platedecay.cli import RunConfig, _build_system
 from platedecay.errors import (AssemblyStabilityError, InvalidArgumentError,
                                InvalidGeometryError)
 from platedecay.geometry import (GAMMA0, GAMMA1, lens_domain,
@@ -400,3 +406,59 @@ def test_deterministic_assembly():
     assert (s1.K != s2.K).nnz == 0
     assert (s1.M != s2.M).nnz == 0
     assert (s1.D != s2.D).nnz == 0
+
+
+def _concatenated_csr(dofs, blocks):
+    """The scatter as whole batches of index triplets, concatenated, then
+    filtered: the order of entries ``assembly._csr`` must keep."""
+    fi = dofs.free_index
+    rows = np.concatenate([np.broadcast_to(fi[d][:, :, None], v.shape).ravel()
+                           for d, v in blocks])
+    cols = np.concatenate([np.broadcast_to(fi[d][:, None, :], v.shape).ravel()
+                           for d, v in blocks])
+    vals = np.concatenate([v.ravel() for _, v in blocks])
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(dofs.n_free,) * 2).tocsr()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _config_case(name, h=None):
+    """Mesh, dofs and assemble's keywords of a shipped config."""
+    data = json.loads((CONFIGS / name).read_text())
+    if h is not None:
+        data["mesh"]["h"] = h
+    cfg = RunConfig.from_dict(data)
+    mesh, dofs, _ = _build_system(cfg)
+    return mesh, dofs, dict(material=cfg.material, j_variant=cfg.variant,
+                            sigma=cfg.mesh.sigma)
+
+
+@pytest.mark.parametrize("name, h", [("square.json", 1.0 / 8.0),
+                                     ("lens.json", None)],
+                         ids=["square-h8", "lens"])
+def test_scatter_matches_concatenated_triplets(name, h, monkeypatch):
+    mesh, dofs, kw = _config_case(name, h)
+    system = assemble(mesh, dofs, **kw)
+    monkeypatch.setattr(assembly, "_csr", _concatenated_csr)
+    oracle = assemble(mesh, dofs, **kw)
+    for matrix in ("K", "M", "D"):
+        got, want = getattr(system, matrix), getattr(oracle, matrix)
+        for array in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, array), getattr(want, array))
+
+
+def test_assemble_peak_memory():
+    # measured 16.5 MB at h = 1/24 (n_free 2304); the concatenated int64
+    # triplets peaked at 23.9 MB.  The bound leaves a 15 % margin.
+    mesh, dofs, kw = _config_case("square.json", 1.0 / 24.0)
+    assemble(mesh, dofs, **kw)  # cached reference element and rules
+    tracemalloc.start()
+    try:
+        assemble(mesh, dofs, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 19e6

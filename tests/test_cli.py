@@ -692,15 +692,65 @@ def test_eigenpacket_beyond_dense_limit_exits_2(tmp_path, capsys):
     assert "count" not in err["message"]
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    code = ("import sys, platedecay.cli; "
-            "print('scipy.signal' in sys.modules)")
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this checkout's
+    package; returns the last line it printed."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"),
          os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip().splitlines()[-1]
+
+
+# left out of `import platedecay.cli`
+SCIPY_LEFT_OUT = ("scipy.signal", "scipy.optimize", "scipy.spatial")
+
+# argv: config, output root, commands; prints the exit codes and which of
+# SCIPY_LEFT_OUT the commands loaded
+RUN_COMMANDS = f"""
+import json, os, sys
+from platedecay.cli import main
+config, root, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
+codes = [main([c, "--config", config, "--out", os.path.join(root, c)])
+         for c in commands]
+print(json.dumps([codes, [m in sys.modules for m in {SCIPY_LEFT_OUT!r}]]))
+"""
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # nor scipy.optimize (the LP of `check`) or scipy.spatial (the Delaunay
+    # mesher of curved domains): those load where they are called.  With no
+    # command, RUN_COMMANDS reports what the import alone loaded.
+    codes, loaded = json.loads(_fresh_python(RUN_COMMANDS, "", ""))
+    assert codes == [] and loaded == [False, False, False]
+
+
+def test_square_certificate_leaves_out_optimize_and_spatial(tmp_path):
+    data = json.loads(json.dumps(SQUARE_CFG))
+    data["mesh"]["h"] = 0.25
+    commands = ["spectrum", "resolvent", "verify"]
+    codes, loaded = json.loads(_fresh_python(
+        RUN_COMMANDS, write_cfg(tmp_path, data), str(tmp_path), *commands))
+    assert codes == [0, 0, 0]
+    assert loaded == [False, False, False]
+
+
+def test_lens_check_and_mesh_load_their_modules_on_call(tmp_path):
+    commands = ["check", "mesh"]
+    codes, loaded = json.loads(_fresh_python(
+        RUN_COMMANDS, str(LENS_PATH), str(tmp_path / "fresh"), *commands))
+    assert codes == [0, 0]
+    assert loaded[1:] == [True, True]
+    for command in commands:
+        here = tmp_path / "here" / command
+        assert main([command, "--config", str(LENS_PATH),
+                     "--out", str(here)]) == 0
+        fresh = tmp_path / "fresh" / command
+        names = sorted(p.name for p in here.iterdir())
+        assert names == sorted(p.name for p in fresh.iterdir()) and names
+        for name in names:
+            assert (fresh / name).read_bytes() == (here / name).read_bytes()
 
 
 def test_step_count_refused_before_allocating(tmp_path, capsys):
