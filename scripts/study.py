@@ -47,10 +47,8 @@ def lens_config(deg, h):
                       label_upper=GAMMA1)
     edges = [{"type": "arc", "label": e.label, "center": e.center,
               "radius": e.radius, "ccw": e.ccw} for e in dom.edges]
-    return {"domain": {"vertices": dom.vertices, "edges": edges,
-                       "corner_gains": dom.corner_gains,
-                       "mu": dom.poisson_ratio},
-            "mesh": {"h": h}}
+    return {"domain": {"vertices": dom.vertices, "edges": edges},
+            "gains": dom.corner_gains, "mesh": {"h": h}}
 
 
 def lens_cases(args, square):

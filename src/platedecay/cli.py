@@ -26,7 +26,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class MeshParams:
 class SimParams:
     dt: float = 1e-3
     T: float = 1.0
-    scheme: str = "midpoint"
     initial_data: str = "boundary_bump"
     snapshot_stride: int = 0
     fit_window: tuple = None
@@ -98,25 +97,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data):
-        data = _typed("config", data, dict)
-        dom = _parse_domain(_typed("domain", _field(data, "domain"), dict))
-        mat_d = dict(_typed("material", data.get("material", {}), dict))
-        mat_d.setdefault("mu", dom.poisson_ratio)
-        if "J" in mat_d:  # accept the physical symbol as an alias
-            mat_d["inertia"] = mat_d.pop("J")
-        material = PlateMaterial(**{
-            name: float(_number(name, mat_d.get(name, default)))
-            for name, default in (("mu", 0.3), ("rho", 1.0), ("inertia", 1.0),
-                                  ("d1", 1.0), ("d2", 1.0))})
-        if abs(material.mu - dom.poisson_ratio) > 1e-12:
-            raise ConfigValidationError(
-                "material.mu differs from the domain Poisson ratio",
-                invariant="mu-consistent")
-        gains = _number("gain", data.get("gains"))
-        if gains is not None:  # DomainSpec checks the count and the values
-            dom = replace(dom, corner_gains=gains)
-        check = _typed("check", data.get("check", {}), dict)
-        cfg = cls(domain=dom, material=material,
+        data = _section("config", data, _CONFIG_KEYS)
+        dom = _parse_domain(_section("domain", _field(data, "domain"),
+                                     ("vertices", "edges")),
+                            _number("gain", data.get("gains")))
+        check = _section("check", data.get("check", {}), ("search_box",))
+        cfg = cls(domain=dom, material=_params("material", PlateMaterial, data),
                   variant=_number("variant", data.get("variant", 2)),
                   mesh=_params("mesh", MeshParams, data),
                   sim=_params("sim", SimParams, data),
@@ -143,6 +129,10 @@ class RunConfig:
         if self.mesh.degree not in (2, 3):
             raise ConfigValidationError("mesh.degree must be 2 or 3",
                                         invariant="degree-supported")
+        if self.sim.initial_data not in _INITIAL_DATA:
+            raise ConfigValidationError(
+                f"sim.initial_data must be one of {_INITIAL_DATA}, got "
+                f"{self.sim.initial_data!r}", invariant="initial-data")
         if self.variant == 1:
             report = check_condition_g(self.domain, self.material.mu)
             if not report.satisfied:
@@ -158,6 +148,14 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# the keys of the top level of a config; each section's keys are the fields
+# of its dataclass, or listed where it is parsed
+_CONFIG_KEYS = ("domain", "gains", "material", "variant", "mesh", "sim",
+                "spectral", "check", "condition_g_policy", "seed",
+                "output_dir", "dump_matrices")
+_SEGMENT_KEYS = ("type", "label")
+_ARC_KEYS = _SEGMENT_KEYS + ("center", "radius", "ccw")
+_INITIAL_DATA = ("boundary_bump", "eigenpacket", "zero")
 _INTEGER_FIELDS = {"refinements", "degree", "snapshot_stride", "points",
                    "count", "variant", "seed", "label"}
 # fields given as arrays; -1 is any length.  Every other field is a scalar.
@@ -226,25 +224,36 @@ def _field(section, key):
     return section[key]
 
 
-def _params(name, params, data):
-    """Section ``name`` as a ``params`` dataclass; a key that is not one of
-    its fields is ``<name>-unknown``, and numbers go through ``_number``."""
-    section = _typed(name, data.get(name, {}), dict)
-    unknown = sorted(set(section) - {f.name for f in fields(params)})
+def _section(name, value, keys):
+    """A config section: a JSON object (``<name>-type``) whose every key is
+    one of ``keys`` (``<name>-unknown``)."""
+    section = _typed(name, value, dict)
+    unknown = sorted(set(section) - set(keys))
     if unknown:
         raise ConfigValidationError(f"unknown {name} key {unknown[0]!r}",
                                     invariant=f"{name}-unknown")
-    return params(**{key: value if key in ("scheme", "initial_data")
+    return section
+
+
+def _params(name, params, data):
+    """Section ``name`` as a ``params`` dataclass, whose fields are its keys;
+    numbers go through ``_number``."""
+    section = _section(name, data.get(name, {}),
+                       [f.name for f in fields(params)])
+    return params(**{key: value if key == "initial_data"
                      or (key, value) == ("count", "all")
                      else _number(key, value)
                      for key, value in section.items()})
 
 
-def _parse_domain(data):
+def _parse_domain(data, gains):
+    """The ``domain`` section, with the config's corner ``gains`` (None for
+    zero gains).  A segment edge takes ``_SEGMENT_KEYS``, an arc (or an
+    unknown kind, which ``EdgeSpec`` names) ``_ARC_KEYS``."""
     edges = []
     for e in _typed("edges", _field(data, "edges"), list):
-        e = _typed("edge", e, dict)
-        kind = e.get("type", "segment")
+        kind = _typed("edge", e, dict).get("type", "segment")
+        _section("edge", e, _SEGMENT_KEYS if kind == "segment" else _ARC_KEYS)
         edges.append(EdgeSpec(
             kind=kind, label=_number("label", _field(e, "label")),
             center=tuple(_number("center", _field(e, "center")))
@@ -252,11 +261,8 @@ def _parse_domain(data):
             radius=float(_number("radius", _field(e, "radius")))
             if kind == "arc" else None,
             ccw=_typed("ccw", e.get("ccw", True), bool)))
-    return DomainSpec(
-        vertices=_number("vertex", _field(data, "vertices")),
-        edges=tuple(edges),
-        corner_gains=_number("gain", data.get("corner_gains")),
-        poisson_ratio=float(_number("mu", data.get("mu", 0.3))))
+    return DomainSpec(vertices=_number("vertex", _field(data, "vertices")),
+                      edges=tuple(edges), corner_gains=gains)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +387,7 @@ def _initial_data(cfg, system):
     if kind == "zero":
         n = system.n_free
         return np.zeros(n), np.zeros(n)
+    # a RunConfig built in code, not by from_dict, reaches run() unchecked
     raise ConfigValidationError(f"unknown initial data kind {kind!r}",
                                 invariant="initial-data")
 
@@ -405,9 +412,8 @@ def _cmd_simulate(cfg, out):
     mesh, dofs, system = _build_system(cfg)
     u0, v0 = _initial_data(cfg, system)
     trace = simulate(system, u0, v0, dt=cfg.sim.dt, T=cfg.sim.T,
-                     scheme=cfg.sim.scheme,
                      snapshot_stride=cfg.sim.snapshot_stride)
-    payload = {"n_free": system.n_free, "scheme": trace.scheme,
+    payload = {"n_free": system.n_free,
                "E0": float(trace.energy[0]), "ET": float(trace.energy[-1]),
                "balance_residual": dissipation_residual(trace),
                "energy_drift": energy_drift(trace)}
@@ -493,7 +499,7 @@ def _cmd_verify(cfg, out):
     n_cases = 100
     for _ in range(n_cases):
         poly = random_convex_polygon(rng, int(rng.integers(3, 9)))
-        dom = polygon_domain(poly, gamma0_edges={0}, poisson_ratio=mu)
+        dom = polygon_domain(poly, gamma0_edges={0})
         u = PolyField.random(rng, int(rng.integers(2, 6)))
         v = PolyField.random(rng, int(rng.integers(2, 6)))
         greens.append(greens_identity_residual(u, v, dom, mu))
@@ -507,7 +513,7 @@ def _cmd_verify(cfg, out):
     worst_q = float(np.min(q))
 
     from .geometry import unit_square_domain
-    square = unit_square_domain(gamma0_edges=(0, 3), poisson_ratio=mu)
+    square = unit_square_domain(gamma0_edges=(0, 3))
     hand = greens_identity_terms(PolyField.monomial(2, 0),
                                  PolyField.monomial(2, 0), square, mu)
     tol = 1e-9

@@ -1,6 +1,6 @@
 """Time integration of M u'' + D u' + K u = 0 with energy bookkeeping.
 
-The default integrator is the implicit midpoint rule, whose discrete energy
+The integrator is the implicit midpoint rule, whose discrete energy
 balance is exact for linear systems: per step, the energy drop equals
 dt * v_mid' D v_mid up to linear-solver rounding.  That turns the continuous
 dissipation identity into a machine-checkable statement, split into its
@@ -30,7 +30,6 @@ from .errors import InsufficientDataError, InvalidArgumentError, SolverError
 from .geometry import GAMMA1
 from .spectral import _energy_generator, _spd_factor, _spd_root
 
-SCHEMES = ("midpoint",)
 # The trace takes 40 bytes per step (five float arrays) and a CLI simulate
 # peaks near 60, so this many stay under 1 GB.
 MAX_STEPS = 10_000_000
@@ -46,7 +45,6 @@ class EnergyTrace:
     diss_d1: np.ndarray
     diss_d2: np.ndarray
     diss_corner: np.ndarray
-    scheme: str
     snapshots: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -67,7 +65,7 @@ def step_times(dt, T):
     return np.arange(int(round(T / dt)) + 1) * dt
 
 
-def simulate(system, u0, v0, dt, T, scheme="midpoint", snapshot_stride=0):
+def simulate(system, u0, v0, dt, T, snapshot_stride=0):
     """Integrate the free homogeneous dynamics from (u0, v0) up to time T.
 
     Samples the energy and the cumulative channel dissipation at every step.
@@ -75,9 +73,6 @@ def simulate(system, u0, v0, dt, T, scheme="midpoint", snapshot_stride=0):
     (step 0 and the final step included).
     """
     times = step_times(dt, T)
-    if scheme not in SCHEMES:
-        raise InvalidArgumentError(f"unknown scheme {scheme!r}; "
-                                   f"use one of {SCHEMES}", invariant="scheme")
     n = system.n_free
     u, v = (np.array(x, dtype=float) for x in (u0, v0))
     if u.shape != (n,) or v.shape != (n,):
@@ -127,7 +122,7 @@ def simulate(system, u0, v0, dt, T, scheme="midpoint", snapshot_stride=0):
                           invariant="solver-finite")
     c1, c2, cc = np.cumsum(diss, axis=1, out=diss)
     return EnergyTrace(times=times, energy=E, diss_d1=c1, diss_d2=c2,
-                       diss_corner=cc, scheme=scheme, snapshots=snapshots)
+                       diss_corner=cc, snapshots=snapshots)
 
 
 def dissipation_residual(trace):

@@ -27,8 +27,8 @@ GAMMA0 = 0  # clamped boundary portion
 GAMMA1 = 1  # free portion carrying the damped flange
 
 #: Known corner-angle thresholds, radians, keyed by Poisson ratio.  The
-#: single tabulated entry is the published value for mu = 0.3; other ratios
-#: must be supplied explicitly by the caller.
+#: single tabulated entry is the published value for mu = 0.3; any other
+#: ratio raises MissingThresholdError.
 OMEGA0_TABLE = {0.3: math.radians(52.054347)}
 
 _TOL = 1e-9
@@ -92,7 +92,6 @@ class DomainSpec:
     vertices: tuple
     edges: tuple
     corner_gains: tuple = None
-    poisson_ratio: float = 0.3
 
     def __post_init__(self):
         verts = tuple((float(x), float(y)) for x, y in self.vertices)
@@ -214,9 +213,6 @@ class DomainSpec:
         if len(self.corner_gains) != p:
             raise InvalidGeometryError("one feedback gain per corner required",
                                        invariant="gain-count")
-        if not 0.0 < self.poisson_ratio < 0.5:
-            raise InvalidGeometryError("Poisson ratio must lie in (0, 1/2)",
-                                       invariant="poisson-ratio")
         if not any(e.label == GAMMA0 for e in self.edges):
             raise InvalidGeometryError("clamped part of the boundary is empty",
                                        invariant="gamma0-nonempty")
@@ -315,30 +311,26 @@ def corner_angles(domain):
     return angles
 
 
-def _lookup_omega0(mu, threshold_table):
-    table = dict(OMEGA0_TABLE)
-    if threshold_table:
-        table.update(threshold_table)
-    for key, val in table.items():
+def _lookup_omega0(mu):
+    for key, val in OMEGA0_TABLE.items():
         if abs(key - mu) <= 1e-12:
             return float(val)
     raise MissingThresholdError(
         f"no corner-angle threshold tabulated for Poisson ratio {mu}; "
-        "pass threshold_table={mu: omega0_radians} explicitly",
+        f"known ratios: {sorted(OMEGA0_TABLE)}",
         invariant="threshold-known")
 
 
-def check_condition_g(domain, mu, threshold_table=None):
+def check_condition_g(domain, mu):
     """All interior angles below the tabulated threshold omega0(mu).
 
-    ``threshold_table`` maps Poisson ratio to omega0 in radians and overrides
-    the built-in table.  A ratio absent from both tables raises
-    MissingThresholdError: the threshold is never guessed.
+    A ratio absent from ``OMEGA0_TABLE`` raises MissingThresholdError: the
+    threshold is never guessed.
     """
     if not 0.0 < mu < 0.5:
         raise InvalidArgumentError("Poisson ratio must lie in (0, 1/2)",
                                    invariant="poisson-ratio")
-    omega0 = _lookup_omega0(mu, threshold_table)
+    omega0 = _lookup_omega0(mu)
     angles = corner_angles(domain)
     margins = {f"corner_{i}": omega0 - a for i, a in enumerate(angles)}
     return ConditionReport(
@@ -497,23 +489,23 @@ def find_observer_point(domain, search_box):
 # convenience constructors
 # ---------------------------------------------------------------------------
 
-def polygon_domain(vertices, gamma0_edges, corner_gains=None, poisson_ratio=0.3):
+def polygon_domain(vertices, gamma0_edges, corner_gains=None):
     """Straight-edge domain; ``gamma0_edges`` lists clamped edge indices."""
     vertices = [tuple(v) for v in vertices]
     g0 = set(gamma0_edges)
     edges = [segment(GAMMA0 if i in g0 else GAMMA1) for i in range(len(vertices))]
     return DomainSpec(vertices=tuple(vertices), edges=tuple(edges),
-                      corner_gains=corner_gains, poisson_ratio=poisson_ratio)
+                      corner_gains=corner_gains)
 
 
-def unit_square_domain(gamma0_edges=(0, 3), corner_gains=None, poisson_ratio=0.3):
+def unit_square_domain(gamma0_edges=(0, 3), corner_gains=None):
     """Unit square, edges 0..3 = bottom, right, top, left (CCW from origin)."""
     return polygon_domain([(0, 0), (1, 0), (1, 1), (0, 1)], gamma0_edges,
-                          corner_gains=corner_gains, poisson_ratio=poisson_ratio)
+                          corner_gains=corner_gains)
 
 
 def lens_domain(corner_angle, half_width=1.0, label_lower=GAMMA0,
-                label_upper=GAMMA1, corner_gains=None, poisson_ratio=0.3):
+                label_upper=GAMMA1, corner_gains=None):
     """Symmetric two-arc lens with the given interior angle at both corners.
 
     Vertices sit at (-half_width, 0) and (half_width, 0).  Each arc's
@@ -531,5 +523,4 @@ def lens_domain(corner_angle, half_width=1.0, label_lower=GAMMA0,
     verts = ((-half_width, 0.0), (half_width, 0.0))
     edges = (arc(label_lower, lower_center, r, ccw=True),
              arc(label_upper, upper_center, r, ccw=True))
-    return DomainSpec(vertices=verts, edges=edges, corner_gains=corner_gains,
-                      poisson_ratio=poisson_ratio)
+    return DomainSpec(vertices=verts, edges=edges, corner_gains=corner_gains)

@@ -139,14 +139,15 @@ class PlateMaterial:
     bending moment of inertia per unit boundary length, d1/d2 the damping
     gains on the normal-derivative and displacement velocity traces.  The
     decay theory assumes rho, inertia, d1, d2 > 0; zero values are accepted
-    so conservative and limiting configurations remain expressible.
+    so conservative and limiting configurations remain expressible.  The
+    defaults are those of a config's ``material`` section.
     """
 
-    mu: float
-    rho: float
-    inertia: float
-    d1: float
-    d2: float
+    mu: float = 0.3
+    rho: float = 1.0
+    inertia: float = 1.0
+    d1: float = 1.0
+    d2: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.mu < 0.5:

@@ -3,7 +3,7 @@
 Each test prints a `[PASS] criterion N` line with its runtime (visible with
 pytest -s or in captured output).  The damped-square configuration used
 throughout: unit square, bottom and left edges clamped, mu = 0.3,
-rho = J = 1, d1 = d2 = 1, unit corner feedback at the free-free corner.
+rho = inertia = 1, d1 = d2 = 1, unit corner feedback at the free-free corner.
 """
 
 import json
@@ -105,7 +105,7 @@ def test_criterion_3_dissipation_identity():
     dofs, system = _damped_system(h=1.0 / 12.0)
     assert system.n_free <= 2000
     u0, v0 = boundary_bump_data(system)
-    trace = simulate(system, u0, v0, dt=1e-3, T=10.0, scheme="midpoint")
+    trace = simulate(system, u0, v0, dt=1e-3, T=10.0)
     residual = dissipation_residual(trace)
     assert residual <= 1e-9
     assert np.all(np.diff(trace.energy) <= 1e-12 * trace.energy[0])
@@ -122,7 +122,7 @@ def test_criterion_4_conservation_control():
     mat0 = PlateMaterial(mu=MU, rho=1.0, inertia=1.0, d1=0.0, d2=0.0)
     system = assemble(mesh, dofs, mat0, gains=[0, 0, 0, 0], j_variant=2)
     u0, v0 = boundary_bump_data(system)
-    trace = simulate(system, u0, v0, dt=1e-3, T=10.0, scheme="midpoint")
+    trace = simulate(system, u0, v0, dt=1e-3, T=10.0)
     assert len(trace) - 1 == 10_000
     drift = float(np.max(np.abs(trace.energy - trace.energy[0]))
                   / trace.energy[0])
@@ -231,7 +231,6 @@ def test_criterion_9_clamped_corner_gain_rejected():
     assert exc.value.invariant == "clamped-corner-gain"
 
     from platedecay.cli import RunConfig
-    from platedecay.errors import PlateDecayError
     cfg = {
         "domain": {
             "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
@@ -239,10 +238,11 @@ def test_criterion_9_clamped_corner_gain_rejected():
                       {"type": "segment", "label": 1},
                       {"type": "segment", "label": 1},
                       {"type": "segment", "label": 0}],
-            "corner_gains": [1.0, 0, 0, 0],
         },
-        "material": {"mu": 0.3, "rho": 1, "J": 1, "d1": 1, "d2": 1},
+        "gains": [1.0, 0, 0, 0],
+        "material": {"mu": 0.3, "rho": 1, "inertia": 1, "d1": 1, "d2": 1},
     }
-    with pytest.raises(PlateDecayError):
+    with pytest.raises(InvalidGeometryError) as exc:
         RunConfig.from_dict(cfg)
+    assert exc.value.invariant == "clamped-corner-gain"
     _report(9, started, "clamped-interior corner gain rejected")

@@ -21,14 +21,12 @@ SQUARE_CFG = {
                   {"type": "segment", "label": 1},
                   {"type": "segment", "label": 1},
                   {"type": "segment", "label": 0}],
-        "corner_gains": [0, 0, 1.0, 0],
-        "mu": 0.3,
     },
-    "material": {"mu": 0.3, "rho": 1.0, "J": 1.0, "d1": 1.0, "d2": 1.0},
+    "gains": [0, 0, 1.0, 0],
+    "material": {"mu": 0.3, "rho": 1.0, "inertia": 1.0, "d1": 1.0, "d2": 1.0},
     "variant": 2,
     "mesh": {"h": 0.5, "refinements": 0, "degree": 2},
-    "sim": {"dt": 1e-2, "T": 0.2, "scheme": "midpoint",
-            "initial_data": "boundary_bump"},
+    "sim": {"dt": 1e-2, "T": 0.2, "initial_data": "boundary_bump"},
     "spectral": {"count": "all", "points": 30},
     "seed": 0,
 }
@@ -67,27 +65,13 @@ def test_config_roundtrip():
     assert len(cfg.config_hash()) == 16
 
 
-def test_gains_override_domain():
-    data = json.loads(json.dumps(SQUARE_CFG))
-    data["gains"] = [0, 0, 2.0, 0]
-    cfg = RunConfig.from_dict(data)
-    assert cfg.domain.corner_gains == (0, 0, 2.0, 0)
-
-
-def test_mu_mismatch_rejected():
-    data = json.loads(json.dumps(SQUARE_CFG))
-    data["material"]["mu"] = 0.4
-    with pytest.raises(ConfigValidationError):
-        RunConfig.from_dict(data)
-
-
 def test_variant1_refused_when_angles_too_large():
     data = json.loads(json.dumps(SQUARE_CFG))
     data["variant"] = 1
     data["gains"] = [0, 0, 0, 0]
-    data["domain"]["corner_gains"] = [0, 0, 0, 0]
-    with pytest.raises(ConfigValidationError):
+    with pytest.raises(ConfigValidationError) as exc:
         RunConfig.from_dict(data)
+    assert exc.value.invariant == "condition-g"
 
 
 def test_check_command(tmp_path, capsys):
@@ -264,7 +248,7 @@ def test_deterministic_artifacts(tmp_path):
 
 def test_validation_error_exit_code_and_json(tmp_path, capsys):
     data = json.loads(json.dumps(SQUARE_CFG))
-    data["domain"]["corner_gains"] = [1.0, 0, 0, 0]  # clamped-interior corner
+    data["gains"] = [1.0, 0, 0, 0]  # clamped-interior corner
     cfg_path = write_cfg(tmp_path, data)
     code = main(["check", "--config", cfg_path, "--out",
                  str(tmp_path / "out")])
@@ -276,7 +260,7 @@ def test_validation_error_exit_code_and_json(tmp_path, capsys):
 
 @pytest.mark.parametrize("path, value, invariant", [
     (("material", "d1"), float("nan"), "d1-finite"),
-    (("domain", "corner_gains", 2), float("inf"), "gain-finite"),
+    (("gains", 2), float("inf"), "gain-finite"),
     (("mesh", "h"), float("inf"), "h-finite"),
     (("mesh", "sigma"), float("nan"), "sigma-finite"),
     (("mesh", "refinements"), float("inf"), "refinements-finite"),
@@ -322,9 +306,11 @@ def test_nonfinite_config_number_rejected(tmp_path, capsys, path, value,
     (("domain", "edges", 1, "label"), "x", "label-type"),
     (("domain", "edges", 1, "label"), 1.0, None),
     (("domain", "vertices", 1, 0), "a", "vertex-type"),
-    (("domain", "corner_gains"), ["a", 0, 1.0, 0], "gain-type"),
-    (("domain", "mu"), "0.3", "mu-type"),
-    (("domain", "edges", 0, "ccw"), "no", "ccw-type"),
+    (("gains",), ["a", 0, 1.0, 0], "gain-type"),
+    (("material", "mu"), "0.3", "mu-type"),
+    (("domain", "edges", 0), {"type": "arc", "label": 0, "ccw": "no",
+                              "center": [0.5, 0.0], "radius": 1.0},
+     "ccw-type"),
     (("domain", "edges", 0), {"type": "arc", "label": 0,
                               "center": ["a", 0.0], "radius": 1.0},
      "center-type"),
@@ -349,13 +335,14 @@ def test_config_number_type(tmp_path, capsys, path, value, invariant):
 
 
 def test_unknown_scheme_rejected(tmp_path, capsys):
+    # midpoint is the only integrator, so sim has no scheme to choose
     data = json.loads(json.dumps(SQUARE_CFG))
     data["sim"]["scheme"] = "newmark"
     cfg_path = write_cfg(tmp_path, data)
     code = main(["simulate", "--config", cfg_path,
                  "--out", str(tmp_path / "out")])
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert code == 2 and err["invariant"] == "scheme"
+    assert code == 2 and err["invariant"] == "sim-unknown"
 
 
 def test_shipped_square_config_meshes_h_twelfth():
@@ -498,6 +485,18 @@ def test_config_field_shape(tmp_path, capsys, path, value, invariant):
     (("seed",), -1, "seed-range"),
     (("spectral", "points"), -1, "points-range"),
     (("spectral", "points"), 0, "points-range"),
+    # each section refuses a key it does not know
+    (("conditon_g_policy",), "warn", "config-unknown"),
+    (("domain", "mu"), 0.3, "domain-unknown"),
+    (("domain", "corner_gains"), [0, 0, 1.0, 0], "domain-unknown"),
+    (("domain", "edges", 0, "lable"), 0, "edge-unknown"),
+    (("domain", "edges", 0, "radius"), 1.0, "edge-unknown"),  # a segment
+    (("domain", "edges", 0), {"type": "arc", "label": 0, "center": [0.5, 0],
+                              "radius": 1.0, "ccw": True, "cw": False},
+     "edge-unknown"),
+    (("material", "d_1"), 5, "material-unknown"),
+    (("material",), {"J": 1, "inertia": 5}, "material-unknown"),
+    (("check",), {"searchbox": [[-1, -1], [2, 2]]}, "check-unknown"),
 ])
 def test_config_structure_named(tmp_path, capsys, path, value, invariant):
     cfg_path = write_cfg(tmp_path, mutated(path, value))
@@ -549,6 +548,25 @@ def test_fit_window_checked_before_the_run(tmp_path, capsys, monkeypatch,
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["invariant"] == invariant
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["mesh", "simulate", "spectrum"])
+def test_initial_data_checked_at_parse_time(tmp_path, capsys, monkeypatch,
+                                            command):
+    import platedecay.cli as cli
+
+    def not_built(*args):
+        raise AssertionError("the mesh or the system was built")
+
+    monkeypatch.setattr(cli, "_build_mesh", not_built)
+    monkeypatch.setattr(cli, "_build_system", not_built)
+    data = mutated(("sim", "initial_data"), "eigenpaket")
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == "initial-data"
+    assert not out.exists()
 
 
 def test_default_window_ends_at_the_last_step(tmp_path):
@@ -606,7 +624,7 @@ def test_condition_g_policy_on_variant_1(tmp_path, capsys, policy):
 def test_undamped_run_skips_decay_fit(tmp_path):
     data = json.loads(json.dumps(SQUARE_CFG))
     data["material"].update({"d1": 0.0, "d2": 0.0})
-    data["domain"]["corner_gains"] = [0, 0, 0, 0]
+    data["gains"] = [0, 0, 0, 0]
     data["sim"]["T"] = 2.0  # default window (1, 2)
     cfg_path = write_cfg(tmp_path, data)
     out = tmp_path / "out"
@@ -626,7 +644,7 @@ def test_simulate_records_balance_and_drift(tmp_path, recwarn, material,
     data = json.loads(json.dumps(SQUARE_CFG))
     data["material"].update(material)
     if material["d1"] == 0.0:
-        data["domain"]["corner_gains"] = [0, 0, 0, 0]
+        data["gains"] = [0, 0, 0, 0]
     data["sim"]["initial_data"] = initial_data
     cfg_path = write_cfg(tmp_path, data)
     out = tmp_path / "out"
@@ -657,13 +675,12 @@ def test_simulate_peak_bytes_per_step(tmp_path, monkeypatch):
     import platedecay.cli as cli
     from platedecay.dynamics import EnergyTrace
 
-    def decaying_trace(system, u0, v0, dt, T, scheme, snapshot_stride):
+    def decaying_trace(system, u0, v0, dt, T, snapshot_stride):
         times = step_times(dt, T)
         energy = 1.0 / (1.0 + times)
         loss = energy[0] - energy
         return EnergyTrace(times=times, energy=energy, diss_d1=0.5 * loss,
-                           diss_d2=0.25 * loss, diss_corner=0.25 * loss,
-                           scheme=scheme)
+                           diss_d2=0.25 * loss, diss_corner=0.25 * loss)
 
     monkeypatch.setattr(cli, "simulate", decaying_trace)
     data = json.loads(json.dumps(SQUARE_CFG))

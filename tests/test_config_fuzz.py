@@ -1,10 +1,11 @@
 """Derandomized fuzz of the config boundary.
 
 Each example changes one entry of a shipped config (its type, shape,
-finiteness, range or presence) and runs one command in-process.  Whatever
-the change, the command exits 0, 2 or 3 without a traceback; exit 2 ends
-stderr with the JSON error object naming an invariant; and a failed
-command leaves no artifact.
+finiteness, range or presence), or inserts a key that no section knows
+into one section, and runs one command in-process.  Whatever the change,
+the command exits 0, 2 or 3 without a traceback; exit 2 ends stderr with
+the JSON error object naming an invariant; and a failed command leaves no
+artifact.  An inserted key exits 2 with ``<section>-unknown``.
 """
 
 import contextlib
@@ -58,28 +59,51 @@ def variants(value):
 
 
 DROP = object()
+# removed keys and misspellings: no section takes any of them
+UNKNOWN_KEYS = ("mu_", "J", "corner_gains", "poisson_ratio", "scheme", "d_1",
+                "lable", "conditon_g_policy", "hh")
+
+
+def section_name(path):
+    """The name of the section at ``path`` in its ``-unknown`` invariant."""
+    if not path:
+        return "config"
+    return "edge" if path[-2:-1] == ("edges",) else path[-1]
+
+
+def node_at(data, path):
+    for key in path:
+        data = data[key]
+    return data
 
 
 @st.composite
 def mutations(draw):
+    """(config, command, the invariant it must exit 2 with, or None)."""
     name = draw(st.sampled_from(sorted(BASES)))
     data = json.loads(json.dumps(BASES[name]))
-    path = draw(st.sampled_from(list(entries(data))))
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    value = draw(st.sampled_from(variants(node[path[-1]]) + [DROP]))
-    if value is DROP:
-        del node[path[-1]]
+    expect = None
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(entries(data))))
+        node = node_at(data, path[:-1])
+        value = draw(st.sampled_from(variants(node[path[-1]]) + [DROP]))
+        if value is DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
     else:
-        node[path[-1]] = value
-    return data, draw(st.sampled_from(COMMANDS))
+        path = draw(st.sampled_from(
+            [()] + [p for p in entries(data)
+                    if isinstance(node_at(data, p), dict)]))
+        node_at(data, path)[draw(st.sampled_from(UNKNOWN_KEYS))] = 0
+        expect = f"{section_name(path)}-unknown"
+    return data, draw(st.sampled_from(COMMANDS)), expect
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(mutations())
 def test_config_fuzz(case):
-    data, command = case
+    data, command, expect = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
         cfg_path.write_text(json.dumps(data))
@@ -93,5 +117,7 @@ def test_config_fuzz(case):
         if code == 2:
             last = json.loads(err.getvalue().strip().splitlines()[-1])
             assert last["exit_code"] == 2 and last["invariant"] is not None
+        if expect is not None:
+            assert code == 2 and last["invariant"] == expect
         if code != 0:
             assert not out.exists() or not any(out.iterdir())

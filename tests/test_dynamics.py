@@ -43,8 +43,6 @@ def test_argument_validation():
     with pytest.raises(InvalidArgumentError):
         simulate(system, z, z, dt=1e-2, T=1e-3)
     with pytest.raises(InvalidArgumentError):
-        simulate(system, z, z, dt=1e-2, T=1.0, scheme="verlet")
-    with pytest.raises(InvalidArgumentError):
         simulate(system, np.zeros(3), z, dt=1e-2, T=1.0)
 
 
@@ -84,12 +82,11 @@ def test_scheme_agreement_second_order():
     system = build(DAMPED)
     u0, v0 = boundary_bump_data(system)
 
-    def final_energy(dt, scheme):
-        return simulate(system, u0, v0, dt=dt, T=0.4,
-                        scheme=scheme).energy[-1]
+    def final_energy(dt):
+        return simulate(system, u0, v0, dt=dt, T=0.4).energy[-1]
 
-    ref = final_energy(5e-4, "midpoint")
-    err = [abs(final_energy(dt, "midpoint") - ref) for dt in (8e-3, 4e-3)]
+    ref = final_energy(5e-4)
+    err = [abs(final_energy(dt) - ref) for dt in (8e-3, 4e-3)]
     assert 2.8 < err[0] / err[1] < 5.5  # halving dt quarters the error
 
 
@@ -162,7 +159,7 @@ def test_indefinite_stiffness_refused():
 def test_dissipation_residual_empty_trace():
     trace = EnergyTrace(times=np.array([]), energy=np.array([]),
                         diss_d1=np.array([]), diss_d2=np.array([]),
-                        diss_corner=np.array([]), scheme="midpoint")
+                        diss_corner=np.array([]))
     with pytest.raises(InvalidArgumentError):
         dissipation_residual(trace)
 
@@ -178,7 +175,7 @@ def test_trace_reductions_by_slices(monkeypatch, chunk):
     E = 1.0 + 1e-3 * rng.standard_normal(n)
     d1, d2, dc = np.cumsum(1e-4 * rng.random((3, n)), axis=1)
     trace = EnergyTrace(times=1e-3 * np.arange(n), energy=E, diss_d1=d1,
-                        diss_d2=d2, diss_corner=dc, scheme="midpoint")
+                        diss_d2=d2, diss_corner=dc)
     monkeypatch.setattr(dynamics, "_CHUNK", chunk)
     resid = np.diff(E) + np.diff(d1 + d2 + dc)
     assert dissipation_residual(trace) == float(np.max(np.abs(resid)) / E[0])
@@ -192,7 +189,7 @@ def synthetic_trace(f, t_end=100.0, n=2000):
     t = np.linspace(0.5, t_end, n)
     zeros = np.zeros_like(t)
     return EnergyTrace(times=t, energy=f(t), diss_d1=zeros, diss_d2=zeros,
-                       diss_corner=zeros, scheme="midpoint")
+                       diss_corner=zeros)
 
 
 def test_decay_fit_exact_power_laws():

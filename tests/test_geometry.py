@@ -67,12 +67,6 @@ def test_condition_g_square_fails_at_default_threshold():
     assert all(m < 0 for m in report.margins.values())
 
 
-def test_condition_g_user_override():
-    report = check_condition_g(unit_square_domain(), 0.3,
-                               threshold_table={0.3: math.radians(95)})
-    assert report.satisfied
-
-
 def test_condition_g_lens_30deg():
     report = check_condition_g(lens_domain(math.radians(30)), 0.3)
     assert report.satisfied
