@@ -80,7 +80,7 @@ def simulate(system, u0, v0, dt, T, snapshot_stride=0):
                                    invariant="dof-size")
 
     half = 0.5 * dt
-    (F_K, _), (F_M, _) = _spd_root(system.K), _spd_root(system.M)
+    F_K, F_M = (_spd_root(A)[0] for A in (system.K, system.M))  # no factor kept
     step_lu = _spd_factor(system.M + half * system.D + half * half * system.K)
     roots_t = sp.vstack([F_M.T, F_K.T], format="csr")  # w -> (F_M'w, F_K'w)
     rhs = sp.hstack([F_M, -half * F_K], format="csr")  # y -> M v - (dt/2) K u

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._polygon import polygon_is_simple, signed_area
-from .errors import InvalidArgumentError, InvalidGeometryError, MissingThresholdError
+from .errors import (InvalidArgumentError, InvalidGeometryError,
+                     MissingThresholdError, SolverError)
 
 GAMMA0 = 0  # clamped boundary portion
 GAMMA1 = 1  # free portion carrying the damped flange
@@ -33,6 +34,7 @@ OMEGA0_TABLE = {0.3: math.radians(52.054347)}
 
 _TOL = 1e-9
 _ARC_SAMPLES = 256  # LP constraint points per arc of the observer search
+_LP_PIVOTS_PER_ROW = 50  # guard only: Bland's rule terminates
 
 
 @dataclass(frozen=True)
@@ -411,20 +413,49 @@ def check_condition_h(domain, x0):
     )
 
 
+def _max_gamma(A, b):
+    """z = (x0, y0, gamma) maximizing gamma subject to A z <= b, or None
+    if infeasible: a dual simplex on 3 x 3 bases.  A's last four rows bound
+    x0 above, x0 below, y0 above and y0 below, so the first damped row
+    (nonzero gamma column) and the two box rows that cancel its normal are
+    a dual-feasible start.  The lowest-index violated row enters and the
+    lowest-index minimum of the ratio test leaves: Bland's rule (Math.
+    Oper. Res. 2, 1977), which terminates also at degenerate vertices.
+    """
+    m = len(b)
+    d = np.flatnonzero(A[:, 2])[0]
+    basis = [d, m - 4 + (A[d, 0] > 0), m - 2 + (A[d, 1] > 0)]
+    tol = 1e-13 * (1.0 + np.abs(b).max())  # slack rounding, not a violation
+    for _ in range(_LP_PIVOTS_PER_ROW * m):
+        inv = np.linalg.inv(A[basis])
+        z = inv @ b[basis]
+        violated = np.flatnonzero(A @ z - b > tol)
+        if violated.size == 0:
+            return z
+        alpha = A[violated[0]] @ inv  # the entering row in the basis rows
+        pos = alpha > 1e-12
+        if not pos.any():
+            return None
+        ratio = np.full(3, np.inf)
+        ratio[pos] = np.maximum(inv[2, pos], 0.0) / alpha[pos]
+        ties = np.flatnonzero(ratio == ratio.min())
+        basis[min(ties, key=basis.__getitem__)] = violated[0]
+    raise SolverError(f"observer-point LP took over {_LP_PIVOTS_PER_ROW * m} "
+                      "pivots", invariant="lp-terminates")
+
+
 def find_observer_point(domain, search_box):
     """LP search for an observer point inside ``search_box``.
 
     Maximizes gamma subject to (v - x0).nu >= gamma at damped constraint
-    points and (v - x0).nu <= 0 at clamped ones.  Segments contribute exact
-    endpoint constraints; arcs are sampled (``_ARC_SAMPLES``) and tightened by
-    a conservative slack, so a positive verdict is trustworthy.  The witness
-    is re-verified with the exact checker before reporting success.
-
-    ``scipy.optimize`` is imported here, not at module level: only the
-    ``check`` command solves this LP, so no other command loads it.
+    points, (v - x0).nu <= 0 at clamped ones and x0 in the box
+    (``_max_gamma``).  Segments contribute exact endpoint constraints; arcs
+    are sampled (``_ARC_SAMPLES``) and tightened by a conservative slack,
+    so a positive verdict is trustworthy.  The witness is clipped into the
+    box and re-verified with the exact checker before reporting success.
+    A boundary with no damped edge leaves gamma unbounded and is reported
+    unsatisfied.
     """
-    from scipy.optimize import linprog
-
     (xmin, ymin), (xmax, ymax) = search_box
     if not (xmax > xmin and ymax > ymin):
         raise InvalidArgumentError("search box is empty", invariant="search-box")
@@ -461,16 +492,18 @@ def find_observer_point(domain, search_box):
                 # -x0.nu <= -v.nu - slack - interior margin
                 rows.append([-nu_k[0], -nu_k[1], 0.0])
                 rhs.append(-float(v @ nu_k) - slack - interior)
+    rows += [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]  # the box
+    rhs += [xmax, -xmin, ymax, -ymin]
 
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.array(rows), b_ub=np.array(rhs),
-                  bounds=[(xmin, xmax), (ymin, ymax), (None, None)],
-                  method="highs")
-    if not res.success:
+    damped = any(e.label == GAMMA1 for e in domain.edges)
+    z = _max_gamma(np.array(rows), np.array(rhs)) if damped else None
+    if z is None:
         return ConditionReport(
             condition="H", satisfied=False, margins={}, tolerance=tol,
-            detail=f"LP certificate: {res.status} ({res.message.strip()})")
-    x0 = res.x[:2]
-    gamma_lp = float(res.x[2])
+            detail="LP certificate: " + ("infeasible" if damped else
+                                         "no damped edge, gamma unbounded"))
+    x0 = np.clip(z[:2], (xmin, ymin), (xmax, ymax))
+    gamma_lp = float(z[2])
     report = check_condition_h(domain, x0)
     satisfied = bool(gamma_lp > tol and report.satisfied)
     return ConditionReport(

@@ -724,41 +724,47 @@ def _fresh_python(code, *args):
 SCIPY_LEFT_OUT = ("scipy.signal", "scipy.optimize", "scipy.spatial")
 
 # argv: config, output root, commands; prints the exit codes and which of
-# SCIPY_LEFT_OUT the commands loaded
+# SCIPY_LEFT_OUT were loaded after the import and after each command
 RUN_COMMANDS = f"""
 import json, os, sys
 from platedecay.cli import main
 config, root, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
-codes = [main([c, "--config", config, "--out", os.path.join(root, c)])
-         for c in commands]
-print(json.dumps([codes, [m in sys.modules for m in {SCIPY_LEFT_OUT!r}]]))
+codes, loaded = [], [[m in sys.modules for m in {SCIPY_LEFT_OUT!r}]]
+for c in commands:
+    codes.append(main([c, "--config", config, "--out", os.path.join(root, c)]))
+    loaded.append([m in sys.modules for m in {SCIPY_LEFT_OUT!r}])
+print(json.dumps([codes, loaded]))
 """
 
 
 def test_cli_import_leaves_out_scipy_signal():
-    # nor scipy.optimize (the LP of `check`) or scipy.spatial (the Delaunay
-    # mesher of curved domains): those load where they are called.  With no
-    # command, RUN_COMMANDS reports what the import alone loaded.
+    # nor scipy.optimize (no module imports it) or scipy.spatial (the
+    # Delaunay mesher of curved domains, imported where it is called).
+    # With no command, RUN_COMMANDS reports what the import alone loaded.
     codes, loaded = json.loads(_fresh_python(RUN_COMMANDS, "", ""))
-    assert codes == [] and loaded == [False, False, False]
+    assert codes == [] and loaded == [[False, False, False]]
 
 
 def test_square_certificate_leaves_out_optimize_and_spatial(tmp_path):
+    # every command, so none loads scipy.optimize
     data = json.loads(json.dumps(SQUARE_CFG))
     data["mesh"]["h"] = 0.25
-    commands = ["spectrum", "resolvent", "verify"]
+    commands = ["check", "mesh", "simulate", "spectrum", "resolvent", "verify"]
     codes, loaded = json.loads(_fresh_python(
         RUN_COMMANDS, write_cfg(tmp_path, data), str(tmp_path), *commands))
-    assert codes == [0, 0, 0]
-    assert loaded == [False, False, False]
+    assert codes == [0] * 6
+    assert loaded == [[False, False, False]] * 7
 
 
 def test_lens_check_and_mesh_load_their_modules_on_call(tmp_path):
+    # the observer-point LP needs no scipy.optimize; meshing the lens
+    # still loads scipy.spatial
     commands = ["check", "mesh"]
     codes, loaded = json.loads(_fresh_python(
         RUN_COMMANDS, str(LENS_PATH), str(tmp_path / "fresh"), *commands))
     assert codes == [0, 0]
-    assert loaded[1:] == [True, True]
+    assert loaded == [[False, False, False], [False, False, False],
+                      [False, False, True]]
     for command in commands:
         here = tmp_path / "here" / command
         assert main([command, "--config", str(LENS_PATH),
@@ -768,6 +774,19 @@ def test_lens_check_and_mesh_load_their_modules_on_call(tmp_path):
         assert names == sorted(p.name for p in fresh.iterdir()) and names
         for name in names:
             assert (fresh / name).read_bytes() == (here / name).read_bytes()
+
+
+def test_observer_lp_pivot_guard_exits_3(tmp_path, capsys, monkeypatch):
+    # the guard is never reached (Bland's rule terminates); reaching it is a
+    # solver failure, not a "condition H violated" verdict
+    import platedecay.geometry as geometry
+
+    monkeypatch.setattr(geometry, "_LP_PIVOTS_PER_ROW", 0)
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(LENS_PATH), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == "lp-terminates" and err["exit_code"] == 3
+    assert not (out / "condition_h.json").exists()
 
 
 def test_step_count_refused_before_allocating(tmp_path, capsys):

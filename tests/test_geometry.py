@@ -143,6 +143,14 @@ def test_find_observer_point_infeasible_split():
     assert not report.satisfied
 
 
+def test_find_observer_point_without_damped_edge():
+    # gamma is unbounded, as HiGHS reports it; the verdict stays unsatisfied
+    dom = lens_domain(math.radians(30), label_upper=GAMMA0)
+    report = find_observer_point(dom, ((-4, -4), (4, 4)))
+    assert not report.satisfied and report.witness is None
+    assert report.detail == "LP certificate: no damped edge, gamma unbounded"
+
+
 def test_find_observer_point_empty_box():
     dom = unit_square_domain()
     with pytest.raises(InvalidArgumentError):
@@ -162,6 +170,66 @@ def test_lp_witness_consistency_random_polygons():
                                            (hi[0] + pad, hi[1] + pad)))
         if report.satisfied:
             assert check_condition_h(dom, report.witness[0]).satisfied
+
+
+def _observer_cases():
+    """(domain, search box): 300 seeded random polygons with random clamped
+    sets in their padded bounding boxes, the lens at four angles, and the
+    square with a degenerate optimum and with an infeasible split."""
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(3, 9))
+        poly = random_convex_polygon(rng, n)
+        n_clamped = int(rng.integers(1, n))
+        g0 = set(rng.choice(n, size=n_clamped, replace=False).tolist())
+        dom = polygon_domain(poly, gamma0_edges=g0)
+        lo, hi = dom.bounding_box()
+        pad = float(np.max(hi - lo))
+        yield dom, ((lo[0] - pad, lo[1] - pad), (hi[0] + pad, hi[1] + pad))
+    for degrees in (20, 30, 60, 90):
+        yield lens_domain(math.radians(degrees)), ((-4, -4), (4, 4))
+    # optimum (-1, -1): the box's two lower bounds and the damped rows
+    # of the right and top edges are all active
+    yield unit_square_domain(gamma0_edges=(0, 3)), ((-1, -1), (2, 2))
+    yield unit_square_domain(gamma0_edges=(1, 3)), ((-5, -5), (6, 6))
+
+
+def test_observer_lp_matches_linprog(monkeypatch):
+    from scipy.optimize import linprog
+
+    import platedecay.geometry as geometry
+
+    solved = []
+    helper = geometry._max_gamma
+
+    def spy(A, b):
+        solved.append((A, b, helper(A, b)))
+        return solved[-1][2]
+
+    monkeypatch.setattr(geometry, "_max_gamma", spy)
+    n_feasible = 0
+    for dom, box in _observer_cases():
+        report = find_observer_point(dom, box)
+        A, b, z = solved[-1]
+        oracle = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=b,
+                         bounds=[(None, None)] * 3, method="highs")
+        assert oracle.status in (0, 2)  # optimal or infeasible
+        assert (z is None) == (oracle.status == 2)
+        if z is None:
+            assert not report.satisfied and report.witness is None
+            continue
+        n_feasible += 1
+        # an optimum: feasible, with the oracle's gamma
+        assert abs(z[2] - oracle.x[2]) <= 1e-12
+        assert np.max(A @ z - b) <= 1e-12
+        # the oracle's point on straight domains, where the optimum is a
+        # vertex; the symmetric lens at 20 degrees has a face of optima
+        # (y0 = -4, |x0| <= 1.14e-3) and HiGHS stops at its other end
+        if dom.is_straight():
+            assert np.max(np.abs(z[:2] - oracle.x[:2])) <= 1e-12
+        (x, y), _ = report.witness
+        assert box[0][0] <= x <= box[1][0] and box[0][1] <= y <= box[1][1]
+    assert len(solved) == 306 and 0 < n_feasible < 306
 
 
 def test_gamma0_must_be_nonempty():
