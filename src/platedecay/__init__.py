@@ -17,4 +17,3 @@ from .dynamics import (DecayFit, EnergyTrace, boundary_bump_data, decay_fit,
 from .spectral import (SpectrumReport, damping_branch_fit, growth_fit,
                        pencil_eigenvalues, resolved_band, resolvent_norm,
                        resolvent_sweep, suggest_sweep_omegas)
-from .cli import RunConfig, run

@@ -109,7 +109,6 @@ class DofMap:
     dof_coords: np.ndarray
     edge_dofs: np.ndarray
     edge_labels: np.ndarray
-    corner_dofs: np.ndarray
     constrained: np.ndarray = field(init=False)
     free: np.ndarray = field(init=False)
     free_index: np.ndarray = field(init=False)
@@ -168,8 +167,7 @@ def build_dof_map(mesh, degree):
                   cell_dofs=np.concatenate(cells, axis=1),
                   dof_coords=np.concatenate(coords),
                   edge_dofs=np.concatenate([table.edges, slots], axis=1),
-                  edge_labels=table.label,
-                  corner_dofs=mesh.corner_nodes.copy())
+                  edge_labels=table.label)
 
 
 # ---------------------------------------------------------------------------
@@ -312,32 +310,29 @@ def _csr(dofs, blocks):
                          shape=(dofs.n_free,) * 2).tocsr()
 
 
-def assemble(mesh, dofs, material, gains=None, j_variant=2, sigma=None):
+def assemble(mesh, dofs, material, sigma=None):
     """Assemble stiffness K, mass M, damping D on the free dofs.
 
     ``sigma`` is the interior-penalty weight (default 10 p (p+1)); below the
     floor 2 p (p+1) assembly is refused since coercivity is no longer
-    guaranteed.  With j_variant = 1 the corner gains do not enter at all;
-    with j_variant = 2 they add diagonal damping at corner vertex dofs, and a
-    positive gain at a corner touching the clamped closure is rejected.
+    guaranteed.  ``mesh.corner_gains`` add diagonal damping at the corner
+    vertex dofs (zero gains for variant 1).  A gain at a corner whose vertex
+    dof is clamped could never act (``clamped-corner-gain``): ``DomainSpec``
+    refuses it, and this guard covers meshes read from a file or built by
+    hand.
 
     Every element and edge term is formed in one batch: element blocks over
     all triangles, then the interior, clamped and damped edge groups of the
     mesh's edge table.
     """
     p = dofs.degree
-    if j_variant not in (1, 2):
-        raise InvalidArgumentError("j_variant must be 1 or 2",
-                                   invariant="variant")
     if sigma is None:
         sigma = default_sigma(p)
     if sigma < sigma_floor(p):
         raise AssemblyStabilityError(
             f"penalty sigma = {sigma} below stability floor {sigma_floor(p)}",
             invariant="penalty-floor")
-    if gains is None:
-        gains = mesh.corner_gains
-    gains = np.asarray(gains, dtype=float)
+    gains = np.asarray(mesh.corner_gains, dtype=float)
     if len(gains) != len(mesh.corner_nodes):
         raise InvalidArgumentError("one gain per domain corner required",
                                    invariant="gain-count")
@@ -345,9 +340,8 @@ def assemble(mesh, dofs, material, gains=None, j_variant=2, sigma=None):
         raise InvalidArgumentError("corner gains must be >= 0",
                                    invariant="gain-nonnegative")
     corners = mesh.corner_nodes
-    fed = (gains != 0.0) & (j_variant == 2)
-    clamped_nodes = mesh.boundary_edges[mesh.boundary_labels == GAMMA0]
-    bad = np.flatnonzero(fed & np.isin(corners, clamped_nodes))
+    fed = gains != 0.0
+    bad = np.flatnonzero(fed & dofs.constrained[corners])
     if len(bad):
         raise InvalidArgumentError(
             f"corner {bad[0]} touches the clamped closure; positive "
@@ -477,7 +471,7 @@ def assemble_load(mesh, dofs, domain, material, u_exact):
     # corners whose vertex dof is free; edge i - 1 comes in, edge i leaves
     free = np.array([i for i in range(domain.n_corners)
                      if not domain.corner_in_clamped_closure(i)], dtype=int)
-    F[dofs.free_index[dofs.corner_dofs[free]]] -= corner_jumps(
+    F[dofs.free_index[mesh.corner_nodes[free]]] -= corner_jumps(
         exact(np.asarray(domain.vertices, dtype=float)[free]), mu,
         normals[free - 1], normals[free])
 

@@ -11,10 +11,11 @@ Commands:
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.  Artifacts
 are deterministic for a fixed config and version (no timestamps); every
-file carries a provenance header with the config hash, mesh level and tool
-version.  Validation failures print a JSON error object to stderr naming
-the violated invariant.  A command computes and checks everything before
-its first write, so a failed command leaves no half-written artifact set.
+CSV and JSON artifact carries a provenance header with the config hash,
+mesh level and tool version.  Validation failures print a JSON error object
+to stderr naming the violated invariant.  A command computes and checks
+everything before its first write, so a failed command leaves no
+half-written artifact set.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigValidationError, InsufficientDataError,
-                     InvalidArgumentError, InvalidGeometryError,
-                     MissingThresholdError, PlateDecayError, SolverError)
+from .errors import (AssemblyStabilityError, ConfigValidationError,
+                     InsufficientDataError, InvalidArgumentError,
+                     InvalidGeometryError, MissingThresholdError, SolverError)
 from .geometry import (DomainSpec, EdgeSpec, check_condition_g,
                        check_condition_h, find_observer_point)
 from .meshing import refine, triangulate, validate_mesh, write_mesh
@@ -45,8 +46,9 @@ from .dynamics import (boundary_bump_data, decay_fit, dissipation_residual,
 from .spectral import (damping_branch_fit, growth_fit, pencil_eigenvalues,
                        resolved_band, resolvent_sweep, suggest_sweep_omegas)
 
-_VALIDATION_ERRORS = (ConfigValidationError, InvalidArgumentError,
-                      InvalidGeometryError, MissingThresholdError)
+_VALIDATION_ERRORS = (AssemblyStabilityError, ConfigValidationError,
+                      InvalidArgumentError, InvalidGeometryError,
+                      MissingThresholdError)
 
 # Set-up peaks near 15 KB per triangle at degree 2 (39 KB at degree 3), so
 # this many stay near 1.5 GB (4 GB).
@@ -122,6 +124,10 @@ class RunConfig:
         if self.variant not in (1, 2):
             raise ConfigValidationError("variant must be 1 or 2",
                                         invariant="variant")
+        if self.variant == 1 and any(self.domain.corner_gains):
+            raise ConfigValidationError(
+                "variant 1 has no corner feedback; its gains must all be 0",
+                invariant="variant-gains")
         if self.condition_g_policy not in ("refuse", "warn"):
             raise ConfigValidationError(
                 "condition_g_policy must be 'refuse' or 'warn'",
@@ -336,8 +342,7 @@ def _build_mesh(cfg):
 def _build_system(cfg):
     mesh = _build_mesh(cfg)
     dofs = build_dof_map(mesh, cfg.mesh.degree)
-    system = assemble(mesh, dofs, cfg.material, j_variant=cfg.variant,
-                      sigma=cfg.mesh.sigma)
+    system = assemble(mesh, dofs, cfg.material, sigma=cfg.mesh.sigma)
     return mesh, dofs, system
 
 
@@ -422,6 +427,7 @@ def _cmd_simulate(cfg, out):
             payload["decay_fit"] = decay_fit(trace, window).to_dict()
         except InsufficientDataError as exc:
             payload["decay_fit_skipped"] = str(exc)
+    out.write_json("decay_fit.json", payload)  # serialized before any write
     if cfg.dump_matrices:
         for name, mat in (("K", system.K), ("M", system.M), ("D", system.D)):
             dump_coo(os.path.join(out.dir, f"{name}.txt"), mat)
@@ -431,7 +437,6 @@ def _cmd_simulate(cfg, out):
     for step, (u, v) in sorted(trace.snapshots.items()):
         np.savetxt(os.path.join(out.dir, f"state_{step:08d}.txt"),
                    np.column_stack([u, v]), fmt="%.17g", header="u v")
-    out.write_json("decay_fit.json", payload)
     print(f"simulated {len(trace) - 1} steps; E0={trace.energy[0]:.6g} "
           f"ET={trace.energy[-1]:.6g}")
     return 0
@@ -442,7 +447,6 @@ def _cmd_spectrum(cfg, out):
     count = cfg.spectral.count
     report = pencil_eigenvalues(system, count=count)
     lam = report.eigenvalues
-    out.write_csv("spectrum.csv", "re,im", (lam.real, lam.imag))
     payload = report.to_dict()
     band = cfg.spectral.omega_band or _try_band(report)
     if band is not None:
@@ -452,7 +456,8 @@ def _cmd_spectrum(cfg, out):
                             "band": list(band)})
         except (InsufficientDataError, InvalidArgumentError) as exc:
             payload["branch_fit_skipped"] = str(exc)
-    out.write_json("spectrum_fit.json", payload)
+    out.write_json("spectrum_fit.json", payload)  # serialized before any write
+    out.write_csv("spectrum.csv", "re,im", (lam.real, lam.imag))
     print(f"{len(lam)} eigenvalues; spectral abscissa "
           f"{report.spectral_abscissa:.6g}")
     return 0
@@ -593,8 +598,8 @@ def main(argv=None):
     except (SolverError, InsufficientDataError, np.linalg.LinAlgError) as exc:
         _emit_error(exc, 3)
         return 3
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        _emit_error(exc, 2)
+    except OSError as exc:  # making or writing the output directory
+        _emit_error(exc, 2, invariant="output-write")
         return 2
     return status
 
@@ -614,9 +619,10 @@ def _read_config(path):
                                     invariant="config-json") from exc
 
 
-def _emit_error(exc, code):
+def _emit_error(exc, code, invariant=None):
     doc = {"error": type(exc).__name__, "message": str(exc),
-           "invariant": getattr(exc, "invariant", None), "exit_code": code}
+           "invariant": invariant or getattr(exc, "invariant", None),
+           "exit_code": code}
     print(json.dumps(doc), file=sys.stderr)
 
 

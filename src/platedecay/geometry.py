@@ -88,7 +88,8 @@ class DomainSpec:
 
     ``vertices[i]`` starts ``edges[i]``; edge i ends at vertex (i+1) mod p.
     Validated on construction: single closed CCW simple loop, clamped part
-    non-empty, and zero gain at corners interior to the clamped closure.
+    non-empty, and zero gain at every corner that touches the clamped
+    closure (``corner_in_clamped_closure``).
     """
 
     vertices: tuple
@@ -241,11 +242,10 @@ class DomainSpec:
             if self.corner_gains[i] < 0:
                 raise InvalidGeometryError(f"corner {i}: gain must be >= 0",
                                            invariant="gain-nonnegative")
-            lin, lout = self.corner_labels(i)
-            if lin == GAMMA0 and lout == GAMMA0 and self.corner_gains[i] != 0.0:
+            if self.corner_gains[i] != 0 and self.corner_in_clamped_closure(i):
                 raise InvalidGeometryError(
-                    f"corner {i} lies interior to the clamped boundary; "
-                    "its feedback gain must be 0",
+                    f"corner {i} touches the clamped boundary, where its "
+                    "vertex dof is eliminated; its feedback gain must be 0",
                     invariant="clamped-corner-gain")
         pts, _ = self.polygonize(64)
         if signed_area(pts) <= 0:

@@ -17,11 +17,11 @@ from platedecay.assembly import (_T, _cell_geometry, _edge_points,
                                  energy, reference_element, sigma_floor,
                                  solve_static)
 from platedecay.cli import RunConfig, _build_system
-from platedecay.errors import (AssemblyStabilityError, InvalidArgumentError,
-                               InvalidGeometryError)
+from platedecay.errors import (AssemblyStabilityError, ConfigValidationError,
+                               InvalidArgumentError, InvalidGeometryError)
 from platedecay.geometry import (GAMMA0, GAMMA1, lens_domain,
                                 unit_square_domain)
-from platedecay.meshing import refine, triangulate
+from platedecay.meshing import read_mesh, refine, triangulate, write_mesh
 from platedecay.plate_forms import PlateMaterial, PolyField, bilinear_a
 from platedecay._polygon import random_convex_polygon
 from platedecay.geometry import polygon_domain
@@ -33,13 +33,11 @@ DOM = unit_square_domain(gamma0_edges=(0, 3))
 MAT = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1.0, d2=1.0)
 
 
-def small_system(h=0.5, degree=2, mat=MAT, gains=None, j_variant=2,
-                 gamma0=(0, 3), corner_gains=None):
+def small_system(h=0.5, degree=2, mat=MAT, gamma0=(0, 3), corner_gains=None):
     dom = unit_square_domain(gamma0_edges=gamma0, corner_gains=corner_gains)
     mesh = triangulate(dom, h)
     dofs = build_dof_map(mesh, degree)
-    return dom, mesh, dofs, assemble(mesh, dofs, mat, gains=gains,
-                                     j_variant=j_variant)
+    return dom, mesh, dofs, assemble(mesh, dofs, mat)
 
 
 def test_gauss_rule_is_computed_once_and_read_only():
@@ -83,11 +81,11 @@ def test_free_corner_maps_to_free_vertex_dof():
     mesh = triangulate(DOM, 0.5)
     dofs = build_dof_map(mesh, 2)
     # corner (1, 1) has both incident edges free
-    c = dofs.corner_dofs[2]
+    c = mesh.corner_nodes[2]
     assert not dofs.constrained[c]
     # corners on the clamped closure are eliminated
     for i in (0, 1, 3):
-        assert dofs.constrained[dofs.corner_dofs[i]]
+        assert dofs.constrained[mesh.corner_nodes[i]]
 
 
 def test_matrices_symmetric_and_definite():
@@ -106,7 +104,7 @@ def test_matrices_symmetric_and_definite():
 
 def test_zero_damping_gives_zero_matrix():
     mat0 = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=0.0, d2=0.0)
-    _, _, _, system = small_system(mat=mat0, gains=[0, 0, 0, 0])
+    _, _, _, system = small_system(mat=mat0)
     assert system.D.nnz == 0 or abs(system.D).max() == 0.0
 
 
@@ -155,31 +153,41 @@ def test_energy_zero_state():
 
 
 def test_gain_linearity_single_diagonal_entry():
-    dom = unit_square_domain(gamma0_edges=(0, 3), corner_gains=(0, 0, 2.5, 0))
-    mesh = triangulate(dom, 0.5)
-    dofs = build_dof_map(mesh, 2)
-    with_gain = assemble(mesh, dofs, MAT, j_variant=2)
-    without = assemble(mesh, dofs, MAT, gains=[0, 0, 0, 0], j_variant=2)
+    # the same square with and without a gain at its free corner (1, 1)
+    _, mesh, dofs, with_gain = small_system(corner_gains=(0, 0, 2.5, 0))
+    _, _, _, without = small_system()
     diff = (with_gain.D - without.D).tocoo()
     assert len(diff.data) == 1
-    assert diff.row[0] == diff.col[0] == dofs.free_index[dofs.corner_dofs[2]]
+    assert diff.row[0] == diff.col[0] == dofs.free_index[mesh.corner_nodes[2]]
     assert diff.data[0] == 2.5
 
 
 def test_variant_1_has_no_corner_entries():
-    dom = unit_square_domain(gamma0_edges=(0, 3), corner_gains=(0, 0, 2.5, 0))
-    mesh = triangulate(dom, 0.5)
-    dofs = build_dof_map(mesh, 2)
-    j1 = assemble(mesh, dofs, MAT, j_variant=1)
-    assert j1.damping_parts["corner"].nnz == 0
+    # variant 1 takes zero gains only, so its corner channel is empty; a
+    # gain under it is refused when the config is parsed
+    data = json.loads((CONFIGS / "square.json").read_text())
+    data.update(variant=1, condition_g_policy="warn", gains=[0, 0, 0, 0])
+    data["mesh"]["h"] = 0.5
+    _, _, system = _build_system(RunConfig.from_dict(data))
+    assert system.damping_parts["corner"].nnz == 0
+    data["gains"] = [0, 0, 2.5, 0]
+    with pytest.raises(ConfigValidationError) as info:
+        RunConfig.from_dict(data)
+    assert info.value.invariant == "variant-gains"
 
 
-def test_positive_gain_at_clamped_closure_corner_rejected():
+def test_positive_gain_at_clamped_closure_corner_rejected(tmp_path):
+    # DomainSpec refuses this gain, so it can reach assemble only on a mesh
+    # that never passed through a domain: one edited or read from a file
     mesh = triangulate(DOM, 0.5)
     dofs = build_dof_map(mesh, 2)
     # corner 1 = (1, 0): incoming edge clamped, outgoing free
-    with pytest.raises(InvalidArgumentError):
-        assemble(mesh, dofs, MAT, gains=[0, 1.0, 0, 0], j_variant=2)
+    edited = replace(mesh, corner_gains=np.array([0, 1.0, 0, 0]))
+    write_mesh(tmp_path / "mesh.txt", edited)
+    for junction in (edited, read_mesh(tmp_path / "mesh.txt")):
+        with pytest.raises(InvalidArgumentError) as info:
+            assemble(junction, dofs, MAT)
+        assert info.value.invariant == "clamped-corner-gain"
 
 
 def test_sigma_floor_enforced():
@@ -288,7 +296,7 @@ def _symbolic_load(mesh, dofs, domain, material, u_exact):
     F = np.bincount(at[at >= 0], weights=work[at >= 0], minlength=dofs.n_free)
     for i in range(domain.n_corners):
         if not domain.corner_in_clamped_closure(i):
-            F[dofs.free_index[dofs.corner_dofs[i]]] -= oracle.corner_jump(
+            F[dofs.free_index[mesh.corner_nodes[i]]] -= oracle.corner_jump(
                 u_exact, mu, domain.vertices[i], normals[i - 1], normals[i])
     return F
 
@@ -432,8 +440,7 @@ def _config_case(name, h=None):
         data["mesh"]["h"] = h
     cfg = RunConfig.from_dict(data)
     mesh, dofs, _ = _build_system(cfg)
-    return mesh, dofs, dict(material=cfg.material, j_variant=cfg.variant,
-                            sigma=cfg.mesh.sigma)
+    return mesh, dofs, dict(material=cfg.material, sigma=cfg.mesh.sigma)
 
 
 @pytest.mark.parametrize("name, h", [("square.json", 1.0 / 8.0),

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +215,7 @@ def test_json_artifacts_refuse_non_finite_numbers(tmp_path, capsys,
                  "--out", str(out)])
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert code == 3 and err["invariant"] == "artifact-finite"
-    assert not (out / "decay_fit.json").exists()
+    assert list(out.iterdir()) == []  # trace.csv neither
 
 
 def test_csv_values_as_formatted_one_at_a_time(tmp_path, monkeypatch):
@@ -569,6 +570,74 @@ def test_initial_data_checked_at_parse_time(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+ALL_COMMANDS = ("check", "mesh", "simulate", "spectrum", "resolvent",
+                "verify")
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+@pytest.mark.parametrize("config, changes, invariant", [
+    ("square", {"gains": [0, 1, 0, 0]}, "clamped-corner-gain"),
+    ("lens", {"gains": [5, 5]}, "clamped-corner-gain"),
+    ("square", {"variant": 1, "condition_g_policy": "warn",
+                "gains": [0, 0, 1, 0]}, "variant-gains"),
+], ids=["square-junction", "lens", "variant-1"])
+def test_corner_gains_checked_at_parse_time(tmp_path, capsys, monkeypatch,
+                                            command, config, changes,
+                                            invariant):
+    # a gain at a corner touching the clamped boundary, or any gain under
+    # variant 1, is refused before any command meshes or assembles
+    import platedecay.cli as cli
+
+    def not_built(*args):
+        raise AssertionError("the mesh or the system was built")
+
+    monkeypatch.setattr(cli, "_build_mesh", not_built)
+    monkeypatch.setattr(cli, "_build_system", not_built)
+    data = json.loads((LENS_PATH.parent / f"{config}.json").read_text())
+    data.update(changes)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == invariant
+    assert not out.exists()
+
+
+def test_penalty_below_floor_named(tmp_path, capsys):
+    data = mutated(("mesh", "sigma"), 1)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "AssemblyStabilityError"
+    assert err["invariant"] == "penalty-floor" and err["exit_code"] == 2
+    assert list(out.iterdir()) == []
+
+
+def test_output_path_that_is_a_file_named(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    assert main(["check", "--config", write_cfg(tmp_path, SQUARE_CFG),
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == "output-write" and err["exit_code"] == 2
+    assert out.read_text() == "not a directory"
+
+
+def test_spectrum_refused_fit_writes_nothing(tmp_path, capsys, monkeypatch):
+    import platedecay.cli as cli
+
+    real = cli.pencil_eigenvalues
+    monkeypatch.setattr(cli, "pencil_eigenvalues", lambda *a, **k: replace(
+        real(*a, **k), spectral_abscissa=math.nan))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", write_cfg(tmp_path, SQUARE_CFG),
+                 "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == "artifact-finite"
+    assert list(out.iterdir()) == []
+
+
 def test_default_window_ends_at_the_last_step(tmp_path):
     # T = 2.0004 with dt = 1e-3 runs 2000 steps, so the trace ends at 2.0
     data = json.loads(json.dumps(SQUARE_CFG))
@@ -718,6 +787,21 @@ def _fresh_python(code, *args):
     result = subprocess.run([sys.executable, "-c", code, *args], env=env,
                             capture_output=True, text=True, check=True)
     return result.stdout.strip().splitlines()[-1]
+
+
+def test_module_run_executes_cli_once(tmp_path):
+    # `import platedecay` leaves platedecay.cli unloaded, so runpy executes
+    # it once, as __main__, with no "found in sys.modules" RuntimeWarning
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "platedecay.cli",
+         "check", "--config", str(LENS_PATH.parent / "square.json"),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "condition_h.json").is_file()
 
 
 # left out of `import platedecay.cli`

@@ -242,10 +242,15 @@ def test_clamped_interior_corner_gain_rejected():
         unit_square_domain(gamma0_edges=(0, 3), corner_gains=(1.0, 0, 0, 0))
 
 
-def test_mixed_corner_gain_allowed_at_domain_level():
-    # only corners with both incident edges clamped are forced to zero here
-    dom = unit_square_domain(gamma0_edges=(0, 3), corner_gains=(0, 0.5, 1, 0))
-    assert dom.corner_gains[1] == 0.5
+def test_mixed_corner_gain_refused_at_domain_level():
+    # corners 1 and 3 join a clamped edge to a free one: their vertex dofs
+    # are eliminated, so a gain there could never act
+    for gains in ((0, 0.5, 1, 0), (0, 0, 1, 0.5)):
+        with pytest.raises(InvalidGeometryError) as info:
+            unit_square_domain(gamma0_edges=(0, 3), corner_gains=gains)
+        assert info.value.invariant == "clamped-corner-gain"
+    dom = unit_square_domain(gamma0_edges=(0, 3), corner_gains=(0, 0, 1, 0))
+    assert dom.corner_gains == (0.0, 0.0, 1.0, 0.0)
 
 
 def test_clockwise_loop_rejected():

@@ -45,7 +45,7 @@ def test_certificate_row_matches_library_pipeline(tmp_path):
     dom = unit_square_domain(gamma0_edges=(0, 3), corner_gains=(0, 0, 1.0, 0))
     mat = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1.0, d2=1.0)
     mesh = triangulate(dom, 0.25)
-    system = assemble(mesh, build_dof_map(mesh, 2), mat, j_variant=2)
+    system = assemble(mesh, build_dof_map(mesh, 2), mat)
     report = pencil_eigenvalues(system)
     band = resolved_band(report)
     sweep = resolvent_sweep(system, suggest_sweep_omegas(report, band))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,9 +27,10 @@ DAMPED = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1.0, d2=1.0)
 
 
 def build(mat=DAMPED, h=0.25, gains=None):
-    mesh = triangulate(DOM, h)
+    dom = DOM if gains is None else replace(DOM, corner_gains=gains)
+    mesh = triangulate(dom, h)
     dofs = build_dof_map(mesh, 2)
-    return assemble(mesh, dofs, mat, gains=gains, j_variant=2)
+    return assemble(mesh, dofs, mat)
 
 
 def scalar_system(m, d, k):
@@ -511,8 +513,7 @@ from platedecay import spectral as S
 mesh = triangulate(unit_square_domain(gamma0_edges=(0, 3),
                                       corner_gains=(0, 0, 1.0, 0)), 0.125)
 system = assemble(mesh, build_dof_map(mesh, 2),
-                  PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1.0, d2=1.0),
-                  j_variant=2)
+                  PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1.0, d2=1.0))
 report = S.pencil_eigenvalues(system)
 band = S.resolved_band(report)
 sweep = S.resolvent_sweep(system, S.suggest_sweep_omegas(report, band))
