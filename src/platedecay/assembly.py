@@ -24,7 +24,7 @@ from .errors import (AssemblyStabilityError, InvalidArgumentError,
 from .geometry import GAMMA0, GAMMA1
 from .plate_forms import Partials, corner_jumps, moments
 from .quadrature import gauss_01, triangle_rule
-from .spectral import _spd_factor
+from .spectral import _spd_checked
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +278,76 @@ def _T(a):
     return a.swapaxes(-1, -2)
 
 
-def _sym(block):
-    """Exact symmetrization; the forms are symmetric, rounding is not."""
-    return 0.5 * (block + _T(block))
+def _sym(block, out=None):
+    """Exact symmetrization 0.5 (block + block'), into ``out`` if given; the
+    forms are symmetric, rounding is not."""
+    out = np.add(block, _T(block), out=out)
+    out *= 0.5
+    return out
+
+
+def _nitsche(pen, jump, avg, w):
+    """Symmetrized pen J'WJ - A'WJ - J'WA: the penalty and consistency
+    terms of normal-derivative jumps J and averaged bending moments A with
+    quadrature weights W, formed in place in that order of operations."""
+    jw = _T(jump * w)
+    k = (pen * jw) @ jump
+    part = _T(avg * w) @ jump
+    k -= part
+    k -= np.matmul(jw, avg, out=part)
+    return _sym(k, out=part)
+
+
+def _element_blocks(ref, geometry, mu):
+    """Plate energy density and interior mass blocks of all triangles."""
+    _, _, binv, det = geometry
+    tri_pts, tri_w = triangle_rule(2 * ref.p)
+    w = (tri_w * det[:, None])[..., None]  # weights sum to 1/2: |T| = det/2
+    pxx, pyy, pxy = _second_deriv_rows(ref, tri_pts, binv)
+    xw, yw = _T(pxx * w), _T(pyy * w)
+    kel = xw @ pxx
+    kel += yw @ pyy
+    cross = xw @ pyy
+    cross += yw @ pxx
+    cross *= mu
+    kel += cross
+    kel += np.matmul(2.0 * (1.0 - mu) * _T(pxy * w), pxy, out=cross)
+    n_basis = ref.eval(tri_pts)
+    return _sym(kel, out=cross), _sym(_T(n_basis * w) @ n_basis)
+
+
+def _edge_blocks(mesh, cd, ref, geometry, mu, sigma):
+    """(dofs, block) batches of the interior and clamped edge terms of K and
+    of the damped edges' trace and normal-derivative forms, over the mesh's
+    edge table with the outward normal of each edge's first owner.  The
+    trace rows die here, before the blocks are scattered."""
+    table = mesh.edge_table
+    seg_t, seg_w = gauss_01(ref.p + 2)
+    t1, le1 = table.owner[:, 0], table.owner_edge[:, 0]
+    tang = (mesh.nodes[mesh.triangles[t1, (le1 + 1) % 3]]
+            - mesh.nodes[mesh.triangles[t1, le1]])
+    tang = tang / np.hypot(tang[:, 0], tang[:, 1])[:, None]
+    n = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+    phys, length = _edge_points(mesh, table.edges, seg_t)
+    w = (seg_w * length[:, None])[..., None]
+    pen = (sigma / length)[:, None, None]
+    val, dn, bend = _edge_traces(ref, geometry, t1, phys, n, mu)
+
+    inner = np.flatnonzero(table.owner[:, 1] >= 0)
+    t2 = table.owner[inner, 1]
+    _, dn2, bend2 = _edge_traces(ref, geometry, t2, phys[inner], n[inner], mu)
+    jump = np.concatenate([dn[inner], -dn2], axis=2)
+    avg = 0.5 * np.concatenate([bend[inner], bend2], axis=2)
+    k_inner = _nitsche(pen[inner], jump, avg, w[inner])
+
+    c = np.flatnonzero(table.label == GAMMA0)
+    k_clamped = _nitsche(pen[c], dn[c], bend[c], w[c])
+
+    g = np.flatnonzero(table.label == GAMMA1)
+    return ((np.concatenate([cd[t1[inner]], cd[t2]], axis=1), k_inner),
+            (cd[t1[c]], k_clamped),
+            (cd[t1[g]], _sym(_T(val[g] * w[g]) @ val[g])),
+            (cd[t1[g]], _sym(_T(dn[g] * w[g]) @ dn[g])))
 
 
 def _csr(dofs, blocks):
@@ -348,58 +415,18 @@ def assemble(mesh, dofs, material, sigma=None):
             "feedback gain is not admissible there",
             invariant="clamped-corner-gain")
 
-    mu = material.mu
     ref = reference_element(p)
-    tri_pts, tri_w = triangle_rule(2 * p)
-    seg_t, seg_w = gauss_01(p + 2)
     geometry = _cell_geometry(mesh)
-    _, _, binv, det = geometry
-    table = mesh.edge_table
     cd = dofs.cell_dofs
-
-    # element terms: plate energy density and interior mass
-    w = (tri_w * det[:, None])[..., None]  # weights sum to 1/2: |T| = det/2
-    pxx, pyy, pxy = _second_deriv_rows(ref, tri_pts, binv)
-    kel = _sym(_T(pxx * w) @ pxx + _T(pyy * w) @ pyy
-               + mu * (_T(pxx * w) @ pyy + _T(pyy * w) @ pxx)
-               + 2.0 * (1.0 - mu) * _T(pxy * w) @ pxy)
-    n_basis = ref.eval(tri_pts)
-    mel = _sym(_T(n_basis * w) @ n_basis)
-
-    # edge terms, with the outward normal of each edge's first owner
-    t1, le1 = table.owner[:, 0], table.owner_edge[:, 0]
-    tang = (mesh.nodes[mesh.triangles[t1, (le1 + 1) % 3]]
-            - mesh.nodes[mesh.triangles[t1, le1]])
-    tang = tang / np.hypot(tang[:, 0], tang[:, 1])[:, None]
-    n = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-    phys, length = _edge_points(mesh, table.edges, seg_t)
-    w = (seg_w * length[:, None])[..., None]
-    pen = (sigma / length)[:, None, None]
-    val, dn, bend = _edge_traces(ref, geometry, t1, phys, n, mu)
-
-    inner = np.flatnonzero(table.owner[:, 1] >= 0)
-    t2 = table.owner[inner, 1]
-    _, dn2, bend2 = _edge_traces(ref, geometry, t2, phys[inner], n[inner], mu)
-    jump = np.concatenate([dn[inner], -dn2], axis=2)
-    avg = 0.5 * np.concatenate([bend[inner], bend2], axis=2)
-    wi = w[inner]
-    k_inner = _sym(pen[inner] * _T(jump * wi) @ jump
-                   - _T(avg * wi) @ jump - _T(jump * wi) @ avg)
-
-    c = np.flatnonzero(table.label == GAMMA0)
-    k_clamped = _sym(pen[c] * _T(dn[c] * w[c]) @ dn[c]
-                     - _T(bend[c] * w[c]) @ dn[c] - _T(dn[c] * w[c]) @ bend[c])
-
-    g = np.flatnonzero(table.label == GAMMA1)
-    g_trace = _sym(_T(val[g] * w[g]) @ val[g])
-    g_normal = _sym(_T(dn[g] * w[g]) @ dn[g])
-
-    union = np.concatenate([cd[t1[inner]], cd[t2]], axis=1)
-    K = _csr(dofs, [(cd, kel), (union, k_inner), (cd[t1[c]], k_clamped)])
-    K = (0.5 * (K + K.T)).tocsr()  # scatter order leaves ulp-level skew
+    kel, mel = _element_blocks(ref, geometry, material.mu)
+    inner, clamped, trace, normal = _edge_blocks(
+        mesh, cd, ref, geometry, material.mu, sigma)
+    K = _csr(dofs, [(cd, kel), inner, clamped])
+    K = K + K.T  # the scatter order leaves ulp-level skew
+    K.data *= 0.5
     Mi = _csr(dofs, [(cd, mel)])
-    Gt = _csr(dofs, [(cd[t1[g]], g_trace)])
-    Gn = _csr(dofs, [(cd[t1[g]], g_normal)])
+    Gt = _csr(dofs, [trace])
+    Gn = _csr(dofs, [normal])
     parts = {"d1": material.d1 * Gn, "d2": material.d2 * Gt,
              "corner": _csr(dofs, [(corners[fed, None],
                                     gains[fed, None, None])])}
@@ -481,7 +508,7 @@ def assemble_load(mesh, dofs, domain, material, u_exact):
 def solve_static(system, load):
     """Direct solve K u = load on the free dofs (``energy-pd`` unless K is
     positive definite)."""
-    return _spd_factor(system.K).solve(load)
+    return _spd_checked(system.K).solve(load)
 
 
 def dump_coo(path, matrix):

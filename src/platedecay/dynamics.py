@@ -28,7 +28,8 @@ import scipy.sparse as sp
 from ._lsq import lsq_line
 from .errors import InsufficientDataError, InvalidArgumentError, SolverError
 from .geometry import GAMMA1
-from .spectral import _energy_generator, _spd_factor, _spd_root
+from .spectral import (_energy_generator, _spd_checked, _spd_factor,
+                       _spd_root)
 
 # The trace takes 40 bytes per step (five float arrays) and a CLI simulate
 # peaks near 60, so this many stay under 1 GB.
@@ -71,6 +72,11 @@ def simulate(system, u0, v0, dt, T, snapshot_stride=0):
     Samples the energy and the cumulative channel dissipation at every step.
     ``snapshot_stride`` > 0 additionally stores (u, v) every that many steps
     (step 0 and the final step included).
+
+    The roots are held once, in two CSR operators: ``roots_t`` =
+    [F_M'; F_K'] and R = [F_M, F_K, D], which gives both the right-hand
+    side and the refinement residual.  A step makes two solves with the
+    step factor and five sparse products, the channels' included.
     """
     times = step_times(dt, T)
     n = system.n_free
@@ -82,19 +88,21 @@ def simulate(system, u0, v0, dt, T, snapshot_stride=0):
     half = 0.5 * dt
     F_K, F_M = (_spd_root(A)[0] for A in (system.K, system.M))  # no factor kept
     step_lu = _spd_factor(system.M + half * system.D + half * half * system.K)
-    roots_t = sp.vstack([F_M.T, F_K.T], format="csr")  # w -> (F_M'w, F_K'w)
-    rhs = sp.hstack([F_M, -half * F_K], format="csr")  # y -> M v - (dt/2) K u
-    # the step operator applied through the factors, on (F_M'w, F_K'w, w)
-    step_op = sp.hstack([F_M, half * half * F_K, half * system.D],
-                        format="csr")
+    y = np.concatenate([F_M.T @ v, F_K.T @ u])  # (y2, y1)
+    # one operator for the right-hand side, M v - (dt/2) K u = R (y2,
+    # -(dt/2) y1, 0), and for the step operator applied through the factors,
+    # R (F_M'w, (dt/2)^2 F_K'w, (dt/2) w)
+    R = sp.hstack([F_M, F_K, system.D], format="csr")
+    del F_K, F_M
+    roots_t = R[:, :2 * n].T.tocsr()  # w -> (F_M'w, F_K'w)
     parts = system.damping_parts
     channels = sp.vstack([parts["d1"], parts["d2"], parts["corner"]],
                          format="csr")
 
     E = np.zeros_like(times)
     diss = np.zeros((3, len(times)))
-    y = np.concatenate([F_M.T @ v, F_K.T @ u])  # (y2, y1)
     E[0] = 0.5 * (y @ y)
+    z = np.zeros(3 * n)  # R's argument
     snapshots = {}
 
     def snap(step):
@@ -104,11 +112,18 @@ def simulate(system, u0, v0, dt, T, snapshot_stride=0):
 
     snap(0)
     for s in range(1, len(times)):
-        r = rhs @ y
+        z[:n] = y[:n]
+        np.multiply(-half, y[n:], out=z[n:2 * n])
+        z[2 * n:] = 0.0
+        r = R @ z
         w = step_lu.solve(r)
         # the step moves |y|^2 / 2 by -dt w'Dw + 2 w'(A w - r) with A applied
         # as below, so the refinement reduces exactly that residual
-        w += step_lu.solve(r - step_op @ np.concatenate([roots_t @ w, w]))
+        fw = roots_t @ w
+        z[:n] = fw[:n]
+        np.multiply(half * half, fw[n:], out=z[n:2 * n])
+        np.multiply(half, w, out=z[2 * n:])
+        w += step_lu.solve(r - R @ z)
         fw = roots_t @ w
         y[:n] = 2.0 * fw[:n] - y[:n]
         y[n:] += dt * fw[n:]
@@ -257,7 +272,7 @@ def boundary_bump_data(system):
     u0[free_pos] = g
     K_i = system.K[interior]
     if len(interior):
-        u0[interior] = _spd_factor(K_i[:, interior]).solve(
+        u0[interior] = _spd_checked(K_i[:, interior]).solve(
             -(K_i[:, free_pos] @ g))
     return u0, np.zeros(n)
 

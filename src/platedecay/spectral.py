@@ -129,10 +129,13 @@ def _symmetric_lu(matrix, pivot):
                 diag_pivot_thresh=pivot, options={"SymmetricMode": True})
 
 
-def _spd_factor(matrix):
+def _spd_checked(matrix):
     """``_symmetric_lu`` with diagonal pivots only, so that diag(U) is the D
     of P A P' = L D L'; by Sylvester's law the matrix is positive definite
-    exactly when every pivot is (else ``energy-pd``)."""
+    exactly when every pivot is (else ``energy-pd``).  Reading diag(U) makes
+    scipy's SuperLU build CSC copies of L and U, which it keeps as long as
+    the factor lives: this factor serves the check, ``_spd_root`` and a
+    single solve; a factor kept for many solves comes from ``_spd_factor``."""
     try:
         lu = _symmetric_lu(matrix, 0.0)
     except RuntimeError:  # exactly singular
@@ -144,10 +147,19 @@ def _spd_factor(matrix):
     return lu
 
 
+def _spd_factor(matrix):
+    """The factor of ``_spd_checked`` for solves: the pivots are checked on
+    one factor, which is then dropped with its cached L and U, and its twin
+    (the same recipe on the same matrix, so the same bits) is returned
+    without either ever being read."""
+    _spd_checked(matrix)
+    return _symmetric_lu(matrix, 0.0)
+
+
 def _spd_root(matrix):
     """Sparse F with F F' = matrix, F = Pr' L diag(sqrt(d)) from the L D L'
-    of ``_spd_factor``, and that factor lu: F^{-T} x = lu.solve(F x)."""
-    lu = _spd_factor(matrix)
+    of ``_spd_checked``, and that factor lu: F^{-T} x = lu.solve(F x)."""
+    lu = _spd_checked(matrix)
     return (lu.L @ sp.diags(np.sqrt(lu.U.diagonal())))[lu.perm_r].tocsr(), lu
 
 
@@ -173,7 +185,8 @@ class _Pencil:
     def __init__(self, system):
         K, M, D = (sp.csc_matrix(X) for X in (system.K, system.M, system.D))
         self.K, self.M, self.D, self.n = K, M, D, K.shape[0]
-        _spd_factor(K), _spd_factor(M)  # the energy-pd check
+        for X in (K, M):  # the energy-pd check, one factor alive at a time
+            _spd_checked(X)
         # a fixed start vector makes every solve reproducible bit for bit
         self.v0 = np.random.default_rng(0).standard_normal(2 * self.n)
 

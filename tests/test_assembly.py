@@ -458,8 +458,10 @@ def test_scatter_matches_concatenated_triplets(name, h, monkeypatch):
 
 
 def test_assemble_peak_memory():
-    # measured 16.5 MB at h = 1/24 (n_free 2304); the concatenated int64
-    # triplets peaked at 23.9 MB.  The bound leaves a 15 % margin.
+    # measured 11.4 MB at h = 1/24 (n_free 2304): 16.5 MB with the edge
+    # trace rows alive through the scatter and each block summed from
+    # full-size temporaries, 23.9 MB with concatenated int64 triplets.  The
+    # bound leaves a 15 % margin.
     mesh, dofs, kw = _config_case("square.json", 1.0 / 24.0)
     assemble(mesh, dofs, **kw)  # cached reference element and rules
     tracemalloc.start()
@@ -468,4 +470,4 @@ def test_assemble_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 19e6
+    assert peak < 13.1e6

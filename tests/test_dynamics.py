@@ -252,6 +252,23 @@ def test_lsq_line_needs_two_distinct_x():
     assert err.value.invariant == "lsq-points"
 
 
+def test_simulate_peak_memory():
+    # the roots held once: roots_t and R = [F_M, F_K, D], no F_K, F_M, no
+    # prescaled right-hand side or step operator, and a step factor without
+    # cached L and U.  Measured 7.56 MB at h = 1/24 over five steps (17.98
+    # MB with all five root operators and the cache); the bound leaves 15 %
+    system = build(DAMPED, h=1.0 / 24.0)
+    u0, v0 = boundary_bump_data(system)
+    simulate(system, u0, v0, dt=1e-3, T=2e-3)  # cached quadrature and imports
+    tracemalloc.start()
+    try:
+        simulate(system, u0, v0, dt=1e-3, T=5e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.7e6
+
+
 def test_decay_fit_window_validation():
     trace = synthetic_trace(lambda t: t ** -1.0)
     with pytest.raises(InvalidArgumentError):
