@@ -178,15 +178,13 @@ def build_dof_map(mesh, degree):
 class AssembledSystem:
     """Sparse stiffness/mass/damping on the free dofs.
 
-    ``mass_parts`` holds the unscaled pieces (interior, gamma1 trace, gamma1
-    normal-derivative trace); ``damping_parts`` holds the scaled channels
-    (d1, d2, corner), and D is their sum.
+    ``damping_parts`` holds the scaled channels (d1, d2, corner), and D is
+    their sum.
     """
 
     K: sp.csr_matrix
     M: sp.csr_matrix
     D: sp.csr_matrix
-    mass_parts: dict
     damping_parts: dict
     dofs: DofMap
 
@@ -433,7 +431,6 @@ def assemble(mesh, dofs, material, sigma=None):
     return AssembledSystem(
         K=K, M=Mi + material.rho * Gt + material.inertia * Gn,
         D=parts["d1"] + parts["d2"] + parts["corner"],
-        mass_parts={"interior": Mi, "trace": Gt, "normal": Gn},
         damping_parts=parts, dofs=dofs)
 
 

@@ -53,6 +53,9 @@ _VALIDATION_ERRORS = (AssemblyStabilityError, ConfigValidationError,
 # Set-up peaks near 15 KB per triangle at degree 2 (39 KB at degree 3), so
 # this many stay near 1.5 GB (4 GB).
 MAX_TRIANGLES = 100_000
+# Each sweep point is one sparse LU of the pencil and a Lanczos solve, about
+# 10 ms at h = 1/12, so this many keep a sweep there near 17 minutes.
+MAX_SWEEP_POINTS = 100_000
 _CSV_ROWS = 1024  # rows formatted per write
 
 
@@ -135,6 +138,11 @@ class RunConfig:
         if self.mesh.degree not in (2, 3):
             raise ConfigValidationError("mesh.degree must be 2 or 3",
                                         invariant="degree-supported")
+        band = self.spectral.omega_band
+        if band is not None and not 0 < band[0] < band[1]:
+            raise ConfigValidationError(
+                "spectral.omega_band must satisfy 0 < lo < hi",
+                invariant="omega_band-range")
         if self.sim.initial_data not in _INITIAL_DATA:
             raise ConfigValidationError(
                 f"sim.initial_data must be one of {_INITIAL_DATA}, got "
@@ -169,8 +177,9 @@ _SHAPES = {"fit_window": (2,), "omega_band": (2,), "search_box": (2, 2),
            "vertex": (-1, 2), "gain": (-1,), "center": (2,)}
 # fields where null stands for the default
 _OPTIONAL = {"sigma", "fit_window", "omega_band", "search_box", "gain"}
-# lower bounds; a sweep needs both band ends
-_RANGES = {"refinements": 0, "points": 2, "seed": 0}
+# inclusive bounds; a sweep needs both band ends
+_RANGES = {"refinements": (0, math.inf), "points": (2, MAX_SWEEP_POINTS),
+           "seed": (0, math.inf), "snapshot_stride": (0, math.inf)}
 _KINDS = {dict: "a JSON object", list: "a list", str: "a string",
           bool: "true or false"}
 
@@ -208,8 +217,10 @@ def _number(name, value):
     if not float(value).is_integer():
         raise ConfigValidationError(f"{name} must be an integer",
                                     invariant=f"{name}-type")
-    if value < _RANGES.get(name, value):
-        raise ConfigValidationError(f"{name} must be >= {_RANGES[name]}",
+    lo, hi = _RANGES.get(name, (value, value))
+    if not lo <= value <= hi:
+        bound = f">= {lo}" if value < lo else f"<= {hi}"
+        raise ConfigValidationError(f"{name} must be {bound}",
                                     invariant=f"{name}-range")
     return int(value)
 
@@ -341,9 +352,8 @@ def _build_mesh(cfg):
 
 def _build_system(cfg):
     mesh = _build_mesh(cfg)
-    dofs = build_dof_map(mesh, cfg.mesh.degree)
-    system = assemble(mesh, dofs, cfg.material, sigma=cfg.mesh.sigma)
-    return mesh, dofs, system
+    return assemble(mesh, build_dof_map(mesh, cfg.mesh.degree), cfg.material,
+                    sigma=cfg.mesh.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +424,7 @@ def _fit_window(sim):
 
 def _cmd_simulate(cfg, out):
     window = _fit_window(cfg.sim)
-    mesh, dofs, system = _build_system(cfg)
+    system = _build_system(cfg)
     u0, v0 = _initial_data(cfg, system)
     trace = simulate(system, u0, v0, dt=cfg.sim.dt, T=cfg.sim.T,
                      snapshot_stride=cfg.sim.snapshot_stride)
@@ -443,11 +453,15 @@ def _cmd_simulate(cfg, out):
 
 
 def _cmd_spectrum(cfg, out):
-    mesh, dofs, system = _build_system(cfg)
+    system = _build_system(cfg)
     count = cfg.spectral.count
     report = pencil_eigenvalues(system, count=count)
     lam = report.eigenvalues
     payload = report.to_dict()
+    what = "spectral abscissa"
+    if count != "all":  # k eigenvalues near a shift: not the abscissa
+        what = "largest computed real part"
+        payload["max_real_computed"] = payload.pop("spectral_abscissa")
     band = cfg.spectral.omega_band or _try_band(report)
     if band is not None:
         try:
@@ -458,8 +472,7 @@ def _cmd_spectrum(cfg, out):
             payload["branch_fit_skipped"] = str(exc)
     out.write_json("spectrum_fit.json", payload)  # serialized before any write
     out.write_csv("spectrum.csv", "re,im", (lam.real, lam.imag))
-    print(f"{len(lam)} eigenvalues; spectral abscissa "
-          f"{report.spectral_abscissa:.6g}")
+    print(f"{len(lam)} eigenvalues; {what} {report.spectral_abscissa:.6g}")
     return 0
 
 
@@ -471,7 +484,7 @@ def _try_band(report):
 
 
 def _cmd_resolvent(cfg, out):
-    mesh, dofs, system = _build_system(cfg)
+    system = _build_system(cfg)
     report = pencil_eigenvalues(system)
     band = cfg.spectral.omega_band or resolved_band(report)
     omegas = suggest_sweep_omegas(report, band, n_grid=cfg.spectral.points)
@@ -500,7 +513,7 @@ def _cmd_verify(cfg, out):
 
     rng = np.random.default_rng(cfg.seed)
     mu = cfg.material.mu
-    greens, multiplier, q = [], [], [0.0]
+    greens, multiplier, q = [], [], []
     n_cases = 100
     for _ in range(n_cases):
         poly = random_convex_polygon(rng, int(rng.integers(3, 9)))

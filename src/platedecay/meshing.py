@@ -71,10 +71,6 @@ class Mesh:
         """The mesh's ``EdgeTable``, worked out once per mesh."""
         return build_edge_table(self)
 
-    def edge_set(self):
-        """Unique undirected triangle edges as sorted pairs."""
-        return self.edge_table.edges
-
     def triangle_areas(self):
         p = self.nodes
         a = p[self.triangles[:, 0]]
@@ -84,7 +80,7 @@ class Mesh:
                       - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
     def max_edge_length(self):
-        e = self.edge_set()
+        e = self.edge_table.edges
         d = self.nodes[e[:, 0]] - self.nodes[e[:, 1]]
         return float(np.max(np.hypot(d[:, 0], d[:, 1])))
 

@@ -241,7 +241,7 @@ def corner_jumps(d, mu, nu_in, nu_out):
     flat = np.hypot(*(np.asarray(nu_out, float) - nu_in).T) <= 1e-12
     if np.any(flat):
         warnings.warn("flat corner: incoming and outgoing normals coincide",
-                      FlatCornerWarning, stacklevel=3)
+                      FlatCornerWarning, stacklevel=2)
     twisting = moments(d, mu, np.stack([nu_out, nu_in]))[2]
     return np.where(flat, 0.0, twisting[0] - twisting[1])
 
@@ -250,17 +250,6 @@ def q_density(u, mu, x):
     """|u_11|^2 + |u_22|^2 + 2*mu*u_11*u_22 + 2*(1-mu)*|u_12|^2 at x."""
     d = Partials(u)(x)
     return float(_form(d, d, mu))
-
-
-def boundary_traces(u, mu, x, normal):
-    """(bending moment, effective shear, twisting moment) at point x."""
-    return tuple(float(f) for f in moments(Partials(u)(x), mu, normal))
-
-
-def corner_jump(u, mu, point, nu_in, nu_out):
-    """Jump of the twisting moment across a corner (outgoing minus incoming),
-    from the normals of the edges meeting there in counterclockwise order."""
-    return float(corner_jumps(Partials(u)(point), mu, nu_in, nu_out))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,9 @@ _BLOCK = 32  # right-hand sides per solve in _energy_generator
 
 @dataclass
 class SpectrumReport:
-    """Pencil eigenvalues with their distance-to-axis summary."""
+    """Pencil eigenvalues with their distance-to-axis summary.  Their largest
+    real part is the spectral abscissa only when every eigenvalue was
+    computed (``count = 'all'``)."""
 
     eigenvalues: np.ndarray
     spectral_abscissa: float
@@ -259,11 +261,6 @@ class _Pencil:
             invariant="sweep-converged")
 
 
-def resolvent_norm(system, omega):
-    """Energy-norm resolvent norm ||(i omega - generator)^{-1}|| at one omega."""
-    return _Pencil(system).norm(omega)
-
-
 def resolvent_sweep(system, omegas):
     """Resolvent norms at many frequencies; returns rows (omega, norm).
 
@@ -284,9 +281,11 @@ _N_BINS = 24  # log-spaced frequency bins of an envelope fit
 
 
 def _band(band):
+    """A frequency band (lo, hi) with 0 < lo < hi (``band``)."""
     lo, hi = float(band[0]), float(band[1])
-    if not hi > lo:
-        raise InvalidArgumentError("empty frequency band", invariant="band")
+    if not 0 < lo < hi:
+        raise InvalidArgumentError("frequency band must satisfy 0 < lo < hi",
+                                   invariant="band")
     return lo, hi
 
 

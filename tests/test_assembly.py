@@ -16,7 +16,7 @@ from platedecay.assembly import (_T, _cell_geometry, _edge_points,
                                  build_dof_map, default_sigma, dump_coo,
                                  energy, reference_element, sigma_floor,
                                  solve_static)
-from platedecay.cli import RunConfig, _build_system
+from platedecay.cli import RunConfig, _build_mesh, _build_system
 from platedecay.errors import (AssemblyStabilityError, ConfigValidationError,
                                InvalidArgumentError, InvalidGeometryError)
 from platedecay.geometry import (GAMMA0, GAMMA1, lens_domain,
@@ -61,13 +61,13 @@ def test_p2_dof_count_example():
 def test_p2_dof_count_formula():
     mesh = triangulate(DOM, 0.25)
     dofs = build_dof_map(mesh, 2)
-    assert dofs.n_dofs == mesh.n_nodes + len(mesh.edge_set())
+    assert dofs.n_dofs == mesh.n_nodes + len(mesh.edge_table.edges)
 
 
 def test_p3_dof_count_formula():
     mesh = triangulate(DOM, 0.5)
     dofs = build_dof_map(mesh, 3)
-    assert dofs.n_dofs == (mesh.n_nodes + 2 * len(mesh.edge_set())
+    assert dofs.n_dofs == (mesh.n_nodes + 2 * len(mesh.edge_table.edges)
                            + mesh.n_triangles)
 
 
@@ -108,35 +108,43 @@ def test_zero_damping_gives_zero_matrix():
     assert system.D.nnz == 0 or abs(system.D).max() == 0.0
 
 
+def mass_parts(h=0.5):
+    """The unscaled mass pieces (interior, gamma1 trace, gamma1 normal trace):
+    M with rho = inertia = 0, and the d2 and d1 channels at d1 = d2 = 1."""
+    mat = PlateMaterial(mu=0.3, rho=0.0, inertia=0.0, d1=1.0, d2=1.0)
+    _, _, dofs, system = small_system(h=h, mat=mat)
+    parts = system.damping_parts
+    return dofs, system.M, parts["d2"], parts["d1"]
+
+
 def test_interior_mass_only_when_boundary_constants_vanish():
-    mat0 = PlateMaterial(mu=0.3, rho=0.0, inertia=0.0, d1=1.0, d2=1.0)
-    _, _, _, system = small_system(mat=mat0)
-    assert abs(system.M - system.mass_parts["interior"]).max() == 0.0
+    _, interior, trace, normal = mass_parts()
+    _, _, _, system = small_system()
+    whole = interior + MAT.rho * trace + MAT.inertia * normal
+    assert abs(system.M - whole).max() == 0.0
 
 
 def test_mass_parts_against_polynomial_oracle():
     # g = x1*x2 vanishes on the clamped edges, P2 represents it exactly
-    _, mesh, dofs, system = small_system(h=0.25)
+    dofs, *parts = mass_parts(h=0.25)
     g = dofs.interpolate(lambda x: x[..., 0] * x[..., 1])
-    interior = float(g @ (system.mass_parts["interior"] @ g))
-    trace = float(g @ (system.mass_parts["trace"] @ g))
-    normal = float(g @ (system.mass_parts["normal"] @ g))
+    interior, trace, normal = (float(g @ (part @ g)) for part in parts)
     assert abs(interior - 1.0 / 9.0) < 1e-13      # int x1^2 x2^2
     assert abs(trace - 2.0 / 3.0) < 1e-13         # right + top edge traces
     assert abs(normal - 2.0 / 3.0) < 1e-13        # normal derivative traces
 
 
 def test_energy_decomposition():
-    _, _, dofs, system = small_system(h=0.25)
+    _, interior, trace, normal = mass_parts(h=0.25)
+    _, _, _, system = small_system(h=0.25)
     rng = np.random.default_rng(0)
     u = rng.standard_normal(system.n_free)
     v = rng.standard_normal(system.n_free)
     total = energy(system, u, v)
-    parts = system.mass_parts
     by_parts = 0.5 * float(u @ (system.K @ u)) \
-        + 0.5 * float(v @ (parts["interior"] @ v)) \
-        + 0.5 * MAT.rho * float(v @ (parts["trace"] @ v)) \
-        + 0.5 * MAT.inertia * float(v @ (parts["normal"] @ v))
+        + 0.5 * float(v @ (interior @ v)) \
+        + 0.5 * MAT.rho * float(v @ (trace @ v)) \
+        + 0.5 * MAT.inertia * float(v @ (normal @ v))
     assert abs(total - by_parts) < 1e-12 * max(1.0, abs(total))
 
 
@@ -168,7 +176,7 @@ def test_variant_1_has_no_corner_entries():
     data = json.loads((CONFIGS / "square.json").read_text())
     data.update(variant=1, condition_g_policy="warn", gains=[0, 0, 0, 0])
     data["mesh"]["h"] = 0.5
-    _, _, system = _build_system(RunConfig.from_dict(data))
+    system = _build_system(RunConfig.from_dict(data))
     assert system.damping_parts["corner"].nnz == 0
     data["gains"] = [0, 0, 2.5, 0]
     with pytest.raises(ConfigValidationError) as info:
@@ -439,7 +447,8 @@ def _config_case(name, h=None):
     if h is not None:
         data["mesh"]["h"] = h
     cfg = RunConfig.from_dict(data)
-    mesh, dofs, _ = _build_system(cfg)
+    mesh = _build_mesh(cfg)
+    dofs = build_dof_map(mesh, cfg.mesh.degree)
     return mesh, dofs, dict(material=cfg.material, sigma=cfg.mesh.sigma)
 
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from platedecay.cli import RunConfig, _build_system, build_parser, main, run
+from platedecay.cli import (MAX_SWEEP_POINTS, RunConfig, _build_system,
+                            build_parser, main, run)
 from platedecay.dynamics import step_times
 from platedecay.errors import ConfigValidationError
 from platedecay.geometry import check_condition_g, lens_domain
@@ -135,6 +136,29 @@ def test_spectrum_command(tmp_path):
     assert payload["zero_in_resolvent"] is True
 
 
+def test_spectrum_count_mode_names_partial_maximum(tmp_path, capsys):
+    # at h = 1/8 the 40 eigenvalues nearest the shift reach Re = -0.42; the
+    # dense solve finds the generator's spectral abscissa near -6e-5
+    data = mutated(("mesh", "h"), 0.125)
+    payloads, printed = {}, {}
+    for count in ("all", 40):
+        out = tmp_path / str(count)
+        cfg_path = write_cfg(tmp_path, mutated(("spectral", "count"), count,
+                                               data))
+        assert main(["spectrum", "--config", cfg_path,
+                     "--out", str(out)]) == 0
+        payloads[count] = json.loads((out / "spectrum_fit.json").read_text())
+        printed[count] = capsys.readouterr().out
+    abscissa = payloads["all"]["spectral_abscissa"]
+    partial = payloads[40]["max_real_computed"]
+    assert "spectral_abscissa" not in payloads[40]
+    assert "max_real_computed" not in payloads["all"]
+    assert partial < 100.0 * abscissa < 0.0
+    assert "spectral abscissa" in printed["all"]
+    assert "largest computed real part" in printed[40]
+    assert "abscissa" not in printed[40]
+
+
 def test_resolvent_command(tmp_path):
     cfg_path = write_cfg(tmp_path, SQUARE_CFG)
     out = tmp_path / "out"
@@ -158,7 +182,16 @@ def test_resolvent_failed_fit_writes_nothing(tmp_path, capsys):
     assert not (out / "fit_summary.json").exists()
 
 
-def test_verify_command(tmp_path):
+def test_verify_command(tmp_path, monkeypatch):
+    import platedecay.plate_forms as plate_forms
+
+    real, sampled = plate_forms.q_density, []
+
+    def recorded(*args):
+        sampled.append(real(*args))
+        return sampled[-1]
+
+    monkeypatch.setattr(plate_forms, "q_density", recorded)
     cfg_path = write_cfg(tmp_path, SQUARE_CFG)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 0
@@ -166,6 +199,9 @@ def test_verify_command(tmp_path):
     assert payload["passed"] is True
     assert payload["greens_max_residual"] <= 1e-9
     assert payload["multiplier_max_residual"] <= 1e-9
+    # the least of the sampled values, which are all positive here
+    assert len(sampled) == 100
+    assert payload["q_density_min"] == min(sampled) > 0.0
 
 
 @pytest.mark.parametrize("name", ["greens_identity_residual",
@@ -350,7 +386,7 @@ def test_shipped_square_config_meshes_h_twelfth():
     path = Path(__file__).resolve().parents[1] / "configs" / "square.json"
     cfg = RunConfig.from_dict(json.loads(path.read_text()))
     assert cfg.mesh.h == 1.0 / 12.0
-    assert _build_system(cfg)[2].n_free == 576
+    assert _build_system(cfg).n_free == 576
 
 
 def test_broken_json_exit_code(tmp_path, capsys):
@@ -597,6 +633,33 @@ def test_corner_gains_checked_at_parse_time(tmp_path, capsys, monkeypatch,
     data.update(changes)
     out = tmp_path / "out"
     assert main([command, "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == invariant
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "resolvent"])
+@pytest.mark.parametrize("path, value, invariant", [
+    (("spectral", "omega_band"), [0, 10], "omega_band-range"),
+    (("spectral", "omega_band"), [-1, 10], "omega_band-range"),
+    (("spectral", "omega_band"), [10, 10], "omega_band-range"),
+    (("spectral", "points"), MAX_SWEEP_POINTS + 1, "points-range"),
+], ids=["band-from-0", "band-from-negative", "band-empty", "points"])
+def test_sweep_settings_checked_at_parse_time(tmp_path, capsys, monkeypatch,
+                                              command, path, value,
+                                              invariant):
+    # refused before any system is built: no eigensolve runs, and no grid
+    # of frequencies is allocated
+    import platedecay.cli as cli
+
+    def not_built(*args):
+        raise AssertionError("the mesh or the system was built")
+
+    monkeypatch.setattr(cli, "_build_mesh", not_built)
+    monkeypatch.setattr(cli, "_build_system", not_built)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, mutated(path, value)),
                  "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["invariant"] == invariant
@@ -888,11 +951,11 @@ def test_indefinite_stiffness_exits_3(tmp_path, capsys, monkeypatch):
     import platedecay.cli as cli
 
     def shifted(cfg):
-        mesh, dofs, system = _build_system(cfg)
+        system = _build_system(cfg)
         lam_min = np.linalg.eigvalsh(system.K.toarray())[0]
         system.K = (system.K - 2.0 * lam_min
                     * sp.identity(system.n_free)).tocsr()
-        return mesh, dofs, system
+        return system
 
     monkeypatch.setattr(cli, "_build_system", shifted)
     cfg_path = write_cfg(tmp_path, SQUARE_CFG)

@@ -15,7 +15,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from platedecay.cli import main
 
@@ -100,8 +100,17 @@ def mutations(draw):
     return data, draw(st.sampled_from(COMMANDS)), expect
 
 
+def with_entry(name, path, value):
+    """A copy of base config ``name`` with the entry at ``path`` set."""
+    data = json.loads(json.dumps(BASES[name]))
+    node_at(data, path[:-1])[path[-1]] = value
+    return data
+
+
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(mutations())
+@example((with_entry("square", ("sim", "snapshot_stride"), -3), "simulate",
+          "snapshot_stride-range"))
 def test_config_fuzz(case):
     data, command, expect = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -9,8 +9,7 @@ from platedecay.errors import InvalidArgumentError
 from platedecay.geometry import polygon_domain, unit_square_domain
 from platedecay.plate_forms import (FlatCornerWarning, Partials,
                                     PlateMaterial, PolyField, bilinear_a,
-                                    boundary_traces, corner_jump,
-                                    greens_identity_residual,
+                                    corner_jumps, greens_identity_residual,
                                     greens_identity_terms, moments,
                                     multiplier_identity_residual,
                                     multiplier_identity_terms,
@@ -88,31 +87,34 @@ def test_identity_terms_match_symbolic_evaluation():
 
 
 def test_boundary_traces_examples():
-    u = PolyField.monomial(2, 0)
-    b1, b2, tw = boundary_traces(u, MU, (1.0, 0.5), (1.0, 0.0))
-    assert (b1, b2, tw) == (2.0, 0.0, 0.0)
-    b1, b2, tw = boundary_traces(u, MU, (0.5, 1.0), (0.0, 1.0))
+    d = Partials(PolyField.monomial(2, 0))
+    assert moments(d((1.0, 0.5)), MU, (1.0, 0.0)) == (2.0, 0.0, 0.0)
+    b1, b2, tw = moments(d((0.5, 1.0)), MU, (0.0, 1.0))
     assert abs(b1 - 0.6) < 1e-15 and b2 == 0.0 and tw == 0.0
-    assert boundary_traces(PolyField.zero(), MU, (0, 0), (1, 0)) == (0, 0, 0)
+    zero = Partials(PolyField.zero())((0, 0))
+    assert moments(zero, MU, (1, 0)) == (0, 0, 0)
 
 
 def test_boundary_traces_rejects_non_unit_normal():
     with pytest.raises(InvalidArgumentError):
-        boundary_traces(PolyField.monomial(2, 0), MU, (0, 0), (1.0, 1.0))
+        moments(Partials(PolyField.monomial(2, 0))((0, 0)), MU, (1.0, 1.0))
 
 
 def test_corner_jump_examples():
-    jump = corner_jump(PolyField.monomial(1, 1), MU, (1, 1), (1, 0), (0, 1))
-    assert abs(jump + 1.4) < 1e-15
-    assert corner_jump(PolyField.monomial(2, 0), MU, (1, 1), (1, 0), (0, 1)) == 0
-    assert corner_jump(PolyField.zero(), MU, (1, 1), (1, 0), (0, 1)) == 0
+    def jump(u):  # at the corner (1, 1) of the unit square
+        return corner_jumps(Partials(u)((1, 1)), MU, (1, 0), (0, 1))
+
+    assert abs(jump(PolyField.monomial(1, 1)) + 1.4) < 1e-15
+    assert jump(PolyField.monomial(2, 0)) == 0
+    assert jump(PolyField.zero()) == 0
 
 
 def test_corner_jump_flat_corner_warns():
-    with pytest.warns(FlatCornerWarning):
-        value = corner_jump(PolyField.monomial(1, 1), MU, (0.5, 0),
-                            (0, -1), (0, -1))
+    with pytest.warns(FlatCornerWarning) as record:
+        value = corner_jumps(Partials(PolyField.monomial(1, 1))((0.5, 0)),
+                             MU, (0, -1), (0, -1))
     assert value == 0.0
+    assert record[0].filename == __file__  # the warning names its caller
 
 
 def test_bilinear_a_examples():

@@ -19,8 +19,7 @@ from platedecay.meshing import triangulate
 from platedecay.plate_forms import PlateMaterial
 from platedecay.spectral import (SpectrumReport, damping_branch_fit,
                                  growth_fit, pencil_eigenvalues, resolved_band,
-                                 resolvent_norm, resolvent_sweep,
-                                 suggest_sweep_omegas)
+                                 resolvent_sweep, suggest_sweep_omegas)
 
 DOM = unit_square_domain(gamma0_edges=(0, 3), corner_gains=(0, 0, 1.0, 0))
 DAMPED = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1.0, d2=1.0)
@@ -293,6 +292,11 @@ def test_one_factorization_recipe(monkeypatch):
         assert kwargs["options"] == {"SymmetricMode": True}
 
 
+def norm_at(system, omega):
+    """The sweep's resolvent norm at one frequency."""
+    return resolvent_sweep(system, [omega])[0, 1]
+
+
 def dense_resolvent_norm(system, omega):
     """Oracle: 1 / sigma_min(i omega I - G), G the generator in the energy
     coordinates of the Cholesky factors of K and M."""
@@ -306,23 +310,20 @@ def test_sparse_norm_matches_dense_svd():
     lam = pencil_eigenvalues(system).eigenvalues
     peaks = np.sort(lam.imag[lam.imag > 1e-6])[[0, 5, 20]]
     for omega in np.concatenate([[0.0, 3.0, 40.0, 700.0], peaks]):
-        value = resolvent_norm(system, omega)
+        value = norm_at(system, omega)
         assert abs(value - dense_resolvent_norm(system, omega)) <= 1e-8 * value
 
 
 def test_resolvent_refuses_indefinite_energy():
-    indefinite = indefinite_energy()
-    for call in (lambda: resolvent_norm(indefinite, 1.0),
-                 lambda: resolvent_sweep(indefinite, [1.0, 2.0])):
-        with pytest.raises(SolverError) as info:
-            call()
-        assert info.value.invariant == "energy-pd"
+    with pytest.raises(SolverError) as info:
+        resolvent_sweep(indefinite_energy(), [1.0, 2.0])
+    assert info.value.invariant == "energy-pd"
 
 
 def test_resolvent_infinite_when_factor_exactly_singular():
     system = scalar_system(1.0, 0.0, 4.0)  # K - omega^2 M = 0 at omega = 2
-    assert resolvent_norm(system, 2.0) == np.inf
-    assert resolvent_norm(system, -2.0) == np.inf
+    assert norm_at(system, 2.0) == np.inf
+    assert norm_at(system, -2.0) == np.inf
 
 
 def test_nonconverged_lanczos_raises(monkeypatch):
@@ -364,13 +365,13 @@ def test_dense_limit_refused_before_allocating():
 
 
 def test_resolvent_finite_at_origin():
-    value = resolvent_norm(build(), 0.0)
+    value = norm_at(build(), 0.0)
     assert np.isfinite(value) and value > 0
 
 
 def test_resolvent_symmetry_in_omega():
     system = build()
-    assert resolvent_norm(system, 7.0) == resolvent_norm(system, -7.0)
+    assert norm_at(system, 7.0) == norm_at(system, -7.0)
 
 
 def test_resolvent_lower_bound_near_eigenvalue():
@@ -381,7 +382,7 @@ def test_resolvent_lower_bound_near_eigenvalue():
     candidates = lam[lam.imag > 1e-6]
     weak = candidates[np.argmax(candidates.real)]
     omega = weak.imag
-    norm = resolvent_norm(system, omega)
+    norm = norm_at(system, omega)
     dist = np.min(np.abs(1j * omega - lam))
     assert norm >= 1.0 / (2.0 * dist)
     # consistency at the peak: norm >= (1 - 1e-6) / (-Re lambda)
@@ -393,7 +394,7 @@ def test_resolvent_infinite_on_eigenvalue_of_undamped_system():
     system = build(mat0, gains=[0, 0, 0, 0], h=0.5)
     lam = pencil_eigenvalues(system).eigenvalues
     omega = float(np.sort(lam.imag[lam.imag > 1e-9])[0])
-    assert resolvent_norm(system, omega) > 1e10
+    assert norm_at(system, omega) > 1e10
 
 
 def test_sweep_matches_pointwise_norms():
@@ -401,7 +402,7 @@ def test_sweep_matches_pointwise_norms():
     omegas = np.array([0.5, 2.0, 9.0])
     sweep = resolvent_sweep(system, omegas)
     for omega, value in sweep:
-        assert abs(value - resolvent_norm(system, omega)) < 1e-8 * value
+        assert abs(value - norm_at(system, omega)) < 1e-8 * value
 
 
 def test_growth_fit_synthetic():
