@@ -246,8 +246,10 @@ def test_pencil_factor_backward_stable(monkeypatch):
 
 def test_one_factorization_recipe(monkeypatch):
     """Every factorization the package makes is ``splu`` in symmetric mode
-    on a minimum-degree ordering of A' + A: no dense Cholesky, no
-    ``spsolve`` and no default LU."""
+    on a minimum-degree ordering of A' + A, with relaxed supernodes of at
+    most two columns and a diagonal pivot threshold of 0 (definite) or 0.1
+    (indefinite): no dense Cholesky, no ``spsolve``, no default LU and no
+    default relaxation."""
     import scipy.sparse.linalg as spla
 
     from platedecay.assembly import solve_static
@@ -287,9 +289,12 @@ def test_one_factorization_recipe(monkeypatch):
         before = len(calls)
         stage()
         assert len(calls) > before, name
+    recipe = {"permc_spec": "MMD_AT_PLUS_A", "relax": 2,
+              "options": {"SymmetricMode": True}}
     for args, kwargs in calls:
-        assert not args and kwargs["permc_spec"] == "MMD_AT_PLUS_A"
-        assert kwargs["options"] == {"SymmetricMode": True}
+        assert not args
+        assert kwargs in ({**recipe, "diag_pivot_thresh": 0.0},
+                          {**recipe, "diag_pivot_thresh": 0.1})
 
 
 def norm_at(system, omega):
@@ -312,6 +317,82 @@ def test_sparse_norm_matches_dense_svd():
     for omega in np.concatenate([[0.0, 3.0, 40.0, 700.0], peaks]):
         value = norm_at(system, omega)
         assert abs(value - dense_resolvent_norm(system, omega)) <= 1e-8 * value
+
+
+def residual_rule_norms(system, omegas):
+    """Oracle: the resolvent norms by the Lanczos loop that stops only on
+    ARPACK's residual test b |s_k| <= eps theta_1 (or at 2n steps), from the
+    package's start vector and factorization."""
+    pencil = spectral._Pencil(system)
+    K, M, D, n = pencil.K, pencil.M, pencil.D, pencil.n
+
+    def e_prod(x):
+        return np.concatenate([K @ x[:n], M @ x[n:]])
+
+    norms = []
+    for omega in omegas:
+        w = abs(float(omega))
+        lu = spectral._symmetric_lu(K - (w * w) * M + (1j * w) * D, 0.1)
+
+        def apply(f):
+            f1, f2 = f[:n], f[n:]
+            u = lu.solve(M @ (f2 + 1j * w * f1) + D @ f1)
+            v = 1j * w * u - f1
+            y = lu.solve(D @ u - M @ (1j * w * u + v), trans="H")
+            return np.concatenate([y, 1j * w * y + u])
+
+        x = pencil.v0.astype(complex)
+        ex = e_prod(x)
+        Q, EQ, alpha, beta = [], [], [], []
+        b = np.sqrt(np.einsum("i,i", x.conj(), ex).real)
+        while True:
+            Q.append(x / b), EQ.append(ex / b)
+            x = apply(Q[-1])
+            basis, e_basis, a = np.array(Q), np.array(EQ), 0.0
+            for _ in range(2):
+                c = np.einsum("ij,j->i", e_basis.conj(), x)
+                x -= np.einsum("i,ij->j", c, basis)
+                a += c[-1].real
+            alpha.append(a)
+            ex = e_prod(x)
+            b = np.sqrt(max(np.einsum("i,i", x.conj(), ex).real, 0.0))
+            theta, s = sla.eigh_tridiagonal(alpha, beta)
+            if (b * abs(s[-1, -1]) <= np.finfo(float).eps * theta[-1]
+                    or len(Q) == 2 * n):
+                norms.append(np.sqrt(theta[-1]))
+                break
+            beta.append(b)
+    return np.array(norms)
+
+
+def test_ritz_value_rule_keeps_norms_in_fewer_solves(monkeypatch):
+    # stopping on the converged Ritz value instead of its vector changes no
+    # norm beyond rounding, and saves solves
+    system = build(h=0.125)
+    report = pencil_eigenvalues(system)
+    omegas = np.concatenate([suggest_sweep_omegas(report,
+                                                  resolved_band(report)),
+                             np.logspace(-1, 4, 20)])
+    solves, factor = [0], spectral._symmetric_lu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def solve(self, *args, **kwargs):
+            solves[0] += 1
+            return self.lu.solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_symmetric_lu",
+                        lambda matrix, pivot: Counted(factor(matrix, pivot)))
+    sweep = resolvent_sweep(system, omegas)[:, 1]
+    sweep_solves, solves[0] = solves[0], 0
+    oracle = residual_rule_norms(system, omegas)
+    assert np.all(np.abs(sweep - oracle) <= 1e-14 * oracle)
+    assert sweep_solves < solves[0]
 
 
 def test_resolvent_refuses_indefinite_energy():
@@ -489,6 +570,35 @@ def test_branch_fit_insufficient_data():
                          zero_in_resolvent=True)
     with pytest.raises(InsufficientDataError):
         damping_branch_fit(rep, (0.5, 10.0))
+
+
+def _refused_eigensolve(monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("ARPACK error -1: no convergence")
+
+    monkeypatch.setattr(spectral, "eigs", failing)
+    spectral._Pencil(build(h=0.5)).eigenvalues(4, 1e-3)
+
+
+def _report(lam):
+    return SpectrumReport(eigenvalues=np.asarray(lam), spectral_abscissa=-0.1,
+                          zero_in_resolvent=True)
+
+
+@pytest.mark.parametrize("invariant, run", [
+    ("band-data", lambda mp: resolved_band(
+        _report(-0.1 + 1j * np.arange(1.0, 12.0)))),
+    ("branch-points", lambda mp: damping_branch_fit(
+        _report(-0.1 + 1j * np.arange(1.0, 10.0)), (0.5, 20.0))),
+    ("branch-bins", lambda mp: damping_branch_fit(
+        _report(-np.linspace(0.1, 0.2, 10) + 1j * np.repeat([10.0, 100.0], 5)),
+        (1.0, 1000.0))),
+    ("eigensolver", _refused_eigensolve),
+])
+def test_frequency_side_invariants(monkeypatch, invariant, run):
+    with pytest.raises((InsufficientDataError, SolverError)) as info:
+        run(monkeypatch)
+    assert info.value.invariant == invariant
 
 
 def test_resolved_band_rule():
