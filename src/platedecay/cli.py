@@ -432,10 +432,12 @@ def _cmd_simulate(cfg, out):
                "E0": float(trace.energy[0]), "ET": float(trace.energy[-1]),
                "balance_residual": dissipation_residual(trace),
                "energy_drift": energy_drift(trace)}
-    if window is not None and np.all(trace.energy > 0):
+    if window is not None:
+        # the window fits the times (_fit_window), so decay_fit can refuse
+        # it only as window-positive (zero data) or window-flat
         try:
             payload["decay_fit"] = decay_fit(trace, window).to_dict()
-        except InsufficientDataError as exc:
+        except (InsufficientDataError, InvalidArgumentError) as exc:
             payload["decay_fit_skipped"] = str(exc)
     out.write_json("decay_fit.json", payload)  # serialized before any write
     if cfg.dump_matrices:
@@ -462,25 +464,17 @@ def _cmd_spectrum(cfg, out):
     if count != "all":  # k eigenvalues near a shift: not the abscissa
         what = "largest computed real part"
         payload["max_real_computed"] = payload.pop("spectral_abscissa")
-    band = cfg.spectral.omega_band or _try_band(report)
-    if band is not None:
-        try:
-            slope, r2 = damping_branch_fit(report, band)
-            payload.update({"branch_slope": slope, "branch_r_squared": r2,
-                            "band": list(band)})
-        except (InsufficientDataError, InvalidArgumentError) as exc:
-            payload["branch_fit_skipped"] = str(exc)
+    try:
+        band = cfg.spectral.omega_band or resolved_band(report)
+        slope, r2 = damping_branch_fit(report, band)
+        payload.update({"branch_slope": slope, "branch_r_squared": r2,
+                        "band": list(band)})
+    except (InsufficientDataError, InvalidArgumentError) as exc:
+        payload["branch_fit_skipped"] = str(exc)
     out.write_json("spectrum_fit.json", payload)  # serialized before any write
     out.write_csv("spectrum.csv", "re,im", (lam.real, lam.imag))
     print(f"{len(lam)} eigenvalues; {what} {report.spectral_abscissa:.6g}")
     return 0
-
-
-def _try_band(report):
-    try:
-        return resolved_band(report)
-    except (InsufficientDataError, InvalidArgumentError):
-        return None
 
 
 def _cmd_resolvent(cfg, out):

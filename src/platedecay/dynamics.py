@@ -28,8 +28,8 @@ import scipy.sparse as sp
 from ._lsq import lsq_line
 from .errors import InsufficientDataError, InvalidArgumentError, SolverError
 from .geometry import GAMMA1
-from .spectral import (_energy_generator, _spd_checked, _spd_factor,
-                       _spd_root)
+from .spectral import (_energy_generator, _spd_checked, _spd_root,
+                       _symmetric_lu)
 
 # The trace takes 40 bytes per step (five float arrays) and a CLI simulate
 # peaks near 60, so this many stay under 1 GB.
@@ -76,7 +76,10 @@ def simulate(system, u0, v0, dt, T, snapshot_stride=0):
     The roots are held once, in two CSR operators: ``roots_t`` =
     [F_M'; F_K'] and R = [F_M, F_K, D], which gives both the right-hand
     side and the refinement residual.  A step makes two solves with the
-    step factor and five sparse products, the channels' included.
+    step factor and five sparse products, the channels' included.  The step
+    operator is factored once and never read: it is positive definite, as
+    M + (dt/2)^2 K with K and M checked by ``_spd_root``, plus (dt/2) D,
+    which is positive semidefinite by construction (``_spd_checked``).
     """
     times = step_times(dt, T)
     n = system.n_free
@@ -87,7 +90,8 @@ def simulate(system, u0, v0, dt, T, snapshot_stride=0):
 
     half = 0.5 * dt
     F_K, F_M = (_spd_root(A)[0] for A in (system.K, system.M))  # no factor kept
-    step_lu = _spd_factor(system.M + half * system.D + half * half * system.K)
+    step_lu = _symmetric_lu(
+        system.M + half * system.D + half * half * system.K, 0.0)
     y = np.concatenate([F_M.T @ v, F_K.T @ u])  # (y2, y1)
     # one operator for the right-hand side, M v - (dt/2) K u = R (y2,
     # -(dt/2) y1, 0), and for the step operator applied through the factors,

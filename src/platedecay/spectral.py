@@ -139,9 +139,13 @@ def _spd_checked(matrix):
     """``_symmetric_lu`` with diagonal pivots only, so that diag(U) is the D
     of P A P' = L D L'; by Sylvester's law the matrix is positive definite
     exactly when every pivot is (else ``energy-pd``).  Reading diag(U) makes
-    scipy's SuperLU build CSC copies of L and U, which it keeps as long as
-    the factor lives: this factor serves the check, ``_spd_root`` and a
-    single solve; a factor kept for many solves comes from ``_spd_factor``."""
+    scipy's SuperLU keep CSC copies of L and U as long as the factor lives,
+    so only the energy's K and M (the check, ``_spd_root``) and single
+    solves use this factor.  A factor kept for many solves is made once by
+    ``_symmetric_lu`` and never read: the step operator and P(s) at s > 0
+    are positive combinations of K and M, checked here, plus a multiple of
+    D, positive semidefinite by construction (boundary Gram matrices with
+    positive weights, d1, d2 >= 0 and diagonal corner gains >= 0)."""
     try:
         lu = _symmetric_lu(matrix, 0.0)
     except RuntimeError:  # exactly singular
@@ -151,15 +155,6 @@ def _spd_checked(matrix):
         raise SolverError("energy factorization failed: not positive "
                           "definite", invariant="energy-pd")
     return lu
-
-
-def _spd_factor(matrix):
-    """The factor of ``_spd_checked`` for solves: the pivots are checked on
-    one factor, which is then dropped with its cached L and U, and its twin
-    (the same recipe on the same matrix, so the same bits) is returned
-    without either ever being read."""
-    _spd_checked(matrix)
-    return _symmetric_lu(matrix, 0.0)
 
 
 def _spd_root(matrix):
@@ -176,6 +171,8 @@ class _Pencil:
     ``eigenvalues``: lambda = s + 1/mu for the largest mu of
     (A - s E)^{-1} E, which maps y = (y1, y2) to (u, s u + y1) with
     P(s) u = -(M y2 + (D + s M) y1), one factor of P(s) for every product.
+    P(s) at s > 0 is definite once K and M are checked, D being positive
+    semidefinite (``_spd_checked``), so its one factor is never read.
 
     ``norm``: the energy-norm resolvent R = (i omega E - A)^{-1} E maps
     f = (f1, f2) to z = (u, i omega u - f1) with
@@ -212,7 +209,7 @@ class _Pencil:
     def eigenvalues(self, k, s):
         """The k eigenvalues of the generator nearest the real shift s."""
         K, M, D, n = self.K, self.M, self.D, self.n
-        lu = _spd_factor(K + s * D + (s * s) * M)
+        lu = _symmetric_lu(K + s * D + (s * s) * M, 0.0)
 
         def apply(y):  # (A - s E)^{-1} E y
             y1 = y[:n]

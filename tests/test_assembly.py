@@ -344,7 +344,7 @@ def _all_free(dofs):
     return full
 
 
-@pytest.mark.parametrize("dom, h, degree", [
+DAMPED_MESHES = pytest.mark.parametrize("dom, h, degree", [
     (unit_square_domain(gamma0_edges=(0, 3), corner_gains=(0, 0, 1.0, 0)),
      1.0 / 12.0, 2),
     (unit_square_domain(gamma0_edges=(3,), corner_gains=(0, 1.0, 1.0, 0)),
@@ -352,6 +352,9 @@ def _all_free(dofs):
     (lens_domain(math.radians(60), label_lower=GAMMA0, label_upper=GAMMA1),
      0.15, 2),
 ], ids=["square-p2", "square-p3", "lens-p2"])
+
+
+@DAMPED_MESHES
 def test_free_dof_scatter_matches_sliced_full_assembly(dom, h, degree):
     # scattering onto the free dofs equals assembling every dof and slicing
     # the free rows and columns, up to the order CSR sums duplicates in
@@ -378,6 +381,19 @@ def test_free_dof_scatter_matches_sliced_full_assembly(dom, h, degree):
         F = assemble_load(mesh, dofs, dom, MAT, uex)
         F_full = assemble_load(mesh, _all_free(dofs), dom, MAT, uex)
         assert np.array_equal(F, F_full[free])
+
+
+@DAMPED_MESHES
+def test_assembled_damping_is_positive_semidefinite(dom, h, degree):
+    """D >= 0, on which the step operator M + (dt/2) D + (dt/2)^2 K and the
+    shifted pencil K + s D + s^2 M rest: both are factored unchecked, as
+    positive combinations of the checked K and M plus a multiple of D."""
+    mesh = triangulate(dom, h)
+    system = assemble(mesh, build_dof_map(mesh, degree), MAT)
+    lam = np.linalg.eigvalsh(system.D.toarray())
+    # measured -0.95, -1.04 and -1.26 eps ||D||, eigvalsh's rounding; the
+    # bound leaves a factor 8 for other LAPACK builds
+    assert lam[0] >= -10.0 * np.finfo(float).eps * lam[-1]
 
 
 def _flip_one_triangle(mesh):

@@ -103,6 +103,7 @@ def test_mesh_command(tmp_path):
 def test_simulate_command_and_zero_data(tmp_path):
     data = json.loads(json.dumps(SQUARE_CFG))
     data["sim"]["initial_data"] = "zero"
+    data["sim"]["T"] = 2.0  # default window (1, 2)
     cfg_path = write_cfg(tmp_path, data)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
@@ -111,6 +112,11 @@ def test_simulate_command_and_zero_data(tmp_path):
     assert rows[0] == "t,E,diss_d1,diss_d2,diss_corner"
     values = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
     assert np.all(values[:, 1] == 0.0)
+    payload = json.loads((out / "decay_fit.json").read_text())
+    assert "decay_fit" not in payload
+    # decay_fit's window-positive refusal
+    assert payload["decay_fit_skipped"] == (
+        "energy must stay positive on the window")
 
 
 def test_simulate_snapshots(tmp_path):
@@ -141,7 +147,7 @@ def test_spectrum_count_mode_names_partial_maximum(tmp_path, capsys):
     # dense solve finds the generator's spectral abscissa near -6e-5
     data = mutated(("mesh", "h"), 0.125)
     payloads, printed = {}, {}
-    for count in ("all", 40):
+    for count in ("all", 40, 6):
         out = tmp_path / str(count)
         cfg_path = write_cfg(tmp_path, mutated(("spectral", "count"), count,
                                                data))
@@ -157,6 +163,10 @@ def test_spectrum_count_mode_names_partial_maximum(tmp_path, capsys):
     assert "spectral abscissa" in printed["all"]
     assert "largest computed real part" in printed[40]
     assert "abscissa" not in printed[40]
+    # 6 eigenvalues hold 3 eigenfrequencies: too few for the band
+    assert "branch_slope" not in payloads[6]
+    assert payloads[6]["branch_fit_skipped"] == (
+        "too few eigenfrequencies for a band")
 
 
 def test_resolvent_command(tmp_path):

@@ -187,24 +187,37 @@ def test_spd_root_factors_its_matrix(name):
     assert np.abs(F.T @ lu.solve(F @ x) - x).max() <= 1e-12 * np.abs(x).max()
 
 
-def test_spd_factor_keeps_no_cached_l_and_u():
-    """A factor kept for solves is the unread twin of the checked one: the
-    same bits, without the CSC copies of L and U that scipy caches once
-    either is read."""
+def test_step_factor_keeps_no_cached_l_and_u(monkeypatch):
+    """The step operator's factor, kept by ``simulate`` for every step, is
+    made once and never read: it holds no CSC copies of L and U, which
+    scipy caches once either is read, and it has the bits of the checked
+    factor of the same matrix."""
     import tracemalloc
 
+    from platedecay import dynamics
+
     system = build(h=1.0 / 24.0)
-    A = system.M + 5e-4 * system.D + 2.5e-7 * system.K  # a step operator
-    spectral._spd_factor(A)
+    u0, v0 = np.zeros(system.n_free), np.ones(system.n_free)
+    kept, factor = [], spectral._symmetric_lu
+
+    def recorded(matrix, pivot):
+        kept.append(factor(matrix, pivot))
+        return kept[-1]
+
+    monkeypatch.setattr(dynamics, "_symmetric_lu", recorded)
+    dynamics.simulate(system, u0, v0, dt=1e-3, T=1e-3)  # first-call costs
+    kept.clear()
     tracemalloc.start()
-    try:
-        lu = spectral._spd_factor(A)
+    try:  # what outlives the run is the kept factor
+        dynamics.simulate(system, u0, v0, dt=1e-3, T=1e-3)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # measured 2 kB (3.97 MB with the cached L and U)
+    # measured 5.3 kB, and 3.5 MB once the factor's L has been read
     assert held <= 100_000
-    checked = spectral._spd_checked(A)
+    lu, = kept
+    checked = spectral._spd_checked(
+        system.M + 5e-4 * system.D + 2.5e-7 * system.K)
     for part in ("L", "U"):
         got, want = getattr(lu, part), getattr(checked, part)
         for array in ("indptr", "indices", "data"):
@@ -249,7 +262,7 @@ def test_one_factorization_recipe(monkeypatch):
     on a minimum-degree ordering of A' + A, with relaxed supernodes of at
     most two columns and a diagonal pivot threshold of 0 (definite) or 0.1
     (indefinite): no dense Cholesky, no ``spsolve``, no default LU and no
-    default relaxation."""
+    default relaxation.  Each stage factors each of its matrices once."""
     import scipy.sparse.linalg as spla
 
     from platedecay.assembly import solve_static
@@ -275,20 +288,24 @@ def test_one_factorization_recipe(monkeypatch):
                 monkeypatch.setattr(module, name, patch)
 
     system = build()
-    stages = {
-        "bump": lambda: simulate(system, *boundary_bump_data(system),
-                                 dt=1e-2, T=0.05),
-        "eigenpacket": lambda: simulate(system, *eigenpacket_data(system),
-                                        dt=1e-2, T=0.05),
-        "all": lambda: pencil_eigenvalues(system),
-        "count": lambda: pencil_eigenvalues(system, count=6),
-        "sweep": lambda: resolvent_sweep(system, [0.0, 3.0, 40.0]),
-        "static": lambda: solve_static(system, np.ones(system.n_free)),
+    stages = {  # name: (stage, its splu calls)
+        # the lift's interior K block; K, M and the step operator
+        "bump": (lambda: simulate(system, *boundary_bump_data(system),
+                                  dt=1e-2, T=0.05), 4),
+        # K and M for the generator; K, M and the step operator
+        "eigenpacket": (lambda: simulate(system, *eigenpacket_data(system),
+                                         dt=1e-2, T=0.05), 5),
+        "all": (lambda: pencil_eigenvalues(system), 2),  # K and M
+        # K and M, P(s)
+        "count": (lambda: pencil_eigenvalues(system, count=6), 3),
+        # K and M, P(i omega) per frequency
+        "sweep": (lambda: resolvent_sweep(system, [0.0, 3.0, 40.0]), 5),
+        "static": (lambda: solve_static(system, np.ones(system.n_free)), 1),
     }
-    for name, stage in stages.items():
+    for name, (stage, count) in stages.items():
         before = len(calls)
         stage()
-        assert len(calls) > before, name
+        assert len(calls) - before == count, name
     recipe = {"permc_spec": "MMD_AT_PLUS_A", "relax": 2,
               "options": {"SymmetricMode": True}}
     for args, kwargs in calls:
