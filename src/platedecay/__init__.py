@@ -14,6 +14,5 @@ from .assembly import (AssembledSystem, DofMap, assemble, assemble_load,
                        build_dof_map, energy, solve_static)
 from .dynamics import (DecayFit, EnergyTrace, boundary_bump_data, decay_fit,
                        dissipation_residual, eigenpacket_data, simulate)
-from .spectral import (SpectrumReport, damping_branch_fit, growth_fit,
-                       pencil_eigenvalues, resolved_band, resolvent_sweep,
-                       suggest_sweep_omegas)
+from .spectral import (damping_branch_fit, growth_fit, pencil_eigenvalues,
+                       resolved_band, resolvent_sweep, suggest_sweep_omegas)

@@ -454,40 +454,49 @@ def _cmd_simulate(cfg, out):
     return 0
 
 
+def _spectrum_summary(lam, count):
+    """The summary of the computed eigenvalues ``lam``, written by both
+    ``spectrum`` and ``resolvent``: their number, whether 0 is in the
+    resolvent set, and their largest real part.  That is the spectral
+    abscissa only when every eigenvalue was computed (``count = 'all'``);
+    the ``count`` eigenvalues nearest a shift need not include the rightmost
+    one, so it is then ``max_real_computed``."""
+    key = "spectral_abscissa" if count == "all" else "max_real_computed"
+    return {"n_eigenvalues": len(lam), key: float(np.max(lam.real)),
+            "zero_in_resolvent": bool(np.min(np.abs(lam)) > 0.0)}
+
+
 def _cmd_spectrum(cfg, out):
     system = _build_system(cfg)
     count = cfg.spectral.count
-    report = pencil_eigenvalues(system, count=count)
-    lam = report.eigenvalues
-    payload = report.to_dict()
-    what = "spectral abscissa"
-    if count != "all":  # k eigenvalues near a shift: not the abscissa
-        what = "largest computed real part"
-        payload["max_real_computed"] = payload.pop("spectral_abscissa")
+    lam = pencil_eigenvalues(system, count=count)
+    payload = _spectrum_summary(lam, count)
     try:
-        band = cfg.spectral.omega_band or resolved_band(report)
-        slope, r2 = damping_branch_fit(report, band)
+        band = cfg.spectral.omega_band or resolved_band(lam)
+        slope, r2 = damping_branch_fit(lam, band)
         payload.update({"branch_slope": slope, "branch_r_squared": r2,
                         "band": list(band)})
     except (InsufficientDataError, InvalidArgumentError) as exc:
         payload["branch_fit_skipped"] = str(exc)
     out.write_json("spectrum_fit.json", payload)  # serialized before any write
     out.write_csv("spectrum.csv", "re,im", (lam.real, lam.imag))
-    print(f"{len(lam)} eigenvalues; {what} {report.spectral_abscissa:.6g}")
+    what = ("spectral abscissa" if count == "all"
+            else "largest computed real part")
+    print(f"{len(lam)} eigenvalues; {what} {np.max(lam.real):.6g}")
     return 0
 
 
 def _cmd_resolvent(cfg, out):
     system = _build_system(cfg)
-    report = pencil_eigenvalues(system)
-    band = cfg.spectral.omega_band or resolved_band(report)
-    omegas = suggest_sweep_omegas(report, band, n_grid=cfg.spectral.points)
+    lam = pencil_eigenvalues(system)
+    band = cfg.spectral.omega_band or resolved_band(lam)
+    omegas = suggest_sweep_omegas(lam, band, n_grid=cfg.spectral.points)
     sweep = resolvent_sweep(system, omegas)
     theta, r2_theta = growth_fit(sweep, band)
-    payload = {**report.to_dict(), "theta_hat": theta,
+    payload = {**_spectrum_summary(lam, "all"), "theta_hat": theta,
                "R2": {"theta": r2_theta}, "bands": {"fit": list(band)}}
     try:
-        slope, r2_branch = damping_branch_fit(report, band)
+        slope, r2_branch = damping_branch_fit(lam, band)
         payload["branch_slope"] = slope
         payload["R2"]["branch"] = r2_branch
     except (InsufficientDataError, InvalidArgumentError) as exc:

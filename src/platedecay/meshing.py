@@ -454,20 +454,33 @@ def write_mesh(path, mesh):
 
 
 def read_mesh(path):
+    """The mesh in ``path`` as ``write_mesh`` writes it; a section short of
+    its count of rows, an id column that is not 1..n in some order, or any
+    token after the last section is refused (``mesh-format``)."""
     with open(path) as f:
         tokens = " ".join(line.split("#", 1)[0] for line in f).split()
     rows, pos = [], 0
-    for section, width in (("$Nodes", 3), ("$Triangles", 4),
-                           ("$BoundaryEdges", 4), ("$Corners", 2)):
-        if tokens[pos] != section:
-            raise InvalidArgumentError(
-                f"expected {section}, found {tokens[pos]!r}",
-                invariant="mesh-format")
-        n = int(tokens[pos + 1])
-        rows.append(np.array(tokens[pos + 2:pos + 2 + n * width],
-                             dtype=float).reshape(n, width))
-        pos += 2 + n * width
-    # the first three sections lead each row with its 1-based id
+    try:
+        for section, width in (("$Nodes", 3), ("$Triangles", 4),
+                               ("$BoundaryEdges", 4), ("$Corners", 2)):
+            head = tokens[pos:pos + 2]  # a header and its row count
+            if head[:1] != [section] or not "".join(head[1:]).isdigit():
+                raise ValueError(f"expected {section} and a count, found "
+                                 f"{' '.join(head)!r}")
+            n = int(tokens[pos + 1])
+            rows.append(np.array(tokens[pos + 2:pos + 2 + n * width],
+                                 dtype=float).reshape(n, width))
+            pos += 2 + n * width
+        if pos != len(tokens):
+            raise ValueError(f"{len(tokens) - pos} tokens after $Corners")
+        # the first three sections lead each row with its 1-based id
+        for section, r in zip(("$Nodes", "$Triangles", "$BoundaryEdges"),
+                              rows):
+            if not np.array_equal(np.sort(r[:, 0]), np.arange(1, len(r) + 1)):
+                raise ValueError(f"{section} ids are not 1..{len(r)} once each")
+    except (IndexError, ValueError) as exc:
+        raise InvalidArgumentError(f"{path}: {exc}",
+                                   invariant="mesh-format") from exc
     nodes, tris, bnd = (np.empty_like(r[:, 1:]) for r in rows[:3])
     for table, r in zip((nodes, tris, bnd), rows):
         table[r[:, 0].astype(int) - 1] = r[:, 1:]

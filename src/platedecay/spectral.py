@@ -18,8 +18,6 @@ SISC 23, 2001), and the dense generator from the sparse roots of K and M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -33,24 +31,9 @@ _LANCZOS_STEPS = 60  # cap on Lanczos steps per frequency (2n if fewer)
 _BLOCK = 32  # right-hand sides per solve in _energy_generator
 
 
-@dataclass
-class SpectrumReport:
-    """Pencil eigenvalues with their distance-to-axis summary.  Their largest
-    real part is the spectral abscissa only when every eigenvalue was
-    computed (``count = 'all'``)."""
-
-    eigenvalues: np.ndarray
-    spectral_abscissa: float
-    zero_in_resolvent: bool
-
-    def to_dict(self):
-        return {"n_eigenvalues": int(len(self.eigenvalues)),
-                "spectral_abscissa": float(self.spectral_abscissa),
-                "zero_in_resolvent": bool(self.zero_in_resolvent)}
-
-
 def pencil_eigenvalues(system, count="all"):
-    """Eigenvalues of the first-order generator (roots of the damped pencil).
+    """Eigenvalues of the first-order generator (roots of the damped pencil),
+    as a complex array sorted by imaginary part, then by real part.
 
     ``count = 'all'`` performs a dense solve (refused above 4096 first-order
     dofs) on the G of ``_energy_generator``, which LAPACK overwrites, so the
@@ -75,10 +58,7 @@ def pencil_eigenvalues(system, count="all"):
         if not 0 < k < 2 * system.K.shape[0] - 1:
             raise InvalidArgumentError("count out of range", invariant="count")
         lam = _Pencil(system).eigenvalues(k, 1e-3)
-    lam = lam[np.lexsort((lam.real, lam.imag))]
-    return SpectrumReport(eigenvalues=lam,
-                          spectral_abscissa=float(np.max(lam.real)),
-                          zero_in_resolvent=bool(np.min(np.abs(lam)) > 0.0))
+    return lam[np.lexsort((lam.real, lam.imag))]
 
 
 def _energy_generator(system):
@@ -354,7 +334,7 @@ def growth_fit(sweep, band):
     return slope, r2
 
 
-def damping_branch_fit(report, band):
+def damping_branch_fit(lam, band):
     """Slope of log(-Re) vs log|Im| along the weakly damped eigenvalue branch.
 
     Per frequency bin the eigenvalue closest to the imaginary axis is kept,
@@ -363,7 +343,6 @@ def damping_branch_fit(report, band):
     branches).  A slope of -2 matches quadratic approach to the axis.
     """
     lo, hi = _band(band)
-    lam = report.eigenvalues
     lam = lam[(lam.imag > 0) & (lam.real < 0)]
     lam = lam[(lam.imag >= lo) & (lam.imag <= hi)]
     if len(lam) < 10:
@@ -379,7 +358,7 @@ def damping_branch_fit(report, band):
     return -slope, r2
 
 
-def suggest_sweep_omegas(report, band, n_grid=40, n_peaks=60):
+def suggest_sweep_omegas(lam, band, n_grid=40, n_peaks=60):
     """Frequencies for a resolvent sweep: log grid plus eigenvalue peaks.
 
     Resolvent peaks are only a few linewidths wide, so a bare log grid
@@ -389,7 +368,6 @@ def suggest_sweep_omegas(report, band, n_grid=40, n_peaks=60):
     lo, hi = _band(band)
     grid = np.logspace(np.log10(lo), np.log10(hi), n_grid)
     grid[0], grid[-1] = lo, hi  # 10**log10(x) can miss x by an ulp
-    lam = report.eigenvalues
     lam = lam[(lam.imag >= lo) & (lam.imag <= hi) & (lam.real < 0)]
     if len(lam):
         order = np.argsort(-lam.real)  # smallest -Re first: closest to axis
@@ -398,10 +376,10 @@ def suggest_sweep_omegas(report, band, n_grid=40, n_peaks=60):
     return np.unique(grid)
 
 
-def resolved_band(report):
+def resolved_band(lam):
     """Deterministic frequency band for fits: from the 10th smallest
     eigenfrequency to 2/3 of the largest resolved one."""
-    freqs = np.sort(report.eigenvalues.imag[report.eigenvalues.imag > 1e-9])
+    freqs = np.sort(lam.imag[lam.imag > 1e-9])
     if len(freqs) < 12:
         raise InsufficientDataError("too few eigenfrequencies for a band",
                                     invariant="band-data")

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -701,13 +700,30 @@ def test_spectrum_refused_fit_writes_nothing(tmp_path, capsys, monkeypatch):
     import platedecay.cli as cli
 
     real = cli.pencil_eigenvalues
-    monkeypatch.setattr(cli, "pencil_eigenvalues", lambda *a, **k: replace(
-        real(*a, **k), spectral_abscissa=math.nan))
+
+    def nan_real_part(*args, **kwargs):  # a NaN spectral abscissa
+        lam = real(*args, **kwargs)
+        lam[0] = math.nan
+        return lam
+
+    monkeypatch.setattr(cli, "pencil_eigenvalues", nan_real_part)
     out = tmp_path / "out"
     assert main(["spectrum", "--config", write_cfg(tmp_path, SQUARE_CFG),
                  "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["invariant"] == "artifact-finite"
+    assert list(out.iterdir()) == []
+
+
+def test_resolvent_without_band_exits_3(tmp_path, capsys):
+    # at h = 1 the spectrum has too few eigenfrequencies for a band, and
+    # without spectral.omega_band the sweep has none to cover
+    out = tmp_path / "out"
+    data = mutated(("mesh", "h"), 1.0)
+    assert main(["resolvent", "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["invariant"] == "band-data" and err["exit_code"] == 3
     assert list(out.iterdir()) == []
 
 
@@ -974,3 +990,33 @@ def test_indefinite_stiffness_exits_3(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["invariant"] == "energy-pd"
     assert not (out / "trace.csv").exists()
+
+
+def test_benchmark_spans_find_every_name_and_restore_it(monkeypatch):
+    """``perfbench/run.py --trace 1`` wraps the functions each command calls
+    by the names they have in these modules; a renamed or removed one fails
+    here, on every platform, and after ``restore`` every wrapped attribute
+    is the original object again."""
+    import platedecay.cli as cli
+    import platedecay.geometry as geometry
+    import platedecay.plate_forms as plate_forms
+
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import run
+    from spans import Tracer
+
+    owners = (cli, cli.RunConfig, geometry, plate_forms)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = Tracer()
+    try:
+        run.install_spans(tracer, traced=True)
+        wrapped = [name for owner, old in zip(owners, before)
+                   for name, value in vars(owner).items()
+                   if value is not old.get(name)]
+    finally:
+        tracer.restore()
+    assert len(wrapped) == 27
+    for owner, old in zip(owners, before):
+        assert vars(owner).keys() == old.keys()
+        assert all(vars(owner)[name] is value for name, value in old.items())

@@ -237,6 +237,25 @@ def test_mesh_file_comments(tmp_path):
     assert validate_mesh(back) == []
 
 
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("\n1 ", "\n0 ", 1),  # node ids 0, 2, 3, ...
+    lambda text: text.replace("\n2 ", "\n1 ", 1),  # node id 1 twice
+    lambda text: text[:len(text) // 2],
+    lambda text: text.replace("$Nodes 9", "$Nodes 9.0", 1),
+    lambda text: text + "7\n",
+], ids=["id-zero", "id-repeated", "truncated", "count-not-integer",
+        "trailing-token"])
+def test_mesh_file_refused(tmp_path, edit):
+    # each edit was read without complaint (ids) or as a bare ValueError
+    path = tmp_path / "m.txt"
+    write_mesh(path, triangulate(unit_square_domain(), 0.5))
+    assert path.read_text().startswith("$Nodes 9\n")
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(InvalidArgumentError) as info:
+        read_mesh(path)
+    assert info.value.invariant == "mesh-format"
+
+
 LENS_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "lens.json"
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 MIN_ANGLE_DEG = 15.0  # smallest measured: 17.3 on the 20 degree lens

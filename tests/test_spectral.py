@@ -17,8 +17,8 @@ from platedecay.errors import (InsufficientDataError, InvalidArgumentError,
 from platedecay.geometry import unit_square_domain
 from platedecay.meshing import triangulate
 from platedecay.plate_forms import PlateMaterial
-from platedecay.spectral import (SpectrumReport, damping_branch_fit,
-                                 growth_fit, pencil_eigenvalues, resolved_band,
+from platedecay.spectral import (damping_branch_fit, growth_fit,
+                                 pencil_eigenvalues, resolved_band,
                                  resolvent_sweep, suggest_sweep_omegas)
 
 DOM = unit_square_domain(gamma0_edges=(0, 3), corner_gains=(0, 0, 1.0, 0))
@@ -39,16 +39,15 @@ def scalar_system(m, d, k):
 
 
 def test_scalar_surrogate_critically_damped():
-    report = pencil_eigenvalues(scalar_system(1.0, 2.0, 1.0))
-    assert np.allclose(report.eigenvalues, [-1.0, -1.0], atol=1e-9)
-    assert report.zero_in_resolvent
+    lam = pencil_eigenvalues(scalar_system(1.0, 2.0, 1.0))
+    assert np.allclose(lam, [-1.0, -1.0], atol=1e-9)
+    assert np.min(np.abs(lam)) > 0
 
 
 def test_undamped_spectrum_purely_imaginary():
     mat0 = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=0.0, d2=0.0)
     system = build(mat0, gains=[0, 0, 0, 0])
-    report = pencil_eigenvalues(system)
-    lam = report.eigenvalues
+    lam = pencil_eigenvalues(system)
     assert np.max(np.abs(lam.real)) < 1e-8 * np.max(np.abs(lam))
     w2 = sla.eigh(system.K.toarray(), system.M.toarray(),
                   eigvals_only=True)
@@ -57,14 +56,13 @@ def test_undamped_spectrum_purely_imaginary():
 
 
 def test_damped_spectrum_strictly_stable():
-    report = pencil_eigenvalues(build())
-    assert report.spectral_abscissa < 0
-    assert np.min(np.abs(report.eigenvalues)) > 0
-    assert report.zero_in_resolvent
+    lam = pencil_eigenvalues(build())
+    assert np.max(lam.real) < 0
+    assert np.min(np.abs(lam)) > 0
 
 
 def test_spectrum_conjugate_symmetric():
-    lam = pencil_eigenvalues(build()).eigenvalues
+    lam = pencil_eigenvalues(build())
     lam_sorted = lam[np.lexsort((lam.real, lam.imag))]
     conj_sorted = lam.conj()[np.lexsort((lam.conj().real, lam.conj().imag))]
     assert np.allclose(lam_sorted, conj_sorted, atol=1e-7 * np.abs(lam).max())
@@ -74,12 +72,11 @@ def test_count_eigenvalues_nearest_shift_match_dense():
     key = lambda lam: lam[np.lexsort((lam.real, lam.imag))]
     for h, k in ((0.25, 6), (0.125, 40)):
         system = build(h=h)
-        dense = pencil_eigenvalues(system).eigenvalues
-        report = pencil_eigenvalues(system, count=k)
+        dense = pencil_eigenvalues(system)
+        lam = pencil_eigenvalues(system, count=k)
         nearest = dense[np.argsort(np.abs(dense - 1e-3))[:k]]
-        assert np.allclose(key(report.eigenvalues), key(nearest), rtol=1e-8,
-                           atol=0.0)
-        assert report.spectral_abscissa < 0 and report.zero_in_resolvent
+        assert np.allclose(key(lam), key(nearest), rtol=1e-8, atol=0.0)
+        assert np.max(lam.real) < 0 and np.min(np.abs(lam)) > 0
 
 
 def indefinite_energy():
@@ -99,8 +96,8 @@ def test_count_eigenvalues_refuse_indefinite_energy():
 
 def test_count_eigenvalues_reproducible():
     system = build()
-    first = pencil_eigenvalues(system, count=6).eigenvalues
-    second = pencil_eigenvalues(system, count=6).eigenvalues
+    first = pencil_eigenvalues(system, count=6)
+    second = pencil_eigenvalues(system, count=6)
     assert first.tobytes() == second.tobytes()
 
 
@@ -229,10 +226,10 @@ def test_pencil_factor_backward_stable(monkeypatch):
     """The N and H solves with each P(i omega) of a sweep over the suggested
     frequencies and every in-band eigenfrequency at h = 1/8."""
     system = build(h=0.125)
-    report = pencil_eigenvalues(system)
-    band = resolved_band(report)
-    freqs = report.eigenvalues.imag
-    omegas = np.union1d(suggest_sweep_omegas(report, band),
+    lam = pencil_eigenvalues(system)
+    band = resolved_band(lam)
+    freqs = lam.imag
+    omegas = np.union1d(suggest_sweep_omegas(lam, band),
                         freqs[(freqs >= band[0]) & (freqs <= band[1])])
     rng, worst, pivots = np.random.default_rng(0), [0.0], set()
     factor = spectral._symmetric_lu
@@ -329,7 +326,7 @@ def dense_resolvent_norm(system, omega):
 
 def test_sparse_norm_matches_dense_svd():
     system = build()
-    lam = pencil_eigenvalues(system).eigenvalues
+    lam = pencil_eigenvalues(system)
     peaks = np.sort(lam.imag[lam.imag > 1e-6])[[0, 5, 20]]
     for omega in np.concatenate([[0.0, 3.0, 40.0, 700.0], peaks]):
         value = norm_at(system, omega)
@@ -386,9 +383,8 @@ def test_ritz_value_rule_keeps_norms_in_fewer_solves(monkeypatch):
     # stopping on the converged Ritz value instead of its vector changes no
     # norm beyond rounding, and saves solves
     system = build(h=0.125)
-    report = pencil_eigenvalues(system)
-    omegas = np.concatenate([suggest_sweep_omegas(report,
-                                                  resolved_band(report)),
+    lam = pencil_eigenvalues(system)
+    omegas = np.concatenate([suggest_sweep_omegas(lam, resolved_band(lam)),
                              np.logspace(-1, 4, 20)])
     solves, factor = [0], spectral._symmetric_lu
 
@@ -434,8 +430,8 @@ def test_nonconverged_lanczos_raises(monkeypatch):
 def test_sweep_matches_dense_svd_at_every_suggested_point():
     # a Lanczos solve that settled on a smaller eigenvalue would show here
     system = build()
-    report = pencil_eigenvalues(system)
-    omegas = suggest_sweep_omegas(report, resolved_band(report))
+    lam = pencil_eigenvalues(system)
+    omegas = suggest_sweep_omegas(lam, resolved_band(lam))
     for omega, value in resolvent_sweep(system, omegas):
         assert abs(value - dense_resolvent_norm(system, omega)) <= 1e-8 * value
 
@@ -474,8 +470,7 @@ def test_resolvent_symmetry_in_omega():
 
 def test_resolvent_lower_bound_near_eigenvalue():
     system = build(h=0.5)
-    report = pencil_eigenvalues(system)
-    lam = report.eigenvalues
+    lam = pencil_eigenvalues(system)
     weak = lam[np.argmax(lam.real[lam.imag > 1e-6])]
     candidates = lam[lam.imag > 1e-6]
     weak = candidates[np.argmax(candidates.real)]
@@ -490,7 +485,7 @@ def test_resolvent_lower_bound_near_eigenvalue():
 def test_resolvent_infinite_on_eigenvalue_of_undamped_system():
     mat0 = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=0.0, d2=0.0)
     system = build(mat0, gains=[0, 0, 0, 0], h=0.5)
-    lam = pencil_eigenvalues(system).eigenvalues
+    lam = pencil_eigenvalues(system)
     omega = float(np.sort(lam.imag[lam.imag > 1e-9])[0])
     assert norm_at(system, omega) > 1e10
 
@@ -551,9 +546,7 @@ def test_branch_fit_keeps_bin_minimum():
     w_gap = gap_point(12, 1.0, 3.0)
     d_gap = np.sqrt(w[11] ** -2.0 * w_gap ** -2.0)  # off the branch
     lam = np.insert(-w ** -2.0 + 1j * w, 12, -d_gap + 1j * w_gap)
-    rep = SpectrumReport(eigenvalues=lam, spectral_abscissa=float(max(lam.real)),
-                         zero_in_resolvent=True)
-    slope, r2 = damping_branch_fit(rep, (10, 1000))
+    slope, r2 = damping_branch_fit(lam, (10, 1000))
     assert abs(slope + 2.0) < 1e-12 and abs(r2 - 1.0) < 1e-12
 
 
@@ -569,24 +562,18 @@ def test_growth_fit_band_validation():
 def test_branch_fit_synthetic():
     w = np.logspace(1, 3, 40)
     lam = -w ** -2.0 + 1j * w
-    rep = SpectrumReport(eigenvalues=lam, spectral_abscissa=float(max(lam.real)),
-                         zero_in_resolvent=True)
-    slope, r2 = damping_branch_fit(rep, (10, 1000))
+    slope, r2 = damping_branch_fit(lam, (10, 1000))
     assert abs(slope + 2.0) < 1e-9 and r2 > 1 - 1e-9
 
     lam_flat = -np.full(40, 0.25) + 1j * w
-    rep = SpectrumReport(eigenvalues=lam_flat, spectral_abscissa=-0.25,
-                         zero_in_resolvent=True)
-    slope, r2 = damping_branch_fit(rep, (10, 1000))
+    slope, r2 = damping_branch_fit(lam_flat, (10, 1000))
     assert abs(slope) < 1e-12
 
 
 def test_branch_fit_insufficient_data():
     lam = -np.ones(4) + 1j * np.array([1.0, 2.0, 3.0, 4.0])
-    rep = SpectrumReport(eigenvalues=lam, spectral_abscissa=-1.0,
-                         zero_in_resolvent=True)
     with pytest.raises(InsufficientDataError):
-        damping_branch_fit(rep, (0.5, 10.0))
+        damping_branch_fit(lam, (0.5, 10.0))
 
 
 def _refused_eigensolve(monkeypatch):
@@ -597,18 +584,13 @@ def _refused_eigensolve(monkeypatch):
     spectral._Pencil(build(h=0.5)).eigenvalues(4, 1e-3)
 
 
-def _report(lam):
-    return SpectrumReport(eigenvalues=np.asarray(lam), spectral_abscissa=-0.1,
-                          zero_in_resolvent=True)
-
-
 @pytest.mark.parametrize("invariant, run", [
     ("band-data", lambda mp: resolved_band(
-        _report(-0.1 + 1j * np.arange(1.0, 12.0)))),
+        -0.1 + 1j * np.arange(1.0, 12.0))),
     ("branch-points", lambda mp: damping_branch_fit(
-        _report(-0.1 + 1j * np.arange(1.0, 10.0)), (0.5, 20.0))),
+        -0.1 + 1j * np.arange(1.0, 10.0), (0.5, 20.0))),
     ("branch-bins", lambda mp: damping_branch_fit(
-        _report(-np.linspace(0.1, 0.2, 10) + 1j * np.repeat([10.0, 100.0], 5)),
+        -np.linspace(0.1, 0.2, 10) + 1j * np.repeat([10.0, 100.0], 5),
         (1.0, 1000.0))),
     ("eigensolver", _refused_eigensolve),
 ])
@@ -619,18 +601,17 @@ def test_frequency_side_invariants(monkeypatch, invariant, run):
 
 
 def test_resolved_band_rule():
-    report = pencil_eigenvalues(build())
-    lo, hi = resolved_band(report)
-    freqs = np.sort(report.eigenvalues.imag[report.eigenvalues.imag > 1e-9])
+    lam = pencil_eigenvalues(build())
+    lo, hi = resolved_band(lam)
+    freqs = np.sort(lam.imag[lam.imag > 1e-9])
     assert lo == freqs[9]
     assert abs(hi - (2.0 / 3.0) * freqs[-1]) < 1e-12
 
 
 def test_suggest_sweep_omegas_includes_peaks():
-    report = pencil_eigenvalues(build(h=0.5))
-    band = resolved_band(report)
-    omegas = suggest_sweep_omegas(report, band, n_grid=20, n_peaks=10)
-    lam = report.eigenvalues
+    lam = pencil_eigenvalues(build(h=0.5))
+    band = resolved_band(lam)
+    omegas = suggest_sweep_omegas(lam, band, n_grid=20, n_peaks=10)
     in_band = lam[(lam.imag >= band[0]) & (lam.imag <= band[1])]
     weak = in_band[np.argmax(in_band.real)]
     assert np.min(np.abs(omegas - weak.imag)) < 1e-12
@@ -642,9 +623,7 @@ def test_suggest_sweep_omegas_includes_peaks():
 def test_suggest_sweep_omegas_pinned_to_band_ends(band):
     # the h = 1/8 band under 1 and 2 BLAS threads; a bare log grid starts
     # below the second and ends above the first
-    report = SpectrumReport(eigenvalues=np.array([], dtype=complex),
-                            spectral_abscissa=-1.0, zero_in_resolvent=True)
-    omegas = suggest_sweep_omegas(report, band)
+    omegas = suggest_sweep_omegas(np.array([], dtype=complex), band)
     assert omegas[0] == band[0] and omegas[-1] == band[1]
 
 
@@ -667,9 +646,9 @@ mesh = triangulate(unit_square_domain(gamma0_edges=(0, 3),
                                       corner_gains=(0, 0, 1.0, 0)), 0.125)
 system = assemble(mesh, build_dof_map(mesh, 2),
                   PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1.0, d2=1.0))
-report = S.pencil_eigenvalues(system)
-band = S.resolved_band(report)
-sweep = S.resolvent_sweep(system, S.suggest_sweep_omegas(report, band))
+lam = S.pencil_eigenvalues(system)
+band = S.resolved_band(lam)
+sweep = S.resolvent_sweep(system, S.suggest_sweep_omegas(lam, band))
 print(repr(S.growth_fit(sweep, band)[0]))
 """
 
