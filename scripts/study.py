@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from platedecay import cli
-from platedecay.geometry import GAMMA0, GAMMA1, lens_domain
+from platedecay.geometry import lens_domain
 
 SQUARE = Path(__file__).resolve().parents[1] / "configs" / "square.json"
 
@@ -43,8 +43,7 @@ def certificate_cases(args, square):
 
 
 def lens_config(deg, h):
-    dom = lens_domain(math.radians(deg), label_lower=GAMMA0,
-                      label_upper=GAMMA1)
+    dom = lens_domain(math.radians(deg))
     edges = [{"type": "arc", "label": e.label, "center": e.center,
               "radius": e.radius, "ccw": e.ccw} for e in dom.edges]
     return {"domain": {"vertices": dom.vertices, "edges": edges},

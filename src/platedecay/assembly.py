@@ -22,8 +22,8 @@ import scipy.sparse as sp
 from .errors import (AssemblyStabilityError, InvalidArgumentError,
                      InvalidGeometryError)
 from .geometry import GAMMA0, GAMMA1
-from .plate_forms import Partials, corner_jumps, moments
-from .quadrature import gauss_01, triangle_rule
+from .plate_forms import Partials, bending_moment, corner_jumps, moments
+from .quadrature import map_to_segment, segment_rule, triangle_rule
 from .spectral import _spd_checked
 
 
@@ -246,29 +246,15 @@ def _normal_rows(ref, pts, binv, n):
     return n[:, 0, None, None] * gx + n[:, 1, None, None] * gy
 
 
-def _bending_rows(pxx, pyy, pxy, mu, n):
-    """Co-normal bending moment rows: Lap + (1-mu)(2 n1 n2 pxy - n1^2 pyy - n2^2 pxx)."""
-    n1, n2 = n[:, 0, None, None], n[:, 1, None, None]
-    return (pxx + pyy + (1.0 - mu) * (2.0 * n1 * n2 * pxy
-                                      - n1 ** 2 * pyy - n2 ** 2 * pxx))
-
-
-def _edge_points(mesh, edges, seg_t):
-    """Points (edges, len(seg_t), 2) on sorted-pair edges, and edge lengths."""
-    xa, xb = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-    d = xb - xa
-    phys = xa[:, None, :] + seg_t[:, None] * d[:, None, :]
-    return phys, np.hypot(d[:, 0], d[:, 1])
-
-
 def _edge_traces(ref, geometry, t, phys, n, mu):
     """Value, n-derivative and bending rows of triangles t at points phys."""
     x0, _, binv, _ = geometry
     b = binv[t]
     refpts = (phys - x0[t][:, None, :]) @ b.transpose(0, 2, 1)
     pxx, pyy, pxy = _second_deriv_rows(ref, refpts, b)
-    return (ref.eval(refpts), _normal_rows(ref, refpts, b, n),
-            _bending_rows(pxx, pyy, pxy, mu, n))
+    bending = bending_moment({(2, 0): pxx, (0, 2): pyy, (1, 1): pxy}, mu,
+                             n[:, 0, None, None], n[:, 1, None, None])
+    return ref.eval(refpts), _normal_rows(ref, refpts, b, n), bending
 
 
 def _T(a):
@@ -320,15 +306,15 @@ def _edge_blocks(mesh, cd, ref, geometry, mu, sigma):
     edge table with the outward normal of each edge's first owner.  The
     trace rows die here, before the blocks are scattered."""
     table = mesh.edge_table
-    seg_t, seg_w = gauss_01(ref.p + 2)
     t1, le1 = table.owner[:, 0], table.owner_edge[:, 0]
     tang = (mesh.nodes[mesh.triangles[t1, (le1 + 1) % 3]]
             - mesh.nodes[mesh.triangles[t1, le1]])
     tang = tang / np.hypot(tang[:, 0], tang[:, 1])[:, None]
     n = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-    phys, length = _edge_points(mesh, table.edges, seg_t)
-    w = (seg_w * length[:, None])[..., None]
-    pen = (sigma / length)[:, None, None]
+    xa, xb = mesh.nodes[table.edges[:, 0]], mesh.nodes[table.edges[:, 1]]
+    phys, w = map_to_segment(*segment_rule(2 * ref.p + 2), xa, xb)
+    w = w[..., None]
+    pen = (sigma / np.hypot(*(xb - xa).T))[:, None, None]
     val, dn, bend = _edge_traces(ref, geometry, t1, phys, n, mu)
 
     inner = np.flatnonzero(table.owner[:, 1] >= 0)
@@ -381,10 +367,11 @@ def assemble(mesh, dofs, material, sigma=None):
     ``sigma`` is the interior-penalty weight (default 10 p (p+1)); below the
     floor 2 p (p+1) assembly is refused since coercivity is no longer
     guaranteed.  ``mesh.corner_gains`` add diagonal damping at the corner
-    vertex dofs (zero gains for variant 1).  A gain at a corner whose vertex
-    dof is clamped could never act (``clamped-corner-gain``): ``DomainSpec``
-    refuses it, and this guard covers meshes read from a file or built by
-    hand.
+    vertex dofs (zero gains for variant 1); each must be finite
+    (``gain-finite``) and >= 0 (``gain-nonnegative``).  A gain at a corner
+    whose vertex dof is clamped could never act (``clamped-corner-gain``):
+    ``DomainSpec`` refuses it, and this guard covers meshes read from a
+    file or built by hand.
 
     Every element and edge term is formed in one batch: element blocks over
     all triangles, then the interior, clamped and damped edge groups of the
@@ -401,6 +388,9 @@ def assemble(mesh, dofs, material, sigma=None):
     if len(gains) != len(mesh.corner_nodes):
         raise InvalidArgumentError("one gain per domain corner required",
                                    invariant="gain-count")
+    if not np.all(np.isfinite(gains)):
+        raise InvalidArgumentError("corner gains must be finite",
+                                   invariant="gain-finite")
     if np.any(gains < 0):
         raise InvalidArgumentError("corner gains must be >= 0",
                                    invariant="gain-nonnegative")
@@ -478,12 +468,12 @@ def assemble_load(mesh, dofs, domain, material, u_exact):
     normals = np.array([domain.segment_normal(i)
                         for i in range(domain.n_corners)])
     nu = normals[src]
-    seg_t, seg_w = gauss_01(max(1, (u_exact.degree + p + 2) // 2))
-    phys, length = _edge_points(mesh, table.edges[g], seg_t)
+    phys, w = map_to_segment(*segment_rule(u_exact.degree + p),
+                             mesh.nodes[table.edges[g, 0]],
+                             mesh.nodes[table.edges[g, 1]])
     t = table.owner[g, 0]
     val, dn, _ = _edge_traces(ref, geometry, t, phys, nu, mu)
     bending, shear, _ = moments(exact(phys), mu, nu[:, None, :])
-    w = seg_w * length[:, None]
     at += [dofs.cell_dofs[t]] * 2
     work += [np.einsum("eqa,eq->ea", val, -shear * w),
              np.einsum("eqa,eq->ea", dn, bending * w)]

@@ -365,7 +365,14 @@ def refine(mesh):
 # ---------------------------------------------------------------------------
 
 def validate_mesh(mesh, domain=None):
-    """Collect invariant violations; empty list means the mesh is valid."""
+    """Collect invariant violations; empty list means the mesh is valid.
+
+    Without a domain, every check reads the mesh alone, so a mesh read from
+    a file gets them too: finite nodes, positive areas, a consistent edge
+    table, one counterclockwise boundary loop, labels in {0, 1}, distinct
+    corners on that loop, finite non-negative gains and Euler's relation.
+    A domain adds corner positions and chord labels.
+    """
     out = []
     n = mesh.n_nodes
     tris = mesh.triangles
@@ -374,9 +381,13 @@ def validate_mesh(mesh, domain=None):
         out.append("triangle node index out of range")
         return out
 
-    areas = mesh.triangle_areas()
-    for t in np.nonzero(areas <= 0)[0]:
-        out.append(f"negative area: triangle {t}")
+    # a non-finite node has no area: it is named instead
+    nonfinite = np.flatnonzero(~np.isfinite(mesh.nodes).all(axis=1))
+    for i in nonfinite:
+        out.append(f"node {i} has a non-finite coordinate")
+    if not len(nonfinite):
+        for t in np.nonzero(mesh.triangle_areas() <= 0)[0]:
+            out.append(f"negative area: triangle {t}")
 
     # edge usage: interior edges twice, boundary edges once; without a
     # consistent table, orientation and Euler are not checked
@@ -410,13 +421,26 @@ def validate_mesh(mesh, domain=None):
     if np.any(~np.isin(mesh.boundary_labels, (GAMMA0, GAMMA1))):
         out.append("boundary label outside {0, 1}")
 
-    for i, c in enumerate(mesh.corner_nodes.tolist()):
+    corners = mesh.corner_nodes.tolist()
+    on_loop = np.isin(corners, bedges)
+    for i, c in enumerate(corners):
         if c < 0 or c >= n:
             out.append(f"corner P_{i} has no mesh node")
-        elif domain is not None:
+            continue
+        if not on_loop[i]:
+            out.append(f"corner P_{i} is not a boundary node")
+        if c in corners[:i]:
+            out.append(f"corner P_{i} repeats corner P_{corners.index(c)}")
+        if domain is not None:
             vx, vy = domain.vertices[i]
             if math.hypot(mesh.nodes[c, 0] - vx, mesh.nodes[c, 1] - vy) > 1e-9:
                 out.append(f"corner P_{i} has no mesh node")
+
+    gains = np.asarray(mesh.corner_gains, dtype=float)
+    for i in np.flatnonzero(~np.isfinite(gains)):
+        out.append(f"corner P_{i} has a non-finite gain")
+    for i in np.flatnonzero(gains < 0):
+        out.append(f"corner P_{i} has a negative gain")
 
     if domain is not None:
         src = mesh.boundary_source

@@ -212,6 +212,14 @@ def _form(d, e, mu):
             + 2.0 * (1.0 - mu) * d[1, 1] * e[1, 1])
 
 
+def bending_moment(d, mu, n1, n2):
+    """Co-normal bending moment Lap u + (1 - mu)(2 n1 n2 u_12 - n1^2 u_22 -
+    n2^2 u_11) from the second partials in d and the normal's components;
+    the one formula behind the exact traces and the Nitsche terms of K."""
+    return d[2, 0] + d[0, 2] + (1.0 - mu) * (
+        2.0 * n1 * n2 * d[1, 1] - n1 * n1 * d[0, 2] - n2 * n2 * d[2, 0])
+
+
 def moments(d, mu, nu):
     """Bending moment, effective shear (the natural boundary operators) and
     twisting moment from a table d at nodes with unit normals nu (..., 2);
@@ -221,8 +229,7 @@ def moments(d, mu, nu):
         raise InvalidArgumentError("normal must be a unit vector",
                                    invariant="unit-normal")
     n1, n2 = nu[..., 0], nu[..., 1]
-    bending = d[2, 0] + d[0, 2] + (1.0 - mu) * (
-        2.0 * n1 * n2 * d[1, 1] - n1 * n1 * d[0, 2] - n2 * n2 * d[2, 0])
+    bending = bending_moment(d, mu, n1, n2)
 
     def twisting(f11, f22, f12):
         return (1.0 - mu) * ((n1 * n1 - n2 * n2) * f12 + n1 * n2 * (f22 - f11))

@@ -30,21 +30,14 @@ from platedecay.spectral import (damping_branch_fit, growth_fit,
                                  pencil_eigenvalues, resolved_band,
                                  resolvent_sweep, suggest_sweep_omegas)
 
+from damped_square import DAMPED as DAMPED_MAT, DOM as DAMPED_DOM, build
+
 MU = 0.3
 SQUARE = unit_square_domain(gamma0_edges=(0, 3))
-DAMPED_DOM = unit_square_domain(gamma0_edges=(0, 3),
-                                corner_gains=(0, 0, 1.0, 0))
-DAMPED_MAT = PlateMaterial(mu=MU, rho=1.0, inertia=1.0, d1=1.0, d2=1.0)
 
 
 def _report(number, started, detail):
     print(f"[PASS] criterion {number} ({time.time() - started:.1f}s): {detail}")
-
-
-def _damped_system(h):
-    mesh = triangulate(DAMPED_DOM, h)
-    dofs = build_dof_map(mesh, 2)
-    return dofs, assemble(mesh, dofs, DAMPED_MAT)
 
 
 def test_criterion_1_greens_formula_certification():
@@ -102,7 +95,7 @@ def test_criterion_2_multiplier_identity_certification():
 
 def test_criterion_3_dissipation_identity():
     started = time.time()
-    dofs, system = _damped_system(h=1.0 / 12.0)
+    system = build(h=1.0 / 12.0)
     assert system.n_free <= 2000
     u0, v0 = boundary_bump_data(system)
     trace = simulate(system, u0, v0, dt=1e-3, T=10.0)
@@ -153,7 +146,7 @@ def test_criterion_6_resolvent_growth():
     started = time.time()
     thetas = []
     for h in (0.125, 1.0 / 12.0):
-        dofs, system = _damped_system(h)
+        system = build(h=h)
         lam = pencil_eigenvalues(system)
         band = resolved_band(lam)
         slope, r2_branch = damping_branch_fit(lam, band)

@@ -1,31 +1,20 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from platedecay._lsq import lsq_line
-from platedecay.assembly import assemble, build_dof_map
 from platedecay.dynamics import (DecayFit, EnergyTrace, boundary_bump_data,
                                  decay_fit, dissipation_residual,
                                  eigenpacket_data, energy_drift, simulate)
 from platedecay.errors import (InsufficientDataError, InvalidArgumentError,
                                SolverError)
-from platedecay.geometry import unit_square_domain
-from platedecay.meshing import triangulate
 from platedecay.plate_forms import PlateMaterial
 
-DOM = unit_square_domain(gamma0_edges=(0, 3), corner_gains=(0, 0, 1.0, 0))
-DAMPED = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1.0, d2=1.0)
+from damped_square import DAMPED, build
+
 UNDAMPED = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=0.0, d2=0.0)
-
-
-def build(mat, h=0.25, gains=None):
-    dom = DOM if gains is None else replace(DOM, corner_gains=gains)
-    mesh = triangulate(dom, h)
-    dofs = build_dof_map(mesh, 2)
-    return assemble(mesh, dofs, mat)
 
 
 def test_zero_initial_data_stays_zero():

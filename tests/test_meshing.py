@@ -256,6 +256,28 @@ def test_mesh_file_refused(tmp_path, edit):
     assert info.value.invariant == "mesh-format"
 
 
+@pytest.mark.parametrize("old, new, expected", [
+    ("$Corners 4\n1 ", "$Corners 4\n5 ", "corner P_0 is not a boundary node"),
+    ("$Corners 4\n1 ", "$Corners 4\n7 ", "corner P_1 repeats corner P_0"),
+    ("\n9 1\n", "\n9 nan\n", "corner P_2 has a non-finite gain"),
+    ("\n9 1\n", "\n9 inf\n", "corner P_2 has a non-finite gain"),
+    ("\n9 1\n", "\n9 -1\n", "corner P_2 has a negative gain"),
+    ("\n5 0.5 ", "\n5 nan ", "node 4 has a non-finite coordinate"),
+    ("\n5 0.5 ", "\n5 inf ", "node 4 has a non-finite coordinate"),
+], ids=["corner-inside", "corner-twice", "gain-nan", "gain-inf",
+        "gain-negative", "node-nan", "node-inf"])
+def test_mesh_file_invariants_without_domain(tmp_path, old, new, expected):
+    # each edit was read back and validated without complaint, or (node-inf)
+    # with two RuntimeWarnings and a negative area
+    path = tmp_path / "m.txt"
+    write_mesh(path, triangulate(unit_square_domain(corner_gains=(0, 0, 1, 0)),
+                                 0.5))
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    assert validate_mesh(read_mesh(path)) == [expected]
+
+
 LENS_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "lens.json"
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 MIN_ANGLE_DEG = 15.0  # smallest measured: 17.3 on the 20 degree lens

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,26 +9,15 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from platedecay.assembly import assemble, build_dof_map
 from platedecay import spectral
 from platedecay.errors import (InsufficientDataError, InvalidArgumentError,
                                SolverError)
-from platedecay.geometry import unit_square_domain
-from platedecay.meshing import triangulate
 from platedecay.plate_forms import PlateMaterial
 from platedecay.spectral import (damping_branch_fit, growth_fit,
                                  pencil_eigenvalues, resolved_band,
                                  resolvent_sweep, suggest_sweep_omegas)
 
-DOM = unit_square_domain(gamma0_edges=(0, 3), corner_gains=(0, 0, 1.0, 0))
-DAMPED = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1.0, d2=1.0)
-
-
-def build(mat=DAMPED, h=0.25, gains=None):
-    dom = DOM if gains is None else replace(DOM, corner_gains=gains)
-    mesh = triangulate(dom, h)
-    dofs = build_dof_map(mesh, 2)
-    return assemble(mesh, dofs, mat)
+from damped_square import build
 
 
 def scalar_system(m, d, k):
