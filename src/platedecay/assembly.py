@@ -19,8 +19,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (AssemblyStabilityError, InvalidArgumentError,
-                     InvalidGeometryError)
+from .errors import InvalidArgumentError
 from .geometry import GAMMA0, GAMMA1
 from .plate_forms import Partials, bending_moment, corner_jumps, moments
 from .quadrature import map_to_segment, segment_rule, triangle_rule
@@ -209,7 +208,7 @@ def _cell_geometry(mesh):
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     bad = np.flatnonzero(~(det > 0))
     if len(bad):
-        raise InvalidGeometryError(f"triangle {bad[0]} is degenerate or flipped",
+        raise InvalidArgumentError(f"triangle {bad[0]} is degenerate or flipped",
                                    invariant="triangle-orientation")
     adj = np.stack([jac[:, 1, 1], -jac[:, 0, 1], -jac[:, 1, 0], jac[:, 0, 0]],
                    axis=1).reshape(-1, 2, 2)
@@ -381,7 +380,7 @@ def assemble(mesh, dofs, material, sigma=None):
     if sigma is None:
         sigma = default_sigma(p)
     if sigma < sigma_floor(p):
-        raise AssemblyStabilityError(
+        raise InvalidArgumentError(
             f"penalty sigma = {sigma} below stability floor {sigma_floor(p)}",
             invariant="penalty-floor")
     gains = np.asarray(mesh.corner_gains, dtype=float)

@@ -9,11 +9,13 @@ Commands:
     plate-decay resolvent --config cfg.json [--out dir]   axis sweep + fits
     plate-decay verify    --config cfg.json [--out dir]   identity suite
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.  Artifacts
-are deterministic for a fixed config and version (no timestamps); every
-CSV and JSON artifact carries a provenance header with the config hash,
-mesh level and tool version.  Validation failures print a JSON error object
-to stderr naming the violated invariant.  A command computes and checks
+Exit codes: 0 success; 2 an ``InvalidArgumentError``, or an output
+directory that cannot be made or written; 3 an ``InsufficientDataError``, a
+``SolverError`` or a LinAlgError.  A failed command prints a JSON error
+object to stderr naming the error class and the violated invariant.
+Artifacts are deterministic for a fixed config and version (no timestamps);
+every CSV and JSON artifact carries a provenance header with the config
+hash, mesh level and tool version.  A command computes and checks
 everything before its first write, so a failed command leaves no
 half-written artifact set.
 """
@@ -32,9 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .errors import (AssemblyStabilityError, ConfigValidationError,
-                     InsufficientDataError, InvalidArgumentError,
-                     InvalidGeometryError, MissingThresholdError, SolverError)
+from .errors import InsufficientDataError, InvalidArgumentError, SolverError
 from .geometry import (DomainSpec, EdgeSpec, check_condition_g,
                        check_condition_h, find_observer_point)
 from .meshing import refine, triangulate, validate_mesh, write_mesh
@@ -45,10 +45,6 @@ from .dynamics import (boundary_bump_data, decay_fit, dissipation_residual,
                        simulate, step_times)
 from .spectral import (damping_branch_fit, growth_fit, pencil_eigenvalues,
                        resolved_band, resolvent_sweep, suggest_sweep_omegas)
-
-_VALIDATION_ERRORS = (AssemblyStabilityError, ConfigValidationError,
-                      InvalidArgumentError, InvalidGeometryError,
-                      MissingThresholdError)
 
 # Set-up peaks near 15 KB per triangle at degree 2 (39 KB at degree 3), so
 # this many stay near 1.5 GB (4 GB).
@@ -125,26 +121,26 @@ class RunConfig:
 
     def validate(self):
         if self.variant not in (1, 2):
-            raise ConfigValidationError("variant must be 1 or 2",
-                                        invariant="variant")
+            raise InvalidArgumentError("variant must be 1 or 2",
+                                       invariant="variant")
         if self.variant == 1 and any(self.domain.corner_gains):
-            raise ConfigValidationError(
+            raise InvalidArgumentError(
                 "variant 1 has no corner feedback; its gains must all be 0",
                 invariant="variant-gains")
         if self.condition_g_policy not in ("refuse", "warn"):
-            raise ConfigValidationError(
+            raise InvalidArgumentError(
                 "condition_g_policy must be 'refuse' or 'warn'",
                 invariant="condition-g-policy")
         if self.mesh.degree not in (2, 3):
-            raise ConfigValidationError("mesh.degree must be 2 or 3",
-                                        invariant="degree-supported")
+            raise InvalidArgumentError("mesh.degree must be 2 or 3",
+                                       invariant="degree-supported")
         band = self.spectral.omega_band
         if band is not None and not 0 < band[0] < band[1]:
-            raise ConfigValidationError(
+            raise InvalidArgumentError(
                 "spectral.omega_band must satisfy 0 < lo < hi",
                 invariant="omega_band-range")
         if self.sim.initial_data not in _INITIAL_DATA:
-            raise ConfigValidationError(
+            raise InvalidArgumentError(
                 f"sim.initial_data must be one of {_INITIAL_DATA}, got "
                 f"{self.sim.initial_data!r}", invariant="initial-data")
         if self.variant == 1:
@@ -154,7 +150,7 @@ class RunConfig:
                        "worst margin "
                        f"{min(report.margins.values()):.4g} rad")
                 if self.condition_g_policy == "refuse":
-                    raise ConfigValidationError(msg, invariant="condition-g")
+                    raise InvalidArgumentError(msg, invariant="condition-g")
                 print(f"warning: {msg}", file=sys.stderr)
 
     def config_hash(self):
@@ -197,47 +193,47 @@ def _number(name, value):
     entries = np.array(value, dtype=object)
     if want and (entries.ndim != len(want) or any(
             w not in (-1, n) for w, n in zip(want, entries.shape))):
-        raise ConfigValidationError(f"{name} must have shape {want}",
-                                    invariant=f"{name}-shape")
+        raise InvalidArgumentError(f"{name} must have shape {want}",
+                                   invariant=f"{name}-shape")
     flat = entries.ravel()
     if (entries.ndim and not want) or not all(
             isinstance(x, numbers.Real) and not isinstance(x, bool)
             for x in flat):
-        raise ConfigValidationError(f"{name} must be a number",
-                                    invariant=f"{name}-type")
+        raise InvalidArgumentError(f"{name} must be a number",
+                                   invariant=f"{name}-type")
     try:
         finite = np.all(np.isfinite(flat.astype(float)))
     except OverflowError:  # a JSON integer beyond the float range
         finite = False
     if not finite:
-        raise ConfigValidationError(f"{name} must be finite",
-                                    invariant=f"{name}-finite")
+        raise InvalidArgumentError(f"{name} must be finite",
+                                   invariant=f"{name}-finite")
     if name not in _INTEGER_FIELDS:
         return value
     if not float(value).is_integer():
-        raise ConfigValidationError(f"{name} must be an integer",
-                                    invariant=f"{name}-type")
+        raise InvalidArgumentError(f"{name} must be an integer",
+                                   invariant=f"{name}-type")
     lo, hi = _RANGES.get(name, (value, value))
     if not lo <= value <= hi:
         bound = f">= {lo}" if value < lo else f"<= {hi}"
-        raise ConfigValidationError(f"{name} must be {bound}",
-                                    invariant=f"{name}-range")
+        raise InvalidArgumentError(f"{name} must be {bound}",
+                                   invariant=f"{name}-range")
     return int(value)
 
 
 def _typed(name, value, kind):
     """Check a config entry's JSON kind, else ``<name>-type``."""
     if not isinstance(value, kind):
-        raise ConfigValidationError(f"{name} must be {_KINDS[kind]}",
-                                    invariant=f"{name}-type")
+        raise InvalidArgumentError(f"{name} must be {_KINDS[kind]}",
+                                   invariant=f"{name}-type")
     return value
 
 
 def _field(section, key):
     """A required entry of a section (``<key>-missing``)."""
     if key not in section:
-        raise ConfigValidationError(f"{key} is required",
-                                    invariant=f"{key}-missing")
+        raise InvalidArgumentError(f"{key} is required",
+                                   invariant=f"{key}-missing")
     return section[key]
 
 
@@ -247,8 +243,8 @@ def _section(name, value, keys):
     section = _typed(name, value, dict)
     unknown = sorted(set(section) - set(keys))
     if unknown:
-        raise ConfigValidationError(f"unknown {name} key {unknown[0]!r}",
-                                    invariant=f"{name}-unknown")
+        raise InvalidArgumentError(f"unknown {name} key {unknown[0]!r}",
+                                   invariant=f"{name}-unknown")
     return section
 
 
@@ -336,7 +332,7 @@ def _build_mesh(cfg):
         size = (math.log10(2.0 * math.prod(float(s) / h + 1.0 for s in hi - lo))
                 + levels * math.log10(4.0))
         if size > math.log10(MAX_TRIANGLES):
-            raise ConfigValidationError(
+            raise InvalidArgumentError(
                 f"mesh.h = {h:g} with {levels} refinements predicts about "
                 f"10^{size:.1f} triangles, above {MAX_TRIANGLES}",
                 invariant="mesh-size")
@@ -345,7 +341,7 @@ def _build_mesh(cfg):
         mesh = refine(mesh)
     violations = validate_mesh(mesh, cfg.domain)
     if violations:
-        raise InvalidGeometryError("; ".join(violations),
+        raise InvalidArgumentError("; ".join(violations),
                                    invariant="mesh-valid")
     return mesh
 
@@ -399,12 +395,8 @@ def _initial_data(cfg, system):
         return boundary_bump_data(system)
     if kind == "eigenpacket":
         return eigenpacket_data(system)
-    if kind == "zero":
-        n = system.n_free
-        return np.zeros(n), np.zeros(n)
-    # a RunConfig built in code, not by from_dict, reaches run() unchecked
-    raise ConfigValidationError(f"unknown initial data kind {kind!r}",
-                                invariant="initial-data")
+    n = system.n_free  # "zero"; from_dict allows no other kind
+    return np.zeros(n), np.zeros(n)
 
 
 def _fit_window(sim):
@@ -590,16 +582,6 @@ def build_parser():
     return parser
 
 
-def run(config, command, out_dir=None):
-    """Programmatic entry point; returns the command's exit status."""
-    if command not in _COMMANDS:
-        raise InvalidArgumentError(f"unknown command {command!r}",
-                                   invariant="command")
-    out = _Outputs(config, out_dir or config.output_dir,
-                   level=config.mesh.refinements)
-    return _COMMANDS[command](config, out)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -607,17 +589,13 @@ def main(argv=None):
         if args.seed is not None:
             _typed("config", data, dict)["seed"] = args.seed
         cfg = RunConfig.from_dict(data)
-        status = run(cfg, args.command, out_dir=args.out)
-    except _VALIDATION_ERRORS as exc:
-        _emit_error(exc, 2)
-        return 2
+        out = _Outputs(cfg, args.out or cfg.output_dir,
+                       level=cfg.mesh.refinements)
+        return _COMMANDS[args.command](cfg, out)
+    except (InvalidArgumentError, OSError) as exc:
+        return _emit_error(exc, 2)
     except (SolverError, InsufficientDataError, np.linalg.LinAlgError) as exc:
-        _emit_error(exc, 3)
-        return 3
-    except OSError as exc:  # making or writing the output directory
-        _emit_error(exc, 2, invariant="output-write")
-        return 2
-    return status
+        return _emit_error(exc, 3)
 
 
 def _read_config(path):
@@ -626,20 +604,25 @@ def _read_config(path):
         with open(path, "rb") as f:
             text = f.read()
     except OSError as exc:
-        raise ConfigValidationError(f"cannot read config {path}: {exc}",
-                                    invariant="config-read") from exc
+        raise InvalidArgumentError(f"cannot read config {path}: {exc}",
+                                   invariant="config-read") from exc
     try:
         return json.loads(text)
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise ConfigValidationError(f"config {path} is not JSON: {exc}",
-                                    invariant="config-json") from exc
+        raise InvalidArgumentError(f"config {path} is not JSON: {exc}",
+                                   invariant="config-json") from exc
 
 
-def _emit_error(exc, code, invariant=None):
+def _emit_error(exc, code):
+    """Print the JSON error object to stderr and return the exit ``code``.
+    An OSError comes from making or writing the output directory
+    (``output-write``)."""
+    invariant = ("output-write" if isinstance(exc, OSError)
+                 else getattr(exc, "invariant", None))
     doc = {"error": type(exc).__name__, "message": str(exc),
-           "invariant": invariant or getattr(exc, "invariant", None),
-           "exit_code": code}
+           "invariant": invariant, "exit_code": code}
     print(json.dumps(doc), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: a base class and one class per
+command-line outcome.
 
-Every error carries an optional ``invariant`` tag naming the violated
-contract, so the CLI can emit machine-readable error reports.
+* ``InvalidArgumentError``: an input outside its contract (a config, a
+  domain or mesh, a penalty below its floor, an untabulated Poisson ratio,
+  a pencil that overflows).  The CLI exits 2.
+* ``InsufficientDataError``: too few data for a fit.  The CLI exits 3.
+* ``SolverError``: a solve or eigensolve failed.  The CLI exits 3.
+
+A fit that ``simulate``, ``spectrum`` or ``resolvent`` can do without is
+recorded as skipped when it raises ``InsufficientDataError`` or
+``InvalidArgumentError``.  Every error carries an optional ``invariant`` tag
+naming the violated contract, so the CLI can emit machine-readable error
+reports.
 """
 
 
@@ -13,29 +23,13 @@ class PlateDecayError(Exception):
         self.invariant = invariant
 
 
-class InvalidGeometryError(PlateDecayError, ValueError):
-    """Domain or mesh geometry is degenerate or inconsistent."""
-
-
 class InvalidArgumentError(PlateDecayError, ValueError):
-    """An operation was called with arguments outside its contract."""
-
-
-class MissingThresholdError(PlateDecayError, LookupError):
-    """No corner-angle threshold is known for the requested Poisson ratio."""
-
-
-class AssemblyStabilityError(PlateDecayError, ValueError):
-    """Penalty parameter below the coercivity floor; assembly refused."""
-
-
-class SolverError(PlateDecayError, RuntimeError):
-    """A linear solve or eigensolve failed to converge."""
+    """An input violates its contract; the run is refused."""
 
 
 class InsufficientDataError(PlateDecayError, ValueError):
     """Not enough data points to perform the requested fit."""
 
 
-class ConfigValidationError(PlateDecayError, ValueError):
-    """Run configuration violates one of its invariants."""
+class SolverError(PlateDecayError, RuntimeError):
+    """A linear solve or eigensolve failed to converge."""

@@ -21,15 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._polygon import polygon_is_simple, signed_area
-from .errors import (InvalidArgumentError, InvalidGeometryError,
-                     MissingThresholdError, SolverError)
+from .errors import InvalidArgumentError, SolverError
 
 GAMMA0 = 0  # clamped boundary portion
 GAMMA1 = 1  # free portion carrying the damped flange
 
 #: Known corner-angle thresholds, radians, keyed by Poisson ratio.  The
 #: single tabulated entry is the published value for mu = 0.3; any other
-#: ratio raises MissingThresholdError.
+#: ratio raises InvalidArgumentError (``threshold-known``).
 OMEGA0_TABLE = {0.3: math.radians(52.054347)}
 
 _TOL = 1e-9
@@ -63,13 +62,13 @@ class EdgeSpec:
                 raise InvalidArgumentError("arc edge needs center and radius",
                                            invariant="arc-data")
             if not all(math.isfinite(c) for c in self.center):
-                raise InvalidGeometryError("arc center must be finite",
+                raise InvalidArgumentError("arc center must be finite",
                                            invariant="center-finite")
             if not math.isfinite(self.radius):
-                raise InvalidGeometryError("arc radius must be finite",
+                raise InvalidArgumentError("arc radius must be finite",
                                            invariant="radius-finite")
             if not self.radius > 0:
-                raise InvalidGeometryError("arc radius must be positive",
+                raise InvalidArgumentError("arc radius must be positive",
                                            invariant="arc-radius")
 
 
@@ -203,56 +202,56 @@ class DomainSpec:
 
     def _validate(self):
         if not np.all(np.isfinite(self.vertices)):
-            raise InvalidGeometryError("domain vertices must be finite",
+            raise InvalidArgumentError("domain vertices must be finite",
                                        invariant="vertex-finite")
         p = len(self.vertices)
         if p < 2:
-            raise InvalidGeometryError("domain needs at least 2 corners",
+            raise InvalidArgumentError("domain needs at least 2 corners",
                                        invariant="corner-count")
         if len(self.edges) != p:
-            raise InvalidGeometryError(
+            raise InvalidArgumentError(
                 f"{p} vertices need {p} edges, got {len(self.edges)}",
                 invariant="loop-closure")
         if len(self.corner_gains) != p:
-            raise InvalidGeometryError("one feedback gain per corner required",
+            raise InvalidArgumentError("one feedback gain per corner required",
                                        invariant="gain-count")
         if not any(e.label == GAMMA0 for e in self.edges):
-            raise InvalidGeometryError("clamped part of the boundary is empty",
+            raise InvalidArgumentError("clamped part of the boundary is empty",
                                        invariant="gamma0-nonempty")
         scale = max(1.0, float(np.max(np.abs(np.asarray(self.vertices)))))
         for i, e in enumerate(self.edges):
             a, b = self.edge_endpoints(i)
             if e.kind == "segment":
                 if np.hypot(*(b - a)) <= _TOL * scale:
-                    raise InvalidGeometryError(f"edge {i} has zero length",
+                    raise InvalidArgumentError(f"edge {i} has zero length",
                                                invariant="edge-degenerate")
             else:
                 c = np.asarray(e.center)
                 for (name, q) in (("start", a), ("end", b)):
                     r = np.hypot(*(q - c))
                     if abs(r - e.radius) > 1e-7 * max(e.radius, scale):
-                        raise InvalidGeometryError(
+                        raise InvalidArgumentError(
                             f"arc edge {i}: {name} point is off the circle "
                             f"(|P-c| = {r:.12g}, radius = {e.radius:.12g})",
                             invariant="arc-endpoints")
         for i in range(p):
             if not math.isfinite(self.corner_gains[i]):
-                raise InvalidGeometryError(f"corner {i}: gain must be finite",
+                raise InvalidArgumentError(f"corner {i}: gain must be finite",
                                            invariant="gain-finite")
             if self.corner_gains[i] < 0:
-                raise InvalidGeometryError(f"corner {i}: gain must be >= 0",
+                raise InvalidArgumentError(f"corner {i}: gain must be >= 0",
                                            invariant="gain-nonnegative")
             if self.corner_gains[i] != 0 and self.corner_in_clamped_closure(i):
-                raise InvalidGeometryError(
+                raise InvalidArgumentError(
                     f"corner {i} touches the clamped boundary, where its "
                     "vertex dof is eliminated; its feedback gain must be 0",
                     invariant="clamped-corner-gain")
         pts, _ = self.polygonize(64)
         if signed_area(pts) <= 0:
-            raise InvalidGeometryError("boundary loop must be counterclockwise",
+            raise InvalidArgumentError("boundary loop must be counterclockwise",
                                        invariant="loop-orientation")
         if not polygon_is_simple(pts):
-            raise InvalidGeometryError("boundary loop is self-intersecting",
+            raise InvalidArgumentError("boundary loop is self-intersecting",
                                        invariant="loop-simple")
 
 
@@ -307,7 +306,7 @@ def corner_angles(domain):
                           t_in[0] * t_out[0] + t_in[1] * t_out[1])
         angle = math.pi - turn
         if angle <= 0.0 or angle >= 2.0 * math.pi:
-            raise InvalidGeometryError(f"corner {i}: degenerate interior angle",
+            raise InvalidArgumentError(f"corner {i}: degenerate interior angle",
                                        invariant="corner-angle")
         angles[i] = angle
     return angles
@@ -317,7 +316,7 @@ def _lookup_omega0(mu):
     for key, val in OMEGA0_TABLE.items():
         if abs(key - mu) <= 1e-12:
             return float(val)
-    raise MissingThresholdError(
+    raise InvalidArgumentError(
         f"no corner-angle threshold tabulated for Poisson ratio {mu}; "
         f"known ratios: {sorted(OMEGA0_TABLE)}",
         invariant="threshold-known")
@@ -326,8 +325,8 @@ def _lookup_omega0(mu):
 def check_condition_g(domain, mu):
     """All interior angles below the tabulated threshold omega0(mu).
 
-    A ratio absent from ``OMEGA0_TABLE`` raises MissingThresholdError: the
-    threshold is never guessed.
+    A ratio absent from ``OMEGA0_TABLE`` raises InvalidArgumentError
+    (``threshold-known``): the threshold is never guessed.
     """
     if not 0.0 < mu < 0.5:
         raise InvalidArgumentError("Poisson ratio must lie in (0, 1/2)",

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._polygon import polygon_is_simple
-from .errors import InvalidArgumentError, InvalidGeometryError
+from .errors import InvalidArgumentError
 from .geometry import GAMMA0, GAMMA1
 
 # Delaunay mesher: lattice nodes keep LATTICE_CLEARANCE * h off the boundary;
@@ -134,7 +134,7 @@ def build_edge_table(mesh):
                 + [f"boundary edge {pair(k)} listed {t} times"
                    for k, t in zip(listed[times > 1], times[times > 1])])
     if problems:
-        raise InvalidGeometryError("; ".join(problems),
+        raise InvalidArgumentError("; ".join(problems),
                                    invariant="boundary-consistency")
     chord = np.full(len(edges), -1)
     chord[np.searchsorted(key, bkey)] = np.arange(len(bkey))
@@ -272,7 +272,7 @@ def triangulate(domain, h):
 
     loop, src = _boundary_polyline(domain, h)
     if not polygon_is_simple(loop):
-        raise InvalidGeometryError(
+        raise InvalidArgumentError(
             "non-simple polygon after arc approximation; decrease h",
             invariant="loop-simple")
     mid, half = 0.5 * (loop.max(axis=0) + loop.min(axis=0)), np.ptp(loop, 0) / 2
@@ -315,7 +315,7 @@ def triangulate(domain, h):
         else:
             break
     else:
-        raise InvalidGeometryError(
+        raise InvalidArgumentError(
             f"mesher did not settle within {MESH_ROUNDS} rounds: the domain "
             "has a feature narrower than h resolves", invariant="mesh-rounds")
     return Mesh(nodes=nodes, triangles=tris,
@@ -393,7 +393,7 @@ def validate_mesh(mesh, domain=None):
     # consistent table, orientation and Euler are not checked
     try:
         table = mesh.edge_table
-    except InvalidGeometryError as exc:
+    except InvalidArgumentError as exc:
         out.append(str(exc))
         table = None
 

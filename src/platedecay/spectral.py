@@ -157,13 +157,15 @@ class _Pencil:
     ``norm``: the energy-norm resolvent R = (i omega E - A)^{-1} E maps
     f = (f1, f2) to z = (u, i omega u - f1) with
     P(i omega) u = M f2 + (i omega M + D) f1, P(i omega) = K - omega^2 M
-    + i omega D.  The adjoint solve reuses the factor of P (trans='H'), so
-    X = E^{-1} R^H E R costs two sparse solves.  ||R||_E^2 is the largest
-    eigenvalue of X, which is self-adjoint in <a, b>_E = a^H E b: Lanczos in
-    that product needs only products with E (Parlett 1998, ch. 13), formed
-    after each orthogonalization so that a badly conditioned E cannot skew
-    the basis.  The iteration stops when the residual r = b |s_k| of the top
-    Ritz pair is below eps theta_1 (the Ritz vector has converged), or once
+    + i omega D, refused when an entry overflowed (``pencil-finite``); an
+    exactly singular P gives the norm inf.  The adjoint solve reuses the
+    factor of P (trans='H'), so X = E^{-1} R^H E R costs two sparse solves.
+    ||R||_E^2 is the largest eigenvalue of X, which is self-adjoint in
+    <a, b>_E = a^H E b: Lanczos in that product needs only products with E
+    (Parlett 1998, ch. 13), formed after each orthogonalization so that a
+    badly conditioned E cannot skew the basis.  The iteration stops when the
+    residual r = b |s_k| of the top Ritz pair is below eps theta_1 (the Ritz
+    vector has converged), or once
     r^2 <= eps theta_1 (theta_1 - theta_2) / 2: by the bound
     lambda_max - theta_1 <= r^2 / gap for a self-adjoint operator (Parlett
     1998, sec. 11.7) the Ritz value is then exact to working precision,
@@ -210,9 +212,15 @@ class _Pencil:
         # omega; evaluating at |omega| makes it so bit for bit
         w = abs(float(omega))
         K, M, D, n = self.K, self.M, self.D, self.n
+        with np.errstate(over="ignore"):
+            P = K - (w * w) * M + (1j * w) * D
+        if not np.all(np.isfinite(P.data)):
+            raise InvalidArgumentError(
+                f"P(i omega) at omega = {w:.17g} has a non-finite entry",
+                invariant="pencil-finite")
         try:  # P(i omega) is indefinite: pivots may leave the diagonal
-            lu = _symmetric_lu(K - (w * w) * M + (1j * w) * D, 0.1)
-        except RuntimeError:  # exactly singular: omega is an eigenfrequency
+            lu = _symmetric_lu(P, 0.1)
+        except RuntimeError:  # exactly singular, and finite: an eigenfrequency
             return np.inf
 
         def apply(f):  # X f

@@ -16,7 +16,7 @@ import pytest
 from platedecay._polygon import random_convex_polygon
 from platedecay.assembly import assemble, build_dof_map
 from platedecay.dynamics import boundary_bump_data, dissipation_residual, simulate
-from platedecay.errors import InvalidGeometryError
+from platedecay.errors import InvalidArgumentError
 from platedecay.geometry import (check_condition_g, check_condition_h,
                                  find_observer_point, lens_domain,
                                  polygon_domain, unit_square_domain)
@@ -218,7 +218,7 @@ def test_criterion_8_stiffness_fidelity():
 def test_criterion_9_clamped_corner_gain_rejected():
     started = time.time()
     # corner 0 of this square sits between the two clamped edges
-    with pytest.raises(InvalidGeometryError) as exc:
+    with pytest.raises(InvalidArgumentError) as exc:
         unit_square_domain(gamma0_edges=(0, 3), corner_gains=(1.0, 0, 0, 0))
     assert exc.value.invariant == "clamped-corner-gain"
 
@@ -234,7 +234,7 @@ def test_criterion_9_clamped_corner_gain_rejected():
         "gains": [1.0, 0, 0, 0],
         "material": {"mu": 0.3, "rho": 1, "inertia": 1, "d1": 1, "d2": 1},
     }
-    with pytest.raises(InvalidGeometryError) as exc:
+    with pytest.raises(InvalidArgumentError) as exc:
         RunConfig.from_dict(cfg)
     assert exc.value.invariant == "clamped-corner-gain"
     _report(9, started, "clamped-interior corner gain rejected")

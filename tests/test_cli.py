@@ -10,9 +10,10 @@ import pytest
 import scipy.sparse as sp
 
 from platedecay.cli import (MAX_SWEEP_POINTS, RunConfig, _build_system,
-                            build_parser, main, run)
+                            build_parser, main)
 from platedecay.dynamics import step_times
-from platedecay.errors import ConfigValidationError
+from platedecay.errors import (InsufficientDataError, InvalidArgumentError,
+                               SolverError)
 from platedecay.geometry import check_condition_g, lens_domain
 
 SQUARE_CFG = {
@@ -70,7 +71,7 @@ def test_variant1_refused_when_angles_too_large():
     data = json.loads(json.dumps(SQUARE_CFG))
     data["variant"] = 1
     data["gains"] = [0, 0, 0, 0]
-    with pytest.raises(ConfigValidationError) as exc:
+    with pytest.raises(InvalidArgumentError) as exc:
         RunConfig.from_dict(data)
     assert exc.value.invariant == "condition-g"
 
@@ -681,8 +682,51 @@ def test_penalty_below_floor_named(tmp_path, capsys):
     assert main(["spectrum", "--config", write_cfg(tmp_path, data),
                  "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "AssemblyStabilityError"
+    assert err["error"] == "InvalidArgumentError"
     assert err["invariant"] == "penalty-floor" and err["exit_code"] == 2
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc, code", [
+    (InvalidArgumentError("refused", invariant="some-rule"), 2),
+    (InsufficientDataError("too few points", invariant="some-fit"), 3),
+    (SolverError("did not converge", invariant="some-solve"), 3),
+    (np.linalg.LinAlgError("singular matrix"), 3),
+], ids=["invalid-argument", "insufficient-data", "solver", "linalg"])
+def test_one_exit_code_per_error_class(tmp_path, capsys, monkeypatch, exc,
+                                       code):
+    import platedecay.cli as cli
+
+    def failing(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "_build_system", failing)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", write_cfg(tmp_path, SQUARE_CFG),
+                 "--out", str(out)]) == code
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": type(exc).__name__, "message": str(exc),
+                   "invariant": getattr(exc, "invariant", None),
+                   "exit_code": code}
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("path, value", [
+    (("spectral", "omega_band"), [1e-300, 1e300]),
+    (("material", "d1"), 1e300),
+], ids=["band", "d1"])
+def test_overflowed_pencil_refused(tmp_path, capsys, path, value):
+    # P(i omega) = K - omega^2 M + i omega D overflows above omega ~ 1e154
+    # in the first band, and at every point of the resolved band with
+    # d1 = 1e300; an exactly singular pencil, whose norm is inf, is finite
+    square = json.loads((LENS_PATH.parent / "square.json").read_text())
+    data = mutated(path, value, mutated(("mesh", "h"), 0.25, square))
+    out = tmp_path / "out"
+    assert main(["resolvent", "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "InvalidArgumentError"
+    assert err["invariant"] == "pencil-finite" and err["exit_code"] == 2
     assert list(out.iterdir()) == []
 
 

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platedecay._polygon import random_convex_polygon
-from platedecay.errors import (InvalidArgumentError, InvalidGeometryError,
-                               MissingThresholdError)
+from platedecay.errors import InvalidArgumentError
 from platedecay.geometry import (DomainSpec, EdgeSpec, GAMMA0, GAMMA1, arc,
                                  check_condition_g, check_condition_h,
                                  corner_angles, find_observer_point,
@@ -73,8 +72,9 @@ def test_condition_g_lens_30deg():
 
 
 def test_condition_g_missing_threshold():
-    with pytest.raises(MissingThresholdError):
+    with pytest.raises(InvalidArgumentError) as info:
         check_condition_g(unit_square_domain(), 0.25)
+    assert info.value.invariant == "threshold-known"
 
 
 def test_condition_h_square_origin():
@@ -100,8 +100,7 @@ def test_condition_h_observer_on_damped_boundary():
 
 
 def test_condition_h_arc_extrema_match_dense_sampling():
-    dom = lens_domain(math.radians(30), label_lower=GAMMA0,
-                      label_upper=GAMMA1)
+    dom = lens_domain(math.radians(30))
     x0 = np.array([0.0, -0.35])
     report = check_condition_h(dom, x0)
     for i in range(2):
@@ -233,20 +232,22 @@ def test_observer_lp_matches_linprog(monkeypatch):
 
 
 def test_gamma0_must_be_nonempty():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidArgumentError) as info:
         polygon_domain([(0, 0), (1, 0), (0, 1)], gamma0_edges=set())
+    assert info.value.invariant == "gamma0-nonempty"
 
 
 def test_clamped_interior_corner_gain_rejected():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidArgumentError) as info:
         unit_square_domain(gamma0_edges=(0, 3), corner_gains=(1.0, 0, 0, 0))
+    assert info.value.invariant == "clamped-corner-gain"
 
 
 def test_mixed_corner_gain_refused_at_domain_level():
     # corners 1 and 3 join a clamped edge to a free one: their vertex dofs
     # are eliminated, so a gain there could never act
     for gains in ((0, 0.5, 1, 0), (0, 0, 1, 0.5)):
-        with pytest.raises(InvalidGeometryError) as info:
+        with pytest.raises(InvalidArgumentError) as info:
             unit_square_domain(gamma0_edges=(0, 3), corner_gains=gains)
         assert info.value.invariant == "clamped-corner-gain"
     dom = unit_square_domain(gamma0_edges=(0, 3), corner_gains=(0, 0, 1, 0))
@@ -254,28 +255,39 @@ def test_mixed_corner_gain_refused_at_domain_level():
 
 
 def test_clockwise_loop_rejected():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidArgumentError) as info:
         polygon_domain([(0, 0), (0, 1), (1, 1), (1, 0)], gamma0_edges={0})
+    assert info.value.invariant == "loop-orientation"
 
 
 def test_self_intersecting_loop_rejected():
-    with pytest.raises(InvalidGeometryError):
+    # a bow tie encloses zero signed area, so the orientation check stops it
+    with pytest.raises(InvalidArgumentError) as info:
         polygon_domain([(0, 0), (1, 1), (1, 0), (0, 1)], gamma0_edges={0})
+    assert info.value.invariant == "loop-orientation"
+    # a loop with a small clockwise lobe still has positive area
+    with pytest.raises(InvalidArgumentError) as info:
+        polygon_domain([(0, 0), (2, 0), (2, 2), (1, -1), (0, 2)],
+                       gamma0_edges={0})
+    assert info.value.invariant == "loop-simple"
 
 
 def test_degenerate_edge_rejected():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidArgumentError) as info:
         polygon_domain([(0, 0), (0, 0), (1, 1)], gamma0_edges={0})
+    assert info.value.invariant == "edge-degenerate"
 
 
 def test_arc_endpoint_off_circle_rejected():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidArgumentError) as info:
         DomainSpec(vertices=((0, 0), (1, 0), (1, 1)),
                    edges=(segment(GAMMA0),
                           arc(GAMMA1, center=(5, 5), radius=1.0),
                           segment(GAMMA1)))
+    assert info.value.invariant == "arc-endpoints"
 
 
 def test_zero_radius_arc_rejected():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidArgumentError) as info:
         EdgeSpec("arc", GAMMA1, center=(0, 0), radius=0.0)
+    assert info.value.invariant == "arc-radius"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from platedecay._polygon import (polygon_is_simple, random_convex_polygon,
                                 signed_area)
 from platedecay.cli import RunConfig
-from platedecay.errors import InvalidArgumentError, InvalidGeometryError
+from platedecay.errors import InvalidArgumentError
 from platedecay.geometry import lens_domain, polygon_domain, unit_square_domain
 from platedecay.meshing import (Mesh, _boundary_polyline, _inside, read_mesh,
                                 refine, triangulate, validate_mesh, write_mesh)
@@ -85,7 +85,7 @@ def test_refine_rejects_interior_boundary_chord():
     mesh.boundary_edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]])
     mesh.boundary_labels = np.append(mesh.boundary_labels, 1)
     mesh.boundary_source = np.append(mesh.boundary_source, -1)
-    with pytest.raises(InvalidGeometryError) as info:
+    with pytest.raises(InvalidArgumentError) as info:
         refine(mesh)
     assert info.value.invariant == "boundary-consistency"
 
@@ -333,7 +333,7 @@ def test_slit_narrower_than_h_is_refused():
     # splitting until the round cap
     dom = polygon_domain([(0, 0), (2, 0), (2, 1), (0.3, 1), (0.2, 1.0001),
                           (1.93, 1.0001), (1.93, 2), (0, 2)], gamma0_edges={0})
-    with pytest.raises(InvalidGeometryError) as info:
+    with pytest.raises(InvalidArgumentError) as info:
         triangulate(dom, 0.25)
     assert info.value.invariant == "mesh-rounds"
 

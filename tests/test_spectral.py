@@ -625,15 +625,9 @@ def test_growth_fit_keeps_smallest_frequency():
 
 
 THETA_H8 = """
-from platedecay.assembly import assemble, build_dof_map
-from platedecay.geometry import unit_square_domain
-from platedecay.meshing import triangulate
-from platedecay.plate_forms import PlateMaterial
+import damped_square
 from platedecay import spectral as S
-mesh = triangulate(unit_square_domain(gamma0_edges=(0, 3),
-                                      corner_gains=(0, 0, 1.0, 0)), 0.125)
-system = assemble(mesh, build_dof_map(mesh, 2),
-                  PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1.0, d2=1.0))
+system = damped_square.build(h=0.125)
 lam = S.pencil_eigenvalues(system)
 band = S.resolved_band(lam)
 sweep = S.resolvent_sweep(system, S.suggest_sweep_omegas(lam, band))
@@ -643,10 +637,11 @@ print(repr(S.growth_fit(sweep, band)[0]))
 
 def test_theta_independent_of_blas_threads():
     # the band ends move by ulps with the BLAS thread count; the fit must not
-    src = str(Path(spectral.__file__).resolve().parents[1])
+    path = os.pathsep.join([str(Path(spectral.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
     thetas = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         out = subprocess.run([sys.executable, "-c", THETA_H8], env=env,
                              capture_output=True, text=True, check=True)
         thetas.append(float(out.stdout))
