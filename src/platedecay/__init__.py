@@ -6,7 +6,7 @@ from .geometry import (ConditionReport, DomainSpec, EdgeSpec, GAMMA0, GAMMA1,
                        check_condition_g, check_condition_h, corner_angles,
                        find_observer_point, lens_domain, polygon_domain,
                        unit_square_domain)
-from .meshing import Mesh, read_mesh, refine, triangulate, validate_mesh, write_mesh
+from .meshing import Mesh, refine, triangulate, validate_mesh, write_mesh
 from .plate_forms import (PlateMaterial, PolyField, bilinear_a,
                           greens_identity_residual,
                           multiplier_identity_residual, q_density)

@@ -87,8 +87,11 @@ class DomainSpec:
 
     ``vertices[i]`` starts ``edges[i]``; edge i ends at vertex (i+1) mod p.
     Validated on construction: single closed CCW simple loop, clamped part
-    non-empty, and zero gain at every corner that touches the clamped
-    closure (``corner_in_clamped_closure``).
+    non-empty, and the only check of the corner gains: one per corner
+    (``gain-count``), each finite (``gain-finite``) and >= 0
+    (``gain-nonnegative``), and zero at every corner that touches the
+    clamped closure (``clamped-corner-gain``, see
+    ``corner_in_clamped_closure``).
     """
 
     vertices: tuple

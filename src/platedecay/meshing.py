@@ -7,7 +7,8 @@ triangles stay shape-regular on thin and curved domains.  Arcs are replaced
 by chords whose sagitta stays below h^2/(8*radius); refinement splits
 chords in place, so that bound is decided at polygonization time.
 
-ASCII mesh format (1-based ids, whitespace separated, '#' comments):
+``write_mesh`` writes the ASCII ``mesh.txt`` artifact (1-based ids,
+whitespace separated); no command reads a mesh back:
 
     $Nodes <n>
     <id> <x> <y>
@@ -44,10 +45,11 @@ MESH_ROUNDS = 12
 class Mesh:
     """Triangulation with labeled boundary loop and tracked domain corners.
 
+    Every mesh is built from a ``DomainSpec`` (``triangulate``, then
+    ``refine``), so ``boundary_source`` holds each boundary chord's domain
+    edge and ``corner_gains`` the domain's gains, validated by the domain.
     Treat instances as immutable once built (the edge table is cached);
     refinement returns new meshes.
-    ``boundary_source`` holds the originating domain-edge index per boundary
-    chord (-1 when unknown, e.g. after file ingestion).
     """
 
     nodes: np.ndarray
@@ -364,14 +366,14 @@ def refine(mesh):
 # validation
 # ---------------------------------------------------------------------------
 
-def validate_mesh(mesh, domain=None):
+def validate_mesh(mesh, domain):
     """Collect invariant violations; empty list means the mesh is valid.
 
-    Without a domain, every check reads the mesh alone, so a mesh read from
-    a file gets them too: finite nodes, positive areas, a consistent edge
-    table, one counterclockwise boundary loop, labels in {0, 1}, distinct
-    corners on that loop, finite non-negative gains and Euler's relation.
-    A domain adds corner positions and chord labels.
+    Checks what a mesher bug could break against the domain the mesh was
+    built from: node indices in range, positive areas, a consistent edge
+    table, one counterclockwise boundary loop, labels in {0, 1}, one corner
+    and one gain per domain corner, each corner on its domain vertex, chord
+    sources naming domain edges, chord labels and Euler's relation.
     """
     out = []
     n = mesh.n_nodes
@@ -381,13 +383,8 @@ def validate_mesh(mesh, domain=None):
         out.append("triangle node index out of range")
         return out
 
-    # a non-finite node has no area: it is named instead
-    nonfinite = np.flatnonzero(~np.isfinite(mesh.nodes).all(axis=1))
-    for i in nonfinite:
-        out.append(f"node {i} has a non-finite coordinate")
-    if not len(nonfinite):
-        for t in np.nonzero(mesh.triangle_areas() <= 0)[0]:
-            out.append(f"negative area: triangle {t}")
+    for t in np.nonzero(mesh.triangle_areas() <= 0)[0]:
+        out.append(f"negative area: triangle {t}")
 
     # edge usage: interior edges twice, boundary edges once; without a
     # consistent table, orientation and Euler are not checked
@@ -421,33 +418,25 @@ def validate_mesh(mesh, domain=None):
     if np.any(~np.isin(mesh.boundary_labels, (GAMMA0, GAMMA1))):
         out.append("boundary label outside {0, 1}")
 
+    p = domain.n_corners
     corners = mesh.corner_nodes.tolist()
-    on_loop = np.isin(corners, bedges)
-    for i, c in enumerate(corners):
-        if c < 0 or c >= n:
-            out.append(f"corner P_{i} has no mesh node")
-            continue
-        if not on_loop[i]:
-            out.append(f"corner P_{i} is not a boundary node")
-        if c in corners[:i]:
-            out.append(f"corner P_{i} repeats corner P_{corners.index(c)}")
-        if domain is not None:
-            vx, vy = domain.vertices[i]
-            if math.hypot(mesh.nodes[c, 0] - vx, mesh.nodes[c, 1] - vy) > 1e-9:
+    if len(corners) != p or len(mesh.corner_gains) != p:
+        out.append(f"{len(corners)} corners and {len(mesh.corner_gains)} "
+                   f"gains for the domain's {p} corners")
+    else:
+        for i, (c, (vx, vy)) in enumerate(zip(corners, domain.vertices)):
+            if not 0 <= c < n or math.hypot(mesh.nodes[c, 0] - vx,
+                                            mesh.nodes[c, 1] - vy) > 1e-9:
                 out.append(f"corner P_{i} has no mesh node")
 
-    gains = np.asarray(mesh.corner_gains, dtype=float)
-    for i in np.flatnonzero(~np.isfinite(gains)):
-        out.append(f"corner P_{i} has a non-finite gain")
-    for i in np.flatnonzero(gains < 0):
-        out.append(f"corner P_{i} has a negative gain")
-
-    if domain is not None:
-        src = mesh.boundary_source
-        expected = np.array([e.label for e in domain.edges])[src]
-        for j in np.flatnonzero((src >= 0)
-                                & (mesh.boundary_labels != expected)):
-            out.append(f"label mismatch on boundary edge {j}")
+    src = mesh.boundary_source
+    known = (src >= 0) & (src < p)
+    for j in np.flatnonzero(~known):
+        out.append(f"boundary edge {j} has source {src[j]} outside 0..{p - 1}")
+    kept = np.flatnonzero(known)
+    labels = np.array([e.label for e in domain.edges])
+    for j in kept[mesh.boundary_labels[kept] != labels[src[kept]]]:
+        out.append(f"label mismatch on boundary edge {j}")
 
     if table is not None:
         euler = n - len(table.edges) + mesh.n_triangles
@@ -475,43 +464,3 @@ def write_mesh(path, mesh):
         f.write(f"$Corners {len(mesh.corner_nodes)}\n")
         for c, g in zip(mesh.corner_nodes + 1, mesh.corner_gains):
             f.write(f"{c} {g:.17g}\n")
-
-
-def read_mesh(path):
-    """The mesh in ``path`` as ``write_mesh`` writes it; a section short of
-    its count of rows, an id column that is not 1..n in some order, or any
-    token after the last section is refused (``mesh-format``)."""
-    with open(path) as f:
-        tokens = " ".join(line.split("#", 1)[0] for line in f).split()
-    rows, pos = [], 0
-    try:
-        for section, width in (("$Nodes", 3), ("$Triangles", 4),
-                               ("$BoundaryEdges", 4), ("$Corners", 2)):
-            head = tokens[pos:pos + 2]  # a header and its row count
-            if head[:1] != [section] or not "".join(head[1:]).isdigit():
-                raise ValueError(f"expected {section} and a count, found "
-                                 f"{' '.join(head)!r}")
-            n = int(tokens[pos + 1])
-            rows.append(np.array(tokens[pos + 2:pos + 2 + n * width],
-                                 dtype=float).reshape(n, width))
-            pos += 2 + n * width
-        if pos != len(tokens):
-            raise ValueError(f"{len(tokens) - pos} tokens after $Corners")
-        # the first three sections lead each row with its 1-based id
-        for section, r in zip(("$Nodes", "$Triangles", "$BoundaryEdges"),
-                              rows):
-            if not np.array_equal(np.sort(r[:, 0]), np.arange(1, len(r) + 1)):
-                raise ValueError(f"{section} ids are not 1..{len(r)} once each")
-    except (IndexError, ValueError) as exc:
-        raise InvalidArgumentError(f"{path}: {exc}",
-                                   invariant="mesh-format") from exc
-    nodes, tris, bnd = (np.empty_like(r[:, 1:]) for r in rows[:3])
-    for table, r in zip((nodes, tris, bnd), rows):
-        table[r[:, 0].astype(int) - 1] = r[:, 1:]
-    corners = rows[3]
-    return Mesh(nodes=nodes, triangles=tris.astype(int) - 1,
-                boundary_edges=bnd[:, :2].astype(int) - 1,
-                boundary_labels=bnd[:, 2].astype(int),
-                boundary_source=np.full(len(bnd), -1),
-                corner_nodes=corners[:, 0].astype(int) - 1,
-                corner_gains=corners[:, 1])

@@ -18,7 +18,7 @@ from platedecay.assembly import (_T, _cell_geometry, _edge_traces, assemble,
 from platedecay.cli import RunConfig, _build_mesh, _build_system
 from platedecay.errors import InvalidArgumentError
 from platedecay.geometry import GAMMA1, lens_domain, unit_square_domain
-from platedecay.meshing import read_mesh, refine, triangulate, write_mesh
+from platedecay.meshing import refine, triangulate
 from platedecay.plate_forms import PlateMaterial, PolyField, bilinear_a
 from platedecay._polygon import random_convex_polygon
 from platedecay.geometry import polygon_domain
@@ -180,31 +180,6 @@ def test_variant_1_has_no_corner_entries():
     with pytest.raises(InvalidArgumentError) as info:
         RunConfig.from_dict(data)
     assert info.value.invariant == "variant-gains"
-
-
-def test_positive_gain_at_clamped_closure_corner_rejected(tmp_path):
-    # DomainSpec refuses this gain, so it can reach assemble only on a mesh
-    # that never passed through a domain: one edited or read from a file
-    mesh = triangulate(DOM, 0.5)
-    dofs = build_dof_map(mesh, 2)
-    # corner 1 = (1, 0): incoming edge clamped, outgoing free
-    edited = replace(mesh, corner_gains=np.array([0, 1.0, 0, 0]))
-    write_mesh(tmp_path / "mesh.txt", edited)
-    for junction in (edited, read_mesh(tmp_path / "mesh.txt")):
-        with pytest.raises(InvalidArgumentError) as info:
-            assemble(junction, dofs, MAT)
-        assert info.value.invariant == "clamped-corner-gain"
-
-
-@pytest.mark.parametrize("gain", [float("nan"), float("inf")])
-def test_non_finite_gain_refused(gain):
-    # a mesh read from a file may carry any gain; at a free corner a
-    # non-finite one made D non-finite
-    mesh = triangulate(DOM, 0.5)
-    edited = replace(mesh, corner_gains=np.array([0, 0, gain, 0]))
-    with pytest.raises(InvalidArgumentError) as info:
-        assemble(edited, build_dof_map(mesh, 2), MAT)
-    assert info.value.invariant == "gain-finite"
 
 
 def test_sigma_floor_enforced():

@@ -3,18 +3,22 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from platedecay.cli import (MAX_SWEEP_POINTS, RunConfig, _build_system,
-                            build_parser, main)
+from platedecay.cli import (MAX_SWEEP_POINTS, RunConfig, _build_mesh,
+                            _build_system, build_parser, main)
 from platedecay.dynamics import step_times
 from platedecay.errors import (InsufficientDataError, InvalidArgumentError,
                                SolverError)
 from platedecay.geometry import check_condition_g, lens_domain
+from platedecay.meshing import write_mesh
+
+from mesh_file import parse_mesh_file
 
 SQUARE_CFG = {
     "domain": {
@@ -90,14 +94,19 @@ def test_check_command(tmp_path, capsys):
 
 
 def test_mesh_command(tmp_path):
-    cfg_path = write_cfg(tmp_path, SQUARE_CFG)
-    out = tmp_path / "out"
-    assert main(["mesh", "--config", cfg_path, "--out", str(out)]) == 0
-    text = (out / "mesh.txt").read_text()
-    assert text.startswith("$Nodes")
-    from platedecay.meshing import read_mesh, validate_mesh
-    mesh = read_mesh(out / "mesh.txt")
-    assert validate_mesh(mesh) == []
+    # mesh.txt holds the mesh every other command builds, and writing the
+    # parsed mesh again gives the file byte for byte
+    for name in ("square", "lens"):
+        path = LENS_PATH.parent / f"{name}.json"
+        out = tmp_path / name
+        assert main(["mesh", "--config", str(path), "--out", str(out)]) == 0
+        parsed = parse_mesh_file((out / "mesh.txt").read_text())
+        mesh = _build_mesh(RunConfig.from_dict(json.loads(path.read_text())))
+        for field, array in parsed.items():
+            assert np.array_equal(array, getattr(mesh, field)), field
+        write_mesh(tmp_path / "again.txt", replace(mesh, **parsed))
+        assert ((tmp_path / "again.txt").read_bytes()
+                == (out / "mesh.txt").read_bytes())
 
 
 def test_simulate_command_and_zero_data(tmp_path):
@@ -626,12 +635,17 @@ ALL_COMMANDS = ("check", "mesh", "simulate", "spectrum", "resolvent",
     ("lens", {"gains": [5, 5]}, "clamped-corner-gain"),
     ("square", {"variant": 1, "condition_g_policy": "warn",
                 "gains": [0, 0, 1, 0]}, "variant-gains"),
-], ids=["square-junction", "lens", "variant-1"])
+    ("square", {"gains": [0, 0, -1, 0]}, "gain-nonnegative"),
+    ("square", {"gains": [0, 0, 1]}, "gain-count"),
+    ("square", {"gains": [0, 0, 1, 0, 0]}, "gain-count"),
+], ids=["square-junction", "lens", "variant-1", "negative", "three-gains",
+        "five-gains"])
 def test_corner_gains_checked_at_parse_time(tmp_path, capsys, monkeypatch,
                                             command, config, changes,
                                             invariant):
-    # a gain at a corner touching the clamped boundary, or any gain under
-    # variant 1, is refused before any command meshes or assembles
+    # a gain at a corner touching the clamped boundary, a negative gain, a
+    # gain count other than the corner count, or any gain under variant 1,
+    # is refused before any command meshes or assembles
     import platedecay.cli as cli
 
     def not_built(*args):

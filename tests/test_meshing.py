@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,12 @@ from platedecay._polygon import (polygon_is_simple, random_convex_polygon,
 from platedecay.cli import RunConfig
 from platedecay.errors import InvalidArgumentError
 from platedecay.geometry import lens_domain, polygon_domain, unit_square_domain
-from platedecay.meshing import (Mesh, _boundary_polyline, _inside, read_mesh,
-                                refine, triangulate, validate_mesh, write_mesh)
+from platedecay.meshing import (Mesh, _boundary_polyline, _inside, refine,
+                                triangulate, validate_mesh, write_mesh)
+
+from mesh_file import parse_mesh_file
+
+SQUARE = unit_square_domain(gamma0_edges=(0, 3))
 
 
 def two_triangle_square():
@@ -32,7 +37,7 @@ def two_disjoint_triangles():
                 boundary_edges=np.array([[0, 1], [1, 2], [2, 0],
                                          [3, 4], [4, 5], [5, 3]]),
                 boundary_labels=np.zeros(6, dtype=int),
-                boundary_source=np.full(6, -1),
+                boundary_source=np.zeros(6, dtype=int),
                 corner_nodes=np.array([0, 3]),
                 corner_gains=np.zeros(2))
 
@@ -69,7 +74,7 @@ def test_refine_counts():
     assert fine.n_nodes == 9  # nodes + edges of the parent
     finer = refine(fine)
     assert finer.n_triangles == 32
-    assert validate_mesh(finer) == []
+    assert validate_mesh(finer, SQUARE) == []
 
 
 def test_refine_numbers_midpoints_in_first_slot_order():
@@ -84,7 +89,7 @@ def test_refine_rejects_interior_boundary_chord():
     mesh = two_triangle_square()
     mesh.boundary_edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]])
     mesh.boundary_labels = np.append(mesh.boundary_labels, 1)
-    mesh.boundary_source = np.append(mesh.boundary_source, -1)
+    mesh.boundary_source = np.append(mesh.boundary_source, 1)
     with pytest.raises(InvalidArgumentError) as info:
         refine(mesh)
     assert info.value.invariant == "boundary-consistency"
@@ -154,14 +159,14 @@ def test_validate_reports_flipped_triangle():
     mesh = two_triangle_square()
     mesh.triangles = mesh.triangles.copy()
     mesh.triangles[1] = mesh.triangles[1][::-1]
-    violations = validate_mesh(mesh)
+    violations = validate_mesh(mesh, SQUARE)
     assert any(v.startswith("negative area: triangle 1") for v in violations)
 
 
 def test_validate_reports_missing_corner():
     mesh = two_triangle_square()
     mesh.corner_nodes = np.array([0, 1, 2, 99])
-    violations = validate_mesh(mesh)
+    violations = validate_mesh(mesh, SQUARE)
     assert "corner P_3 has no mesh node" in violations
 
 
@@ -169,34 +174,42 @@ def test_validate_reports_boundary_mismatch():
     mesh = two_triangle_square()
     mesh.boundary_edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]])
     mesh.boundary_labels = np.append(mesh.boundary_labels, 1)
-    mesh.boundary_source = np.append(mesh.boundary_source, -1)
-    violations = validate_mesh(mesh)
+    mesh.boundary_source = np.append(mesh.boundary_source, 1)
+    violations = validate_mesh(mesh, SQUARE)
     assert any("not a boundary edge" in v for v in violations)
 
 
-def _reverse_first_chord(mesh):
-    mesh.boundary_edges = np.array([[1, 0], [1, 2], [2, 3], [3, 0]])
-    return mesh, None
-
-
-def _relabel_first_chord(mesh):
-    mesh.boundary_labels = np.array([1, 1, 1, 0])
-    return mesh, unit_square_domain(gamma0_edges=(0, 3))
+def square_with(**fields):
+    mesh = two_triangle_square()
+    for name, value in fields.items():
+        setattr(mesh, name, np.array(value))
+    return mesh
 
 
 @pytest.mark.parametrize("make, expected", [
-    (lambda: _reverse_first_chord(two_triangle_square()),
+    (lambda: square_with(boundary_edges=[[1, 0], [1, 2], [2, 3], [3, 0]]),
      "boundary edge (1, 0) has wrong orientation"),
-    (lambda: (two_disjoint_triangles(), None),
-     "boundary edges do not form a single closed loop"),
-    (lambda: _relabel_first_chord(two_triangle_square()),
+    (two_disjoint_triangles, "boundary edges do not form a single closed loop"),
+    (lambda: square_with(boundary_labels=[1, 1, 1, 0]),
      "label mismatch on boundary edge 0"),
-    (lambda: (two_disjoint_triangles(), None),
-     "Euler relation violated: V-E+F = 2"),
-], ids=["orientation", "loop", "label", "euler"])
+    (two_disjoint_triangles, "Euler relation violated: V-E+F = 2"),
+    # a corner count other than the domain's is named before any corner
+    # is compared with a vertex
+    (lambda: square_with(corner_nodes=[0, 1, 2, 3, 0], corner_gains=[0] * 5),
+     "5 corners and 5 gains for the domain's 4 corners"),
+    (lambda: square_with(corner_nodes=[0, 1, 2], corner_gains=[0] * 3),
+     "3 corners and 3 gains for the domain's 4 corners"),
+    (lambda: square_with(corner_gains=[0] * 3),
+     "4 corners and 3 gains for the domain's 4 corners"),
+    # a source outside 0..p-1 is named, not wrapped onto an edge
+    (lambda: square_with(boundary_source=[0, 1, 2, -1]),
+     "boundary edge 3 has source -1 outside 0..3"),
+    (lambda: square_with(boundary_source=[0, 1, 2, 4]),
+     "boundary edge 3 has source 4 outside 0..3"),
+], ids=["orientation", "loop", "label", "euler", "corner-count-5",
+        "corner-count-3", "gain-count", "source-negative", "source-past-end"])
 def test_validate_reports_violation(make, expected):
-    mesh, domain = make()
-    assert expected in validate_mesh(mesh, domain)
+    assert expected in validate_mesh(make(), SQUARE)
 
 
 def test_polygon_is_simple():
@@ -216,66 +229,11 @@ def test_mesh_file_roundtrip(tmp_path):
     p1 = tmp_path / "a.txt"
     p2 = tmp_path / "b.txt"
     write_mesh(p1, mesh)
-    back = read_mesh(p1)
-    assert np.array_equal(back.nodes, mesh.nodes)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.array_equal(back.boundary_edges, mesh.boundary_edges)
-    assert np.array_equal(back.boundary_labels, mesh.boundary_labels)
-    assert np.array_equal(back.corner_nodes, mesh.corner_nodes)
-    assert np.array_equal(back.corner_gains, mesh.corner_gains)
-    write_mesh(p2, back)
+    parsed = parse_mesh_file(p1.read_text())
+    for field, array in parsed.items():
+        assert np.array_equal(array, getattr(mesh, field)), field
+    write_mesh(p2, replace(mesh, **parsed))
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_mesh_file_comments(tmp_path):
-    mesh = two_triangle_square()
-    path = tmp_path / "m.txt"
-    write_mesh(path, mesh)
-    text = "# a comment line\n" + path.read_text()
-    path.write_text(text)
-    back = read_mesh(path)
-    assert validate_mesh(back) == []
-
-
-@pytest.mark.parametrize("edit", [
-    lambda text: text.replace("\n1 ", "\n0 ", 1),  # node ids 0, 2, 3, ...
-    lambda text: text.replace("\n2 ", "\n1 ", 1),  # node id 1 twice
-    lambda text: text[:len(text) // 2],
-    lambda text: text.replace("$Nodes 9", "$Nodes 9.0", 1),
-    lambda text: text + "7\n",
-], ids=["id-zero", "id-repeated", "truncated", "count-not-integer",
-        "trailing-token"])
-def test_mesh_file_refused(tmp_path, edit):
-    # each edit was read without complaint (ids) or as a bare ValueError
-    path = tmp_path / "m.txt"
-    write_mesh(path, triangulate(unit_square_domain(), 0.5))
-    assert path.read_text().startswith("$Nodes 9\n")
-    path.write_text(edit(path.read_text()))
-    with pytest.raises(InvalidArgumentError) as info:
-        read_mesh(path)
-    assert info.value.invariant == "mesh-format"
-
-
-@pytest.mark.parametrize("old, new, expected", [
-    ("$Corners 4\n1 ", "$Corners 4\n5 ", "corner P_0 is not a boundary node"),
-    ("$Corners 4\n1 ", "$Corners 4\n7 ", "corner P_1 repeats corner P_0"),
-    ("\n9 1\n", "\n9 nan\n", "corner P_2 has a non-finite gain"),
-    ("\n9 1\n", "\n9 inf\n", "corner P_2 has a non-finite gain"),
-    ("\n9 1\n", "\n9 -1\n", "corner P_2 has a negative gain"),
-    ("\n5 0.5 ", "\n5 nan ", "node 4 has a non-finite coordinate"),
-    ("\n5 0.5 ", "\n5 inf ", "node 4 has a non-finite coordinate"),
-], ids=["corner-inside", "corner-twice", "gain-nan", "gain-inf",
-        "gain-negative", "node-nan", "node-inf"])
-def test_mesh_file_invariants_without_domain(tmp_path, old, new, expected):
-    # each edit was read back and validated without complaint, or (node-inf)
-    # with two RuntimeWarnings and a negative area
-    path = tmp_path / "m.txt"
-    write_mesh(path, triangulate(unit_square_domain(corner_gains=(0, 0, 1, 0)),
-                                 0.5))
-    text = path.read_text()
-    assert text.count(old) == 1
-    path.write_text(text.replace(old, new))
-    assert validate_mesh(read_mesh(path)) == [expected]
 
 
 LENS_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "lens.json"
