@@ -28,8 +28,8 @@ import scipy.sparse as sp
 from ._lsq import lsq_line
 from .errors import InsufficientDataError, InvalidArgumentError, SolverError
 from .geometry import GAMMA1
-from .spectral import (_energy_generator, _spd_checked, _spd_root,
-                       _symmetric_lu)
+from .spectral import (_modal_generator, _spd_checked, _spd_root,
+                       _symmetric_lu, _undamped_modes)
 
 # The trace takes 40 bytes per step (five float arrays) and a CLI simulate
 # peaks near 60, so this many stay under 1 GB.
@@ -285,17 +285,17 @@ def eigenpacket_data(system, n_modes=6):
     """Superpose the least-damped vibration modes (heuristic worst case).
 
     Takes the generator's eigenvectors closest to the imaginary axis, one
-    per conjugate pair, in energy coordinates, where each has unit energy,
-    and sums their real parts, mapped back by z = F^{-T} y = E^{-1} F y with
-    the roots of ``_energy_generator``.  The eigensolve is dense, so it is
-    refused above the dense limit (``dense-limit``).
+    per conjugate pair, in the modal coordinates y = (W q, q') of
+    ``_modal_generator``, where each has unit energy, and sums their real
+    parts, mapped back by u = Phi W^{-1} y1 and v = Phi y2.  The eigensolve
+    is dense, so it is refused above the dense limit (``dense-limit``).
     """
-    G, ((F_K, lu_K), (F_M, lu_M)) = _energy_generator(system)
-    lam, Y = np.linalg.eig(G)
+    omega, Phi = _undamped_modes(system)
+    lam, Y = np.linalg.eig(_modal_generator(omega, Phi, system.D))
     order = np.argsort(-lam.real)  # closest to the axis first (Re < 0)
     picked = order[lam[order].imag > 1e-9][:n_modes]
     if len(picked) == 0:
         raise SolverError("no oscillatory modes found for the packet",
                           invariant="eigenpacket")
     y1, y2 = np.split(Y[:, picked].real.sum(axis=1), 2)
-    return lu_K.solve(F_K @ y1), lu_M.solve(F_M @ y2)
+    return Phi @ (y1 / omega), Phi @ y2

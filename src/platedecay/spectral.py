@@ -13,7 +13,7 @@ are never assembled: ``_Pencil`` answers the sparse questions from n x n
 factors of P(s) = s^2 M + s D + K, eigenvalues near a shift by the spectral
 transformation (Ericsson & Ruhe, Math. Comp. 35, 1980) and the resolvent
 norm by a Lanczos iteration in the energy inner product (Wright & Trefethen,
-SISC 23, 2001), and the dense generator from the sparse roots of K and M.
+SISC 23, 2001), and the dense generator from the undamped modes of (K, M).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (InsufficientDataError, InvalidArgumentError, SolverError)
 
 _DENSE_LIMIT = 4096  # first-order dofs beyond which dense solves are refused
 _LANCZOS_STEPS = 60  # cap on Lanczos steps per frequency (2n if fewer)
-_BLOCK = 32  # right-hand sides per solve in _energy_generator
 
 
 def pencil_eigenvalues(system, count="all"):
@@ -36,23 +35,31 @@ def pencil_eigenvalues(system, count="all"):
     as a complex array sorted by imaginary part, then by real part.
 
     ``count = 'all'`` performs a dense solve (refused above 4096 first-order
-    dofs) on the G of ``_energy_generator``, which LAPACK overwrites, so the
-    solve holds little more than G itself; a G that is not finite stops it
-    (``generator-finite``).  An integer count gives the ``count``
-    eigenvalues nearest the real shift 1e-3 from one sparse n x n factor
-    (``_Pencil.eigenvalues``).  Both stop with ``energy-pd`` unless K and M
-    are positive definite.
+    dofs) on the G of ``_modal_generator``, which LAPACK overwrites, so the
+    solve holds little more than G itself.  It stops on a G that is not
+    finite (``generator-finite``) and on a real part above 4 eps max|lambda|
+    (``spectrum-dissipative``), which the dissipative G cannot round to.  An
+    integer count gives the ``count`` eigenvalues nearest the real shift
+    1e-3 from one sparse n x n factor (``_Pencil.eigenvalues``).  Both stop
+    with ``energy-pd`` unless K and M are positive definite.
     """
     if count == "all":
-        # Solve in energy coordinates: the generator is dissipative in the
-        # Euclidean product there, so the balanced standard eigensolve keeps
-        # Re(lambda) <= 0 where the badly scaled QZ pencil (stiffness vs
-        # mass blocks) loses that structure.
-        G = _energy_generator(system)[0]
-        if not np.isfinite(G).all():
+        # G + G' = diag(0, -2 Phi'D Phi) <= 0, kept up to rounding by the
+        # balanced standard eigensolve, not by the badly scaled QZ pencil;
+        # Phi is cut to the support of D (the damped dofs) before G exists
+        omega, Phi = _undamped_modes(system)
+        S = np.union1d(*system.D.nonzero())
+        Phi = Phi[S]  # the full Phi is freed here
+        G = _modal_generator(omega, Phi, system.D[S][:, S])
+        if not np.isfinite([G.min(), G.max()]).all():  # no mask of G
             raise SolverError("dense generator is not finite",
                               invariant="generator-finite")
         lam = sla.eigvals(G, overwrite_a=True, check_finite=False)
+        top = lam.real.max()
+        if top > 4.0 * np.finfo(float).eps * np.abs(lam).max():
+            raise SolverError(f"dense spectrum has max Re(lambda) = {top:.3g}"
+                              " > 4 eps max|lambda| for a dissipative G",
+                              invariant="spectrum-dissipative")
     else:
         k = int(count)
         if not 0 < k < 2 * system.K.shape[0] - 1:
@@ -61,45 +68,36 @@ def pencil_eigenvalues(system, count="all"):
     return lam[np.lexsort((lam.real, lam.imag))]
 
 
-def _energy_generator(system):
-    """Dense G = F^{-1} A F^{-T} = [[0, B'], [-B, -C]], B = F_M^{-1} F_K and
-    C = F_M^{-1} D F_M^{-T}: the generator in the energy coordinates of the
-    roots ((F_K, lu_K), (F_M, lu_M)) of ``_spd_root``, F = blockdiag(F_K,
-    F_M), returned beside it.
-
-    G is allocated once, in Fortran order (LAPACK's, so that
-    ``pencil_eigenvalues`` can hand it over to be overwritten), and its
-    blocks are written in place.  F_M^{-1} = F_M' M^{-1} is one solve with
-    lu_M and one sparse product, applied to ``_BLOCK`` columns of F_K at a
-    time; B' and -B are written from the same numbers, so the off-diagonal
-    blocks are exactly skew.  C = X D_S X' needs only the columns X of
-    F_M^{-1} on the support S of D (the damped boundary dofs)."""
+def _undamped_modes(system):
+    """omega and Phi, K Phi = M Phi diag(omega^2) and Phi'M Phi = I, by the
+    dense ``sygvd`` (a Cholesky of M), which overwrites the Fortran-order K
+    with Phi; refused above the dense limit before anything is allocated
+    (``dense-limit``), and with ``energy-pd`` unless K and M are definite."""
     n = system.K.shape[0]
     if 2 * n > _DENSE_LIMIT:
         raise InvalidArgumentError(
             f"dense eigensolve refused for {2 * n} first-order dofs, "
             f"above the dense limit of {_DENSE_LIMIT}",
             invariant="dense-limit")
-    roots = (F_K, _), (F_M, lu_M) = _spd_root(system.K), _spd_root(system.M)
+    for X in (system.K, system.M):  # one factor alive at a time
+        _spd_checked(X)
+    w2, Phi = sla.eigh(system.K.toarray(order="F"),
+                       system.M.toarray(order="F"), overwrite_a=True,
+                       overwrite_b=True, check_finite=False)
+    return np.sqrt(w2), Phi
 
-    def inverse_root(R, out):  # out = F_M^{-1} R, _BLOCK columns at a time
-        for j in range(0, R.shape[1], _BLOCK):
-            cols = slice(j, j + _BLOCK)
-            out[:, cols] = F_M.T @ lu_M.solve(R[:, cols].toarray())
-        return out
 
-    G = np.zeros((2 * n, 2 * n), order="F")
-    B = inverse_root(F_K, G[n:, :n])
-    G[:n, n:] = B.T
-    np.negative(B, out=B)
-    D = sp.csr_matrix(system.D)
-    S = np.union1d(*D.nonzero())
-    X = inverse_root(sp.eye(n, format="csr")[:, S], np.empty((n, len(S))))
-    minus_D, lower = -D[S][:, S], G[n:, n:]
-    for j in range(0, n, _BLOCK):
-        cols = slice(j, j + _BLOCK)
-        np.matmul(X, minus_D @ X[cols].T, out=lower[:, cols])
-    return G, roots
+def _modal_generator(omega, X, D):
+    """Dense G = [[0, W], [-W, -X'D X]], W = diag(omega), in Fortran order
+    (LAPACK's, which may overwrite it): the generator in the coordinates
+    y = (W q, q') of u = Phi q, where the energy is |y|^2 / 2 (Lancaster,
+    Lambda-Matrices and Vibrating Systems, 1966).  X'D X is Phi'D Phi for
+    rows X of Phi that cover the support of D, with D their block."""
+    n = len(omega)
+    G, i = np.zeros((2 * n, 2 * n), order="F"), np.arange(n)
+    G[i, n + i], G[n + i, i] = omega, -omega  # exactly skew
+    np.matmul(X.T, -D @ X, out=G[n:, n:])
+    return G
 
 
 def _symmetric_lu(matrix, pivot):
@@ -120,12 +118,13 @@ def _spd_checked(matrix):
     of P A P' = L D L'; by Sylvester's law the matrix is positive definite
     exactly when every pivot is (else ``energy-pd``).  Reading diag(U) makes
     scipy's SuperLU keep CSC copies of L and U as long as the factor lives,
-    so only the energy's K and M (the check, ``_spd_root``) and single
-    solves use this factor.  A factor kept for many solves is made once by
-    ``_symmetric_lu`` and never read: the step operator and P(s) at s > 0
-    are positive combinations of K and M, checked here, plus a multiple of
-    D, positive semidefinite by construction (boundary Gram matrices with
-    positive weights, d1, d2 >= 0 and diagonal corner gains >= 0)."""
+    so only the energy's K and M (the check before ``_undamped_modes`` and
+    ``_Pencil``, ``_spd_root``) and single solves use this factor.  A
+    factor kept for many solves is made once by ``_symmetric_lu`` and never
+    read: the step operator and P(s) at s > 0 are positive combinations of
+    K and M, checked here, plus a multiple of D, positive semidefinite by
+    construction (boundary Gram matrices with positive weights, d1, d2 >= 0
+    and diagonal corner gains >= 0)."""
     try:
         lu = _symmetric_lu(matrix, 0.0)
     except RuntimeError:  # exactly singular

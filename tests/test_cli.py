@@ -151,6 +151,23 @@ def test_spectrum_command(tmp_path):
     assert payload["zero_in_resolvent"] is True
 
 
+@pytest.mark.parametrize("h", [0.25, 0.125, 1.0 / 12.0],
+                         ids=["h4", "h8", "h12"])
+def test_gain_only_undamped_spectrum_exits_0(tmp_path, h):
+    # d1 = d2 = 0 with the corner gain: the real parts of the modes the
+    # corner does not damp are rounded zeros, measured up to 0.43, 1.57 and
+    # 1.53 eps max|lambda| at h = 1/4, 1/8 and 1/12 (1 or 2 BLAS threads),
+    # below the 4 of spectrum-dissipative
+    data = json.loads(json.dumps(SQUARE_CFG))
+    data["material"].update({"d1": 0.0, "d2": 0.0})
+    data["mesh"]["h"] = h
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)]) == 0
+    assert "spectral_abscissa" in json.loads(
+        (out / "spectrum_fit.json").read_text())
+
+
 def test_spectrum_count_mode_names_partial_maximum(tmp_path, capsys):
     # at h = 1/8 the 40 eigenvalues nearest the shift reach Re = -0.42; the
     # dense solve finds the generator's spectral abscissa near -6e-5
@@ -727,12 +744,11 @@ def test_one_exit_code_per_error_class(tmp_path, capsys, monkeypatch, exc,
 
 @pytest.mark.parametrize("path, value", [
     (("spectral", "omega_band"), [1e-300, 1e300]),
-    (("material", "d1"), 1e300),
-], ids=["band", "d1"])
+], ids=["band"])
 def test_overflowed_pencil_refused(tmp_path, capsys, path, value):
     # P(i omega) = K - omega^2 M + i omega D overflows above omega ~ 1e154
-    # in the first band, and at every point of the resolved band with
-    # d1 = 1e300; an exactly singular pencil, whose norm is inf, is finite
+    # in this band; an exactly singular pencil, whose norm is inf, is
+    # finite
     square = json.loads((LENS_PATH.parent / "square.json").read_text())
     data = mutated(path, value, mutated(("mesh", "h"), 0.25, square))
     out = tmp_path / "out"
@@ -741,6 +757,23 @@ def test_overflowed_pencil_refused(tmp_path, capsys, path, value):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "InvalidArgumentError"
     assert err["invariant"] == "pencil-finite" and err["exit_code"] == 2
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "resolvent"])
+def test_spectrum_with_lost_sign_refused(tmp_path, capsys, command):
+    # d1 = 1e300 at h = 1/4: the dense spectrum of the dissipative generator
+    # reaches max Re(lambda) = 268 eps max|lambda| (+9.0e124), so both
+    # commands stop before anything is fitted, swept or written
+    square = json.loads((LENS_PATH.parent / "square.json").read_text())
+    data = mutated(("material", "d1"), 1e300,
+                   mutated(("mesh", "h"), 0.25, square))
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "SolverError"
+    assert err["invariant"] == "spectrum-dissipative"
     assert list(out.iterdir()) == []
 
 

@@ -302,12 +302,13 @@ def test_eigenpacket_data_targets_weak_modes():
 
 def test_eigenpacket_mode_has_its_energy():
     # one mode y mapped back to (u, v) keeps the energy |Re y|^2 / 2 of the
-    # generator's coordinates
+    # generator's modal coordinates
     from platedecay.assembly import energy
-    from platedecay.spectral import _energy_generator
+    from platedecay.spectral import _modal_generator, _undamped_modes
 
     system = build(DAMPED)
-    lam, Y = np.linalg.eig(_energy_generator(system)[0])
+    omega, Phi = _undamped_modes(system)
+    lam, Y = np.linalg.eig(_modal_generator(omega, Phi, system.D))
     order = np.argsort(-lam.real)
     y = Y[:, order[lam[order].imag > 1e-9][0]].real
     u0, v0 = eigenpacket_data(system, n_modes=1)

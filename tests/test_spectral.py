@@ -108,30 +108,29 @@ def oracle_generator(system):
     return sla.solve_triangular(L, G.T, lower=True).T
 
 
-def root_generator(system):
-    """Oracle: F^{-1} A F^{-T}, F = blockdiag(F_K, F_M) the sparse roots of
-    K and M, by dense solves on the assembled first-order A."""
-    _, A = first_order_matrices(system)
-    F = sla.block_diag(*(spectral._spd_root(X)[0].toarray()
-                         for X in (system.K, system.M)))
-    G = np.linalg.solve(F, A.toarray())
-    return np.linalg.solve(F, G.T).T
-
-
-def test_energy_generator_blocks():
+def test_modal_generator_blocks():
     system = build()
     n = system.n_free
-    G, _ = spectral._energy_generator(system)
+    omega, Phi = spectral._undamped_modes(system)
+    G = spectral._modal_generator(omega, Phi, system.D)
     assert np.all(G[:n, :n] == 0.0)
     assert np.array_equal(G[:n, n:], -G[n:, :n].T)  # exactly skew
-    # G is in the coordinates of the step's roots; measured 1.6e-14 max|G|
-    # here, the bound leaves a factor 5
-    assert np.abs(G - root_generator(system)).max() <= 1e-13 * np.abs(G).max()
+    assert np.array_equal(G[:n, n:], np.diag(omega))
+    # the damping block -Phi'D Phi; measured 6.3e-15 max|C| off symmetry
+    C = G[n:, n:]
+    assert np.abs(C - C.T).max() <= 1e-13 * np.abs(C).max()
+    # an orthogonal similarity of the Cholesky generator; measured 3.6e-14
+    # max|lambda| here, the bound leaves a factor 5
+    key = lambda lam: lam[np.lexsort((lam.real, lam.imag))]
+    want = key(sla.eigvals(oracle_generator(system)))
+    got = key(sla.eigvals(G))
+    assert np.abs(got - want).max() <= 2e-13 * np.abs(want).max()
 
 
 def test_dense_spectrum_footprint():
-    """The dense spectrum holds G, the roots and column blocks, and LAPACK
-    overwrites G: no dense F_M^{-1}, no full-size B and no copy of G."""
+    """The dense spectrum holds G and the rows of the undamped modes on the
+    support of D, and LAPACK overwrites G: the modes are cut to those rows
+    before G is allocated, and neither eigensolve copies its input."""
     import tracemalloc
 
     system = build(h=1.0 / 12.0)
@@ -142,20 +141,22 @@ def test_dense_spectrum_footprint():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured 1.22 x 8 (2n)^2 bytes at n = 576 (2.38 with the dense
-    # F_M^{-1} and numpy's private copy of G); the bound leaves 7 %
+    # measured 1.10 x 8 (2n)^2 bytes at n = 576 (1.35 with all the modes
+    # kept while G is allocated, 1.50 with C-order inputs to eigh, which it
+    # copies, 1.18 with a boolean mask of G for the finite check); the
+    # bound leaves 18 %
     assert peak <= 1.3 * 8 * (2 * n) ** 2
 
 
 def test_dense_spectrum_refuses_non_finite_generator(monkeypatch):
-    generator = spectral._energy_generator
+    generator = spectral._modal_generator
 
-    def with_nan(system):
-        G, roots = generator(system)
+    def with_nan(*args):
+        G = generator(*args)
         G[3, 5] = np.nan
-        return G, roots
+        return G
 
-    monkeypatch.setattr(spectral, "_energy_generator", with_nan)
+    monkeypatch.setattr(spectral, "_modal_generator", with_nan)
     with pytest.raises(SolverError) as info:
         pencil_eigenvalues(build())
     assert info.value.invariant == "generator-finite"
@@ -246,7 +247,8 @@ def test_one_factorization_recipe(monkeypatch):
     """Every factorization the package makes is ``splu`` in symmetric mode
     on a minimum-degree ordering of A' + A, with relaxed supernodes of at
     most two columns and a diagonal pivot threshold of 0 (definite) or 0.1
-    (indefinite): no dense Cholesky, no ``spsolve``, no default LU and no
+    (indefinite): no dense Cholesky (but the one of M inside LAPACK's
+    ``eigh``, below the dense limit), no ``spsolve``, no default LU and no
     default relaxation.  Each stage factors each of its matrices once."""
     import scipy.sparse.linalg as spla
 
@@ -277,7 +279,7 @@ def test_one_factorization_recipe(monkeypatch):
         # the lift's interior K block; K, M and the step operator
         "bump": (lambda: simulate(system, *boundary_bump_data(system),
                                   dt=1e-2, T=0.05), 4),
-        # K and M for the generator; K, M and the step operator
+        # K and M for the undamped modes; K, M and the step operator
         "eigenpacket": (lambda: simulate(system, *eigenpacket_data(system),
                                          dt=1e-2, T=0.05), 5),
         "all": (lambda: pencil_eigenvalues(system), 2),  # K and M
@@ -581,9 +583,19 @@ def _refused_eigensolve(monkeypatch):
         -np.linspace(0.1, 0.2, 10) + 1j * np.repeat([10.0, 100.0], 5),
         (1.0, 1000.0))),
     ("eigensolver", _refused_eigensolve),
+    # max Re(lambda) = 117 eps max|lambda| (+2.6e-4) with 1 BLAS thread,
+    # 717 with 2: the sign lost
+    ("spectrum-dissipative", lambda mp: pencil_eigenvalues(build(
+        PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1e10, d2=1e10),
+        h=0.125))),
+    # d1 = 1e300 puts entries near 4e301 in D, so i omega D overflows at
+    # omega = 1e10 while K and M stay finite
+    ("pencil-finite", lambda mp: resolvent_sweep(build(PlateMaterial(
+        mu=0.3, rho=1.0, inertia=1.0, d1=1e300, d2=1.0)), [1e10])),
 ])
 def test_frequency_side_invariants(monkeypatch, invariant, run):
-    with pytest.raises((InsufficientDataError, SolverError)) as info:
+    with pytest.raises((InsufficientDataError, InvalidArgumentError,
+                        SolverError)) as info:
         run(monkeypatch)
     assert info.value.invariant == invariant
 
