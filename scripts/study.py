@@ -37,7 +37,7 @@ def decay_cases(args, square):
 
 def certificate_cases(args, square):
     # fit_summary.json carries the spectrum summary beside theta_hat and
-    # the branch slope, so one dense eigensolve per level suffices
+    # the branch slope, so one eigensolve per level suffices
     return [(f"resolvent-h{h:.4g}", "resolvent", square_at(square, h))
             for h in args.levels]
 

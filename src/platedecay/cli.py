@@ -446,23 +446,31 @@ def _cmd_simulate(cfg, out):
     return 0
 
 
-def _spectrum_summary(lam, count):
+def _spectrum_summary(lam, backward, count):
     """The summary of the computed eigenvalues ``lam``, written by both
     ``spectrum`` and ``resolvent``: their number, whether 0 is in the
     resolvent set, and their largest real part.  That is the spectral
     abscissa only when every eigenvalue was computed (``count = 'all'``);
     the ``count`` eigenvalues nearest a shift need not include the rightmost
-    one, so it is then ``max_real_computed``."""
+    one, so it is then ``max_real_computed``.  ``n_refined`` counts the
+    values refined on the pencil (a conjugate pair once), with the largest
+    of their ``backward`` errors when there are any."""
     key = "spectral_abscissa" if count == "all" else "max_real_computed"
-    return {"n_eigenvalues": len(lam), key: float(np.max(lam.real)),
-            "zero_in_resolvent": bool(np.min(np.abs(lam)) > 0.0)}
+    refined = backward[np.isfinite(backward) & (lam.imag >= 0)]
+    summary = {"n_eigenvalues": len(lam), key: float(np.max(lam.real)),
+               "zero_in_resolvent": bool(np.min(np.abs(lam)) > 0.0),
+               "n_refined": len(refined)}
+    if len(refined):
+        summary["max_backward_error"] = float(refined.max())
+    return summary
 
 
 def _cmd_spectrum(cfg, out):
     system = _build_system(cfg)
     count = cfg.spectral.count
-    lam = pencil_eigenvalues(system, count=count)
-    payload = _spectrum_summary(lam, count)
+    lam, backward = pencil_eigenvalues(system, count,
+                                       band=cfg.spectral.omega_band)
+    payload = _spectrum_summary(lam, backward, count)
     try:
         band = cfg.spectral.omega_band or resolved_band(lam)
         slope, r2 = damping_branch_fit(lam, band)
@@ -471,7 +479,8 @@ def _cmd_spectrum(cfg, out):
     except (InsufficientDataError, InvalidArgumentError) as exc:
         payload["branch_fit_skipped"] = str(exc)
     out.write_json("spectrum_fit.json", payload)  # serialized before any write
-    out.write_csv("spectrum.csv", "re,im", (lam.real, lam.imag))
+    out.write_csv("spectrum.csv", "re,im,backward_error",
+                  (lam.real, lam.imag, backward))
     what = ("spectral abscissa" if count == "all"
             else "largest computed real part")
     print(f"{len(lam)} eigenvalues; {what} {np.max(lam.real):.6g}")
@@ -480,12 +489,12 @@ def _cmd_spectrum(cfg, out):
 
 def _cmd_resolvent(cfg, out):
     system = _build_system(cfg)
-    lam = pencil_eigenvalues(system)
+    lam, backward = pencil_eigenvalues(system, band=cfg.spectral.omega_band)
     band = cfg.spectral.omega_band or resolved_band(lam)
     omegas = suggest_sweep_omegas(lam, band, n_grid=cfg.spectral.points)
     sweep = resolvent_sweep(system, omegas)
     theta, r2_theta = growth_fit(sweep, band)
-    payload = {**_spectrum_summary(lam, "all"), "theta_hat": theta,
+    payload = {**_spectrum_summary(lam, backward, "all"), "theta_hat": theta,
                "R2": {"theta": r2_theta}, "bands": {"fit": list(band)}}
     try:
         slope, r2_branch = damping_branch_fit(lam, band)

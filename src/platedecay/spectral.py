@@ -9,11 +9,16 @@ resolvent norm along the imaginary axis in that norm, and log-log fits of
 * the weakly damped eigenvalue branch (distance to the axis vs frequency),
 
 which are the one-sided quantities the decay theory constrains.  A and E
-are never assembled: ``_Pencil`` answers the sparse questions from n x n
-factors of P(s) = s^2 M + s D + K, eigenvalues near a shift by the spectral
-transformation (Ericsson & Ruhe, Math. Comp. 35, 1980) and the resolvent
-norm by a Lanczos iteration in the energy inner product (Wright & Trefethen,
-SISC 23, 2001), and the dense generator from the undamped modes of (K, M).
+are never assembled, nor is any 2n x 2n matrix but the dense generator of
+``_modal_generator`` (kept for ``eigenpacket_data``).  The spectrum starts
+from the undamped modes of (K, M), whose light-damping guesses (Lancaster,
+Lambda-Matrices and Vibrating Systems, 1966) are refined on P(s) =
+s^2 M + s D + K wherever a certified number reads them.  ``_Pencil``
+answers the sparse questions from n x n factors of P: that refinement by
+inverse iteration (Tisseur & Meerbergen, SIAM Rev. 43, 2001), eigenvalues
+near a shift by the spectral transformation (Ericsson & Ruhe, Math. Comp.
+35, 1980) and the resolvent norm by a Lanczos iteration in the energy inner
+product (Wright & Trefethen, SISC 23, 2001).
 """
 
 from __future__ import annotations
@@ -28,44 +33,113 @@ from .errors import (InsufficientDataError, InvalidArgumentError, SolverError)
 
 _DENSE_LIMIT = 4096  # first-order dofs beyond which dense solves are refused
 _LANCZOS_STEPS = 60  # cap on Lanczos steps per frequency (2n if fewer)
+_REFINE_SOLVES = 10  # cap on inverse-iteration solves per refined eigenvalue
+_BACKWARD_TOL = 1e-13  # backward error a refined eigenvalue must reach
 
 
-def pencil_eigenvalues(system, count="all"):
-    """Eigenvalues of the first-order generator (roots of the damped pencil),
-    as a complex array sorted by imaginary part, then by real part.
+def pencil_eigenvalues(system, count="all", band=None):
+    """Eigenvalues of the first-order generator (roots of the damped pencil)
+    and their backward errors, both sorted by imaginary part, then by real
+    part.
 
-    ``count = 'all'`` performs a dense solve (refused above 4096 first-order
-    dofs) on the G of ``_modal_generator``, which LAPACK overwrites, so the
-    solve holds little more than G itself.  It stops on a G that is not
-    finite (``generator-finite``) and on a real part above 4 eps max|lambda|
-    (``spectrum-dissipative``), which the dissipative G cannot round to.  An
-    integer count gives the ``count`` eigenvalues nearest the real shift
-    1e-3 from one sparse n x n factor (``_Pencil.eigenvalues``).  Both stop
-    with ``energy-pd`` unless K and M are positive definite.
+    ``count = 'all'`` gives all 2n eigenvalues without a 2n x 2n eigensolve:
+    the light-damping guesses from the undamped modes, with the values that
+    a certified number reads refined on the pencil (``_refined``); ``band``
+    is the fit band, None for ``resolved_band``.  A guess's backward error
+    is NaN.  An integer count gives the ``count`` eigenvalues nearest the
+    real shift 1e-3 from one sparse n x n factor (``_Pencil.eigenvalues``),
+    whose backward errors are NaN.  Both stop with ``energy-pd`` unless K
+    and M are positive definite.
     """
     if count == "all":
-        # G + G' = diag(0, -2 Phi'D Phi) <= 0, kept up to rounding by the
-        # balanced standard eigensolve, not by the badly scaled QZ pencil;
-        # Phi is cut to the support of D (the damped dofs) before G exists
-        omega, Phi = _undamped_modes(system)
-        S = np.union1d(*system.D.nonzero())
-        Phi = Phi[S]  # the full Phi is freed here
-        G = _modal_generator(omega, Phi, system.D[S][:, S])
-        if not np.isfinite([G.min(), G.max()]).all():  # no mask of G
-            raise SolverError("dense generator is not finite",
-                              invariant="generator-finite")
-        lam = sla.eigvals(G, overwrite_a=True, check_finite=False)
-        top = lam.real.max()
-        if top > 4.0 * np.finfo(float).eps * np.abs(lam).max():
-            raise SolverError(f"dense spectrum has max Re(lambda) = {top:.3g}"
-                              " > 4 eps max|lambda| for a dissipative G",
-                              invariant="spectrum-dissipative")
+        lam, backward = _refined(system, band)
     else:
         k = int(count)
         if not 0 < k < 2 * system.K.shape[0] - 1:
             raise InvalidArgumentError("count out of range", invariant="count")
         lam = _Pencil(system).eigenvalues(k, 1e-3)
-    return lam[np.lexsort((lam.real, lam.imag))]
+        backward = np.full(k, np.nan)
+    order = np.lexsort((lam.real, lam.imag))
+    return lam[order], backward[order]
+
+
+def _quadratic_roots(a, b, c):
+    """The roots (near, far) of a l^2 + b l + c = 0 for real a > 0, b >= 0
+    and c > 0 (arrays or scalars): -p + i r and its conjugate when
+    r^2 = q - p^2 > 0 (p = b / 2a, q = c / a), else the real roots
+    -q / (p + r) and -(p + r), r^2 = p^2 - q, the small one without the
+    cancellation of -p + r.  p^2 may overflow to a non-finite far root."""
+    p, q = b / (2.0 * a), c / a
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = p * p - q
+        r = np.sqrt(np.abs(d))
+        near = np.where(d < 0, -p + 1j * r, -q / (p + r))
+        far = np.where(d < 0, -p - 1j * r, -(p + r))
+    return near, far
+
+
+def _refined(system, band):
+    """All 2n eigenvalues and their backward errors (NaN for a guess).
+
+    The guesses come from the undamped modes of ``_undamped_modes``
+    (refused above 4096 first-order dofs): -c/2 +- i (omega^2 - c^2/4)^(1/2)
+    with c = phi'D phi (``_quadratic_roots``; the upper or small root of
+    mode k at k, the other at n + k), refused unless finite
+    (``guess-finite``).  Each value that ``_read`` finds is refined by
+    ``_Pencil.refine`` from its mode, and ``_read`` looks again at the
+    updated spectrum until every value it finds is refined.  A refined
+    value is accepted only with a backward error of at most
+    ``_BACKWARD_TOL``, nearest its own guess of all 2n guesses and on the
+    same side of the real axis, else ``eigenvalue-refined``; a refined
+    complex value's conjugate is its pair's other member."""
+    omega, Phi = _undamped_modes(system)
+    S = np.union1d(*system.D.nonzero())
+    X = Phi[S]  # the damped rows: c = phi'D phi by D's block on them
+    c = np.maximum(np.einsum("ij,ij->j", X, system.D[S][:, S] @ X), 0.0)
+    guess = np.concatenate(_quadratic_roots(1.0, c, omega * omega))
+    if not np.all(np.isfinite(guess)):
+        raise SolverError("an eigenvalue guess from the undamped modes is "
+                          "not finite", invariant="guess-finite")
+    n, pencil = len(omega), _Pencil(system, checked=True)
+    lam, backward = guess.copy(), np.full(2 * n, np.nan)
+    while True:
+        order = np.lexsort((lam.real, lam.imag))
+        read = {i - n if i >= n and guess[i].imag else i
+                for i in order[_read(lam[order], band)]}
+        todo = sorted(i for i in read if np.isnan(backward[i]))
+        if not todo:
+            return lam, backward
+        for i in todo:
+            value, eta = pencil.refine(guess[i], Phi[:, i % n])
+            dist = np.abs(guess - value)
+            if not (eta <= _BACKWARD_TOL and dist[i] <= dist.min()
+                    and (value.imag > 0) == (guess[i].imag > 0)):
+                raise SolverError(
+                    f"eigenvalue guess {guess[i]:.6g} refined to "
+                    f"{value:.6g} with backward error {eta:.2g}: not within "
+                    f"{_BACKWARD_TOL:.0e} and nearest its own guess",
+                    invariant="eigenvalue-refined")
+            lam[i], backward[i] = value, eta
+            if guess[i].imag:
+                lam[i + n], backward[i + n] = np.conj(value), eta
+
+
+def _read(lam, band):
+    """Indices of the eigenvalues that the certified numbers read: the
+    rightmost (the spectral abscissa), the ends of ``resolved_band`` when
+    ``band`` is None, and the bin minima of ``damping_branch_fit`` on
+    ``band`` or the resolved band; the band and the branch are skipped
+    where their fits would be refused."""
+    read = [int(np.argmax(lam.real))]
+    try:
+        if band is None:
+            read.extend(_band_ends(lam))
+            band = resolved_band(lam)
+        branch = _branch(lam, band)
+    except (InsufficientDataError, InvalidArgumentError):
+        return read
+    return read + branch[_bin_peaks(lam.imag[branch],
+                                    lam.real[branch])].tolist()
 
 
 def _undamped_modes(system):
@@ -144,8 +218,9 @@ def _spd_root(matrix):
 
 
 class _Pencil:
-    """The damped pencil P(s) = s^2 M + s D + K, which answers both
-    frequency questions from n x n factors.
+    """The damped pencil P(s) = s^2 M + s D + K, which answers the
+    frequency questions from n x n factors: ``refine`` (its docstring),
+    ``eigenvalues`` and ``norm``.
 
     ``eigenvalues``: lambda = s + 1/mu for the largest mu of
     (A - s E)^{-1} E, which maps y = (y1, y2) to (u, s u + y1) with
@@ -171,11 +246,14 @@ class _Pencil:
     about two steps (four solves) before its vector.
     """
 
-    def __init__(self, system):
+    def __init__(self, system, checked=False):
         K, M, D = (sp.csc_matrix(X) for X in (system.K, system.M, system.D))
         self.K, self.M, self.D, self.n = K, M, D, K.shape[0]
-        for X in (K, M):  # the energy-pd check, one factor alive at a time
-            _spd_checked(X)
+        # |M|, |D|, |K| in the infinity norm, for backward errors
+        self._norms = [abs(X).sum(axis=1).max() for X in (M, D, K)]
+        if not checked:  # K and M not yet checked (by ``_undamped_modes``)
+            for X in (K, M):  # energy-pd, one factor alive at a time
+                _spd_checked(X)
         # a fixed start vector makes every solve reproducible bit for bit;
         # the first Lanczos vector and its E product do not depend on omega
         self.v0 = np.random.default_rng(0).standard_normal(2 * self.n)
@@ -183,6 +261,54 @@ class _Pencil:
         ex = self._e_prod(x)
         b = np.sqrt(np.einsum("i,i", x.conj(), ex).real)
         self._q0, self._eq0 = x / b, ex / b
+
+    def refine(self, lam, x):
+        """Inverse iteration for the eigenpair of P near (lam, x).
+
+        Each step solves P(sigma) y = ((lam + sigma) M + D) x, the step of
+        (A - sigma E)^{-1} E on z = (x, lam x) (Tisseur & Meerbergen, SIAM
+        Rev. 43, 2001), and takes lam from the real quadratic
+        (x*Mx) l^2 + (x*Dx) l + x*Kx = 0, the root nearest the last one, so
+        Re lam = -x*Dx / (2 x*Mx) <= 0 for every x.  The backward error is
+        eta = |P(lam) x| / ((|lam|^2 |M| + |lam| |D| + |K|) |x|) in the
+        infinity norms (Tisseur, Linear Algebra Appl. 309, 2000).  One
+        factor of P(sigma) (pivot 0.1: P(sigma) is indefinite), sigma the
+        first lam, serves every solve until eta stalls (falls by less than
+        10 in a solve); at or below ``_BACKWARD_TOL`` a stall ends the
+        iteration, its rounding floor reached, and above it P is factored
+        again at the current lam.  The iteration also stops after
+        ``_REFINE_SOLVES`` solves or on an exactly singular P(sigma).
+        Returns the (lam, eta) of least eta; the first lam is the Rayleigh
+        value of x.
+        """
+        K, M, D = self.K, self.M, self.D
+        x, lu, best = np.asarray(x, dtype=complex), None, (lam, np.inf)
+        for solve in range(_REFINE_SOLVES + 1):
+            Kx, Dx, Mx = K @ x, D @ x, M @ x
+            a, b, c = (np.einsum("i,i", x.conj(), v).real
+                       for v in (Mx, Dx, Kx))
+            # x*Dx >= 0 up to its rounding, which can exceed it: a mode the
+            # boundary locks at d1 = d2 = 1e10 (h = 1/8) rounds it to
+            # -2e-4 x*Mx
+            near, far = _quadratic_roots(a, max(b, 0.0), c)
+            lam = complex(near if abs(near - lam) <= abs(far - lam) else far)
+            eta = np.abs(Kx + lam * Dx + (lam * lam) * Mx).max() / (
+                (abs(lam) ** 2 * self._norms[0] + abs(lam) * self._norms[1]
+                 + self._norms[2]) * np.abs(x).max())
+            stalled = eta > 0.1 * best[1]
+            best = min(best, (lam, eta), key=lambda pair: pair[1])
+            if solve == _REFINE_SOLVES or (stalled and eta <= _BACKWARD_TOL):
+                break
+            if lu is None or stalled:
+                sigma = lam
+                try:
+                    lu = _symmetric_lu(K + sigma * D + (sigma * sigma) * M,
+                                       0.1)
+                except RuntimeError:  # exactly singular
+                    break
+            x = lu.solve((lam + sigma) * Mx + Dx)
+            x /= np.abs(x).max()
+        return best
 
     def _e_prod(self, x):  # E x
         return np.concatenate([self.K @ x[:self.n], self.M @ x[self.n:]])
@@ -287,25 +413,30 @@ def _band(band):
     return lo, hi
 
 
-def _envelope_fit(x, y, ly):
-    """Log-log line through the upper envelope of the points (x, y).
-
-    The points may come in any order.  The range of x is cut into at most
-    ``_N_BINS`` log-spaced bins, and each non-empty bin keeps its point of
-    largest y (the first one on ties).  Of those bin peaks, the
-    running-maximum front of ``ly`` (a monotone transform of y) in the
-    direction of their least-squares trend is fitted against log x; a zero
-    trend scans from the right.  When the front has fewer than 3 points,
-    every bin peak is fitted.  Returns the slope, R^2 and the number of bins
-    with a peak.
-    """
+def _bin_peaks(x, y):
+    """Indices of the bin peaks of the points (x, y), in bin order: the
+    range of x is cut into at most ``_N_BINS`` log-spaced bins, and each
+    non-empty bin keeps its point of largest y (the first one on ties)."""
     edges = np.logspace(np.log10(x.min()), np.log10(x.max()),
                         min(_N_BINS, len(x)) + 1)
     edges[0], edges[-1] = x.min(), edges[-1] * (1.0 + 1e-12)
     bins = np.searchsorted(edges, x, side="right") - 1
     idx = np.flatnonzero((bins >= 0) & (bins < len(edges) - 1))
     idx = idx[np.lexsort((-y[idx], bins[idx]))]  # stable: first on ties
-    peaks = idx[np.r_[True, bins[idx[1:]] != bins[idx[:-1]]]]
+    return idx[np.r_[True, bins[idx[1:]] != bins[idx[:-1]]]]
+
+
+def _envelope_fit(x, y, ly):
+    """Log-log line through the upper envelope of the points (x, y).
+
+    The points may come in any order.  Of the bin peaks (``_bin_peaks``),
+    the running-maximum front of ``ly`` (a monotone transform of y) in the
+    direction of their least-squares trend is fitted against log x; a zero
+    trend scans from the right.  When the front has fewer than 3 points,
+    every bin peak is fitted.  Returns the slope, R^2 and the number of bins
+    with a peak.
+    """
+    peaks = _bin_peaks(x, y)
     lx, ly = np.log(x[peaks]), ly[peaks]
     trend, _ = lsq_line(lx, ly)
     scan = slice(None) if trend > 0 else slice(None, None, -1)
@@ -341,6 +472,19 @@ def growth_fit(sweep, band):
     return slope, r2
 
 
+def _branch(lam, band):
+    """Indices of the branch eigenvalues, those with Re < 0 and Im in the
+    band (Im > 0); refused below 10 (``branch-points``)."""
+    lo, hi = _band(band)
+    branch = np.flatnonzero((lam.imag > 0) & (lam.real < 0)
+                            & (lam.imag >= lo) & (lam.imag <= hi))
+    if len(branch) < 10:
+        raise InsufficientDataError(
+            f"need at least 10 branch eigenvalues in band, found "
+            f"{len(branch)}", invariant="branch-points")
+    return branch
+
+
 def damping_branch_fit(lam, band):
     """Slope of log(-Re) vs log|Im| along the weakly damped eigenvalue branch.
 
@@ -349,13 +493,7 @@ def damping_branch_fit(lam, band):
     -Re; raw bin minima when the front is too short, e.g. flat synthetic
     branches).  A slope of -2 matches quadratic approach to the axis.
     """
-    lo, hi = _band(band)
-    lam = lam[(lam.imag > 0) & (lam.real < 0)]
-    lam = lam[(lam.imag >= lo) & (lam.imag <= hi)]
-    if len(lam) < 10:
-        raise InsufficientDataError(
-            f"need at least 10 branch eigenvalues in band, found {len(lam)}",
-            invariant="branch-points")
+    lam = lam[_branch(lam, band)]
     decay = -lam.real
     # -log(d), not log(1/d): the slope is then the exact negative of the
     # fit of log(d)
@@ -383,11 +521,19 @@ def suggest_sweep_omegas(lam, band, n_grid=40, n_peaks=60):
     return np.unique(grid)
 
 
-def resolved_band(lam):
-    """Deterministic frequency band for fits: from the 10th smallest
-    eigenfrequency to 2/3 of the largest resolved one."""
-    freqs = np.sort(lam.imag[lam.imag > 1e-9])
+def _band_ends(lam):
+    """Indices of the 10th smallest and the largest eigenfrequency Im > 0
+    (to 1e-9); refused below 12 (``band-data``)."""
+    freqs = np.flatnonzero(lam.imag > 1e-9)
     if len(freqs) < 12:
         raise InsufficientDataError("too few eigenfrequencies for a band",
                                     invariant="band-data")
-    return float(freqs[9]), float((2.0 / 3.0) * freqs[-1])
+    freqs = freqs[np.argsort(lam.imag[freqs], kind="stable")]
+    return int(freqs[9]), int(freqs[-1])
+
+
+def resolved_band(lam):
+    """Deterministic frequency band for fits: from the 10th smallest
+    eigenfrequency to 2/3 of the largest resolved one (``_band_ends``)."""
+    lo, hi = _band_ends(lam)
+    return float(lam.imag[lo]), float((2.0 / 3.0) * lam.imag[hi])

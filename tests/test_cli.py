@@ -145,32 +145,38 @@ def test_spectrum_command(tmp_path):
     assert main(["spectrum", "--config", cfg_path, "--out", str(out)]) == 0
     rows = [line for line in (out / "spectrum.csv").read_text().splitlines()
             if not line.startswith("#")]
-    assert rows[0] == "re,im"
+    assert rows[0] == "re,im,backward_error"
+    values = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
     payload = json.loads((out / "spectrum_fit.json").read_text())
     assert payload["spectral_abscissa"] < 0
     assert payload["zero_in_resolvent"] is True
+    # each refined value carries its backward error, a guess NaN; the
+    # abscissa is a refined value
+    refined = np.isfinite(values[:, 2])
+    assert payload["n_refined"] == np.count_nonzero(
+        refined & (values[:, 1] >= 0))
+    assert payload["max_backward_error"] == values[refined, 2].max() <= 1e-13
+    assert refined[np.argmax(values[:, 0])]
 
 
 @pytest.mark.parametrize("h", [0.25, 0.125, 1.0 / 12.0],
                          ids=["h4", "h8", "h12"])
 def test_gain_only_undamped_spectrum_exits_0(tmp_path, h):
-    # d1 = d2 = 0 with the corner gain: the real parts of the modes the
-    # corner does not damp are rounded zeros, measured up to 0.43, 1.57 and
-    # 1.53 eps max|lambda| at h = 1/4, 1/8 and 1/12 (1 or 2 BLAS threads),
-    # below the 4 of spectrum-dissipative
+    # d1 = d2 = 0 with the corner gain: the modes the corner does not damp
+    # are undamped, and no real part is positive
     data = json.loads(json.dumps(SQUARE_CFG))
     data["material"].update({"d1": 0.0, "d2": 0.0})
     data["mesh"]["h"] = h
     out = tmp_path / "out"
     assert main(["spectrum", "--config", write_cfg(tmp_path, data),
                  "--out", str(out)]) == 0
-    assert "spectral_abscissa" in json.loads(
-        (out / "spectrum_fit.json").read_text())
+    assert json.loads((out / "spectrum_fit.json").read_text())[
+        "spectral_abscissa"] <= 0.0
 
 
 def test_spectrum_count_mode_names_partial_maximum(tmp_path, capsys):
     # at h = 1/8 the 40 eigenvalues nearest the shift reach Re = -0.42; the
-    # dense solve finds the generator's spectral abscissa near -6e-5
+    # refined spectrum finds the generator's spectral abscissa near -6e-5
     data = mutated(("mesh", "h"), 0.125)
     payloads, printed = {}, {}
     for count in ("all", 40, 6):
@@ -191,6 +197,8 @@ def test_spectrum_count_mode_names_partial_maximum(tmp_path, capsys):
     assert "abscissa" not in printed[40]
     # 6 eigenvalues hold 3 eigenfrequencies: too few for the band
     assert "branch_slope" not in payloads[6]
+    assert payloads[40]["n_refined"] == 0
+    assert "max_backward_error" not in payloads[40]
     assert payloads[6]["branch_fit_skipped"] == (
         "too few eigenfrequencies for a band")
 
@@ -762,9 +770,10 @@ def test_overflowed_pencil_refused(tmp_path, capsys, path, value):
 
 @pytest.mark.parametrize("command", ["spectrum", "resolvent"])
 def test_spectrum_with_lost_sign_refused(tmp_path, capsys, command):
-    # d1 = 1e300 at h = 1/4: the dense spectrum of the dissipative generator
-    # reaches max Re(lambda) = 268 eps max|lambda| (+9.0e124), so both
-    # commands stop before anything is fitted, swept or written
+    # d1 = 1e300 at h = 1/4, where the dense spectrum of the dissipative
+    # generator reached max Re(lambda) = +9.0e124: c^2 / 4 overflows in
+    # the overdamped guesses, so both commands stop before anything is
+    # refined, fitted, swept or written
     square = json.loads((LENS_PATH.parent / "square.json").read_text())
     data = mutated(("material", "d1"), 1e300,
                    mutated(("mesh", "h"), 0.25, square))
@@ -773,7 +782,7 @@ def test_spectrum_with_lost_sign_refused(tmp_path, capsys, command):
                  "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "SolverError"
-    assert err["invariant"] == "spectrum-dissipative"
+    assert err["invariant"] == "guess-finite"
     assert list(out.iterdir()) == []
 
 
@@ -793,9 +802,9 @@ def test_spectrum_refused_fit_writes_nothing(tmp_path, capsys, monkeypatch):
     real = cli.pencil_eigenvalues
 
     def nan_real_part(*args, **kwargs):  # a NaN spectral abscissa
-        lam = real(*args, **kwargs)
+        lam, backward = real(*args, **kwargs)
         lam[0] = math.nan
-        return lam
+        return lam, backward
 
     monkeypatch.setattr(cli, "pencil_eigenvalues", nan_real_part)
     out = tmp_path / "out"

@@ -46,7 +46,7 @@ def test_certificate_row_matches_library_pipeline(tmp_path):
     mat = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1.0, d2=1.0)
     mesh = triangulate(dom, 0.25)
     system = assemble(mesh, build_dof_map(mesh, 2), mat)
-    lam = pencil_eigenvalues(system)
+    lam, _ = pencil_eigenvalues(system)
     band = resolved_band(lam)
     sweep = resolvent_sweep(system, suggest_sweep_omegas(lam, band))
     assert fit["theta_hat"] == growth_fit(sweep, band)[0]

@@ -18,6 +18,7 @@ from platedecay.spectral import (damping_branch_fit, growth_fit,
                                  resolvent_sweep, suggest_sweep_omegas)
 
 from damped_square import build
+from dense_oracle import dense_eigenvalues
 
 
 def scalar_system(m, d, k):
@@ -27,7 +28,7 @@ def scalar_system(m, d, k):
 
 
 def test_scalar_surrogate_critically_damped():
-    lam = pencil_eigenvalues(scalar_system(1.0, 2.0, 1.0))
+    lam, _ = pencil_eigenvalues(scalar_system(1.0, 2.0, 1.0))
     assert np.allclose(lam, [-1.0, -1.0], atol=1e-9)
     assert np.min(np.abs(lam)) > 0
 
@@ -35,7 +36,7 @@ def test_scalar_surrogate_critically_damped():
 def test_undamped_spectrum_purely_imaginary():
     mat0 = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=0.0, d2=0.0)
     system = build(mat0, gains=[0, 0, 0, 0])
-    lam = pencil_eigenvalues(system)
+    lam, _ = pencil_eigenvalues(system)
     assert np.max(np.abs(lam.real)) < 1e-8 * np.max(np.abs(lam))
     w2 = sla.eigh(system.K.toarray(), system.M.toarray(),
                   eigvals_only=True)
@@ -44,13 +45,13 @@ def test_undamped_spectrum_purely_imaginary():
 
 
 def test_damped_spectrum_strictly_stable():
-    lam = pencil_eigenvalues(build())
+    lam, _ = pencil_eigenvalues(build())
     assert np.max(lam.real) < 0
     assert np.min(np.abs(lam)) > 0
 
 
 def test_spectrum_conjugate_symmetric():
-    lam = pencil_eigenvalues(build())
+    lam, _ = pencil_eigenvalues(build())
     lam_sorted = lam[np.lexsort((lam.real, lam.imag))]
     conj_sorted = lam.conj()[np.lexsort((lam.conj().real, lam.conj().imag))]
     assert np.allclose(lam_sorted, conj_sorted, atol=1e-7 * np.abs(lam).max())
@@ -60,11 +61,52 @@ def test_count_eigenvalues_nearest_shift_match_dense():
     key = lambda lam: lam[np.lexsort((lam.real, lam.imag))]
     for h, k in ((0.25, 6), (0.125, 40)):
         system = build(h=h)
-        dense = pencil_eigenvalues(system)
-        lam = pencil_eigenvalues(system, count=k)
+        dense = dense_eigenvalues(system)
+        lam, _ = pencil_eigenvalues(system, count=k)
         nearest = dense[np.argsort(np.abs(dense - 1e-3))[:k]]
         assert np.allclose(key(lam), key(nearest), rtol=1e-8, atol=0.0)
         assert np.max(lam.real) < 0 and np.min(np.abs(lam)) > 0
+
+
+def read_values(lam):
+    """The eigenvalues the certified numbers read: the rightmost, the ends
+    of the resolved band, and the branch fit's bin minima on it."""
+    branch = spectral._branch(lam, resolved_band(lam))
+    peaks = branch[spectral._bin_peaks(lam.imag[branch], lam.real[branch])]
+    return np.r_[lam[np.argmax(lam.real)],
+                 lam[list(spectral._band_ends(lam))], lam[peaks]]
+
+
+def theta_hat(system, lam):
+    band = resolved_band(lam)
+    sweep = resolvent_sweep(system, suggest_sweep_omegas(lam, band))
+    return growth_fit(sweep, band)[0]
+
+
+@pytest.mark.parametrize("h", [0.125, 1.0 / 12.0], ids=["h8", "h12"])
+def test_refined_values_match_dense_oracle(h):
+    system = build(h=h)
+    lam, backward = pencil_eigenvalues(system)
+    dense = dense_eigenvalues(system)
+    got, want = read_values(lam), read_values(dense)
+    assert np.all(np.isin(got, lam[np.isfinite(backward)]))
+    assert len(got) == len(want)
+    top = np.abs(dense).max()
+    unit = np.finfo(float).eps * top
+    # real parts within the dense values' own error: measured 2.7 (h = 1/8)
+    # and 10.8 (h = 1/12) eps max|lambda|
+    assert np.all(np.abs(got.real - want.real) <= 16.0 * unit)
+    # the imaginary parts also carry the oracle's undamped modes, whose
+    # error grows like eps max|lambda|^2 / |lambda| at low frequency
+    # (784 eps max|lambda| at the lower band end at h = 1/12); measured up
+    # to 28 times that
+    assert np.all(np.abs(got - want) <= 40.0 * unit * top / np.abs(want))
+    # measured 2.1e-10 and 2.5e-9
+    slope = damping_branch_fit(lam, resolved_band(lam))[0]
+    assert abs(slope / damping_branch_fit(dense, resolved_band(dense))[0]
+               - 1.0) <= 1e-8
+    assert abs(theta_hat(system, lam) / theta_hat(system, dense)
+               - 1.0) <= 1e-8
 
 
 def indefinite_energy():
@@ -84,8 +126,8 @@ def test_count_eigenvalues_refuse_indefinite_energy():
 
 def test_count_eigenvalues_reproducible():
     system = build()
-    first = pencil_eigenvalues(system, count=6)
-    second = pencil_eigenvalues(system, count=6)
+    first, _ = pencil_eigenvalues(system, count=6)
+    second, _ = pencil_eigenvalues(system, count=6)
     assert first.tobytes() == second.tobytes()
 
 
@@ -128,9 +170,9 @@ def test_modal_generator_blocks():
 
 
 def test_dense_spectrum_footprint():
-    """The dense spectrum holds G and the rows of the undamped modes on the
-    support of D, and LAPACK overwrites G: the modes are cut to those rows
-    before G is allocated, and neither eigensolve copies its input."""
+    """The spectrum holds the dense K and M of the undamped modes' ``eigh``,
+    which overwrites them, and LAPACK's workspace, but no 2n x 2n
+    generator: refining a value holds only sparse factors and vectors."""
     import tracemalloc
 
     system = build(h=1.0 / 12.0)
@@ -141,25 +183,27 @@ def test_dense_spectrum_footprint():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured 1.10 x 8 (2n)^2 bytes at n = 576 (1.35 with all the modes
-    # kept while G is allocated, 1.50 with C-order inputs to eigh, which it
-    # copies, 1.18 with a boolean mask of G for the finite check); the
-    # bound leaves 18 %
-    assert peak <= 1.3 * 8 * (2 * n) ** 2
+    # measured 4.02 x 8 n^2 bytes at n = 576: K and M, which eigh
+    # overwrites, and the 2 n^2 doubles of its divide-and-conquer
+    # workspace; the bound leaves 10 %
+    assert peak <= 4.4 * 8 * n ** 2
 
 
 def test_dense_spectrum_refuses_non_finite_generator(monkeypatch):
-    generator = spectral._modal_generator
+    # a non-finite undamped mode makes a non-finite guess, which is
+    # refused before the pencil is factored
+    modes = spectral._undamped_modes
 
-    def with_nan(*args):
-        G = generator(*args)
-        G[3, 5] = np.nan
-        return G
+    def with_nan(system):
+        omega, Phi = modes(system)
+        omega[3] = np.nan
+        return omega, Phi
 
-    monkeypatch.setattr(spectral, "_modal_generator", with_nan)
+    monkeypatch.setattr(spectral, "_undamped_modes", with_nan)
+    monkeypatch.setattr(spectral, "_Pencil", None)
     with pytest.raises(SolverError) as info:
         pencil_eigenvalues(build())
-    assert info.value.invariant == "generator-finite"
+    assert info.value.invariant == "guess-finite"
 
 
 @pytest.mark.parametrize("name", ["K", "M"])
@@ -215,7 +259,7 @@ def test_pencil_factor_backward_stable(monkeypatch):
     """The N and H solves with each P(i omega) of a sweep over the suggested
     frequencies and every in-band eigenfrequency at h = 1/8."""
     system = build(h=0.125)
-    lam = pencil_eigenvalues(system)
+    lam, _ = pencil_eigenvalues(system)
     band = resolved_band(lam)
     freqs = lam.imag
     omegas = np.union1d(suggest_sweep_omegas(lam, band),
@@ -282,7 +326,8 @@ def test_one_factorization_recipe(monkeypatch):
         # K and M for the undamped modes; K, M and the step operator
         "eigenpacket": (lambda: simulate(system, *eigenpacket_data(system),
                                          dt=1e-2, T=0.05), 5),
-        "all": (lambda: pencil_eigenvalues(system), 2),  # K and M
+        # K and M, and one P(sigma) per refined value (23 here)
+        "all": (lambda: pencil_eigenvalues(system), 25),
         # K and M, P(s)
         "count": (lambda: pencil_eigenvalues(system, count=6), 3),
         # K and M, P(i omega) per frequency
@@ -316,7 +361,7 @@ def dense_resolvent_norm(system, omega):
 
 def test_sparse_norm_matches_dense_svd():
     system = build()
-    lam = pencil_eigenvalues(system)
+    lam, _ = pencil_eigenvalues(system)
     peaks = np.sort(lam.imag[lam.imag > 1e-6])[[0, 5, 20]]
     for omega in np.concatenate([[0.0, 3.0, 40.0, 700.0], peaks]):
         value = norm_at(system, omega)
@@ -373,7 +418,7 @@ def test_ritz_value_rule_keeps_norms_in_fewer_solves(monkeypatch):
     # stopping on the converged Ritz value instead of its vector changes no
     # norm beyond rounding, and saves solves
     system = build(h=0.125)
-    lam = pencil_eigenvalues(system)
+    lam, _ = pencil_eigenvalues(system)
     omegas = np.concatenate([suggest_sweep_omegas(lam, resolved_band(lam)),
                              np.logspace(-1, 4, 20)])
     solves, factor = [0], spectral._symmetric_lu
@@ -420,7 +465,7 @@ def test_nonconverged_lanczos_raises(monkeypatch):
 def test_sweep_matches_dense_svd_at_every_suggested_point():
     # a Lanczos solve that settled on a smaller eigenvalue would show here
     system = build()
-    lam = pencil_eigenvalues(system)
+    lam, _ = pencil_eigenvalues(system)
     omegas = suggest_sweep_omegas(lam, resolved_band(lam))
     for omega, value in resolvent_sweep(system, omegas):
         assert abs(value - dense_resolvent_norm(system, omega)) <= 1e-8 * value
@@ -460,7 +505,7 @@ def test_resolvent_symmetry_in_omega():
 
 def test_resolvent_lower_bound_near_eigenvalue():
     system = build(h=0.5)
-    lam = pencil_eigenvalues(system)
+    lam, _ = pencil_eigenvalues(system)
     weak = lam[np.argmax(lam.real[lam.imag > 1e-6])]
     candidates = lam[lam.imag > 1e-6]
     weak = candidates[np.argmax(candidates.real)]
@@ -475,7 +520,7 @@ def test_resolvent_lower_bound_near_eigenvalue():
 def test_resolvent_infinite_on_eigenvalue_of_undamped_system():
     mat0 = PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=0.0, d2=0.0)
     system = build(mat0, gains=[0, 0, 0, 0], h=0.5)
-    lam = pencil_eigenvalues(system)
+    lam, _ = pencil_eigenvalues(system)
     omega = float(np.sort(lam.imag[lam.imag > 1e-9])[0])
     assert norm_at(system, omega) > 1e10
 
@@ -583,11 +628,15 @@ def _refused_eigensolve(monkeypatch):
         -np.linspace(0.1, 0.2, 10) + 1j * np.repeat([10.0, 100.0], 5),
         (1.0, 1000.0))),
     ("eigensolver", _refused_eigensolve),
-    # max Re(lambda) = 117 eps max|lambda| (+2.6e-4) with 1 BLAS thread,
-    # 717 with 2: the sign lost
-    ("spectrum-dissipative", lambda mp: pencil_eigenvalues(build(
-        PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1e10, d2=1e10),
+    # d1 = d2 = 100 at h = 1/8: the guess -46.63 + 46.95i of a heavily
+    # damped low mode refines to -49.69 + 42.90i, nearer another guess
+    # (the dense branch slope, -1.0251, is 8 % off the first-order one)
+    ("eigenvalue-refined", lambda mp: pencil_eigenvalues(build(
+        PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=100.0, d2=100.0),
         h=0.125))),
+    # d1 = 1e300 at h = 1/4: c^2 / 4 overflows in the overdamped guesses
+    ("guess-finite", lambda mp: pencil_eigenvalues(build(
+        PlateMaterial(mu=0.3, rho=1.0, inertia=1.0, d1=1e300, d2=1.0)))),
     # d1 = 1e300 puts entries near 4e301 in D, so i omega D overflows at
     # omega = 1e10 while K and M stay finite
     ("pencil-finite", lambda mp: resolvent_sweep(build(PlateMaterial(
@@ -601,7 +650,7 @@ def test_frequency_side_invariants(monkeypatch, invariant, run):
 
 
 def test_resolved_band_rule():
-    lam = pencil_eigenvalues(build())
+    lam, _ = pencil_eigenvalues(build())
     lo, hi = resolved_band(lam)
     freqs = np.sort(lam.imag[lam.imag > 1e-9])
     assert lo == freqs[9]
@@ -609,7 +658,7 @@ def test_resolved_band_rule():
 
 
 def test_suggest_sweep_omegas_includes_peaks():
-    lam = pencil_eigenvalues(build(h=0.5))
+    lam, _ = pencil_eigenvalues(build(h=0.5))
     band = resolved_band(lam)
     omegas = suggest_sweep_omegas(lam, band, n_grid=20, n_peaks=10)
     in_band = lam[(lam.imag >= band[0]) & (lam.imag <= band[1])]
@@ -636,25 +685,33 @@ def test_growth_fit_keeps_smallest_frequency():
     assert abs(slope - np.polyfit(np.log(w), np.log(v), 1)[0]) < 1e-12
 
 
-THETA_H8 = """
+THREADED = """
 import damped_square
 from platedecay import spectral as S
 system = damped_square.build(h=0.125)
-lam = S.pencil_eigenvalues(system)
+lam, _ = S.pencil_eigenvalues(system)
 band = S.resolved_band(lam)
 sweep = S.resolvent_sweep(system, S.suggest_sweep_omegas(lam, band))
 print(repr(S.growth_fit(sweep, band)[0]))
+lam, _ = S.pencil_eigenvalues(damped_square.build(h=1.0 / 12.0))
+print(repr(float(lam.real.max())))
+print(repr(float(S.damping_branch_fit(lam, S.resolved_band(lam))[0])))
 """
 
 
 def test_theta_independent_of_blas_threads():
-    # the band ends move by ulps with the BLAS thread count; the fit must not
+    # the band ends move by ulps with the BLAS thread count; the fit must
+    # not.  The refined abscissa and branch slope at h = 1/12 agree to
+    # 1e-9 relative (the dense values differed by 3e-7)
     path = os.pathsep.join([str(Path(spectral.__file__).resolve().parents[1]),
                             str(Path(__file__).resolve().parent)])
-    thetas = []
+    runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        out = subprocess.run([sys.executable, "-c", THETA_H8], env=env,
+        out = subprocess.run([sys.executable, "-c", THREADED], env=env,
                              capture_output=True, text=True, check=True)
-        thetas.append(float(out.stdout))
-    assert abs(thetas[0] - thetas[1]) <= 1e-8
+        runs.append([float(line) for line in out.stdout.split()])
+    (theta1, abscissa1, slope1), (theta2, abscissa2, slope2) = runs
+    assert abs(theta1 - theta2) <= 1e-8
+    assert abs(abscissa1 - abscissa2) <= 1e-9 * abs(abscissa1)
+    assert abs(slope1 - slope2) <= 1e-9 * abs(slope1)
