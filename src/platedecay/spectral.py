@@ -12,8 +12,9 @@ which are the one-sided quantities the decay theory constrains.  A and E
 are never assembled, nor is any 2n x 2n matrix but the dense generator of
 ``_modal_generator`` (kept for ``eigenpacket_data``).  The spectrum starts
 from the undamped modes of (K, M), whose light-damping guesses (Lancaster,
-Lambda-Matrices and Vibrating Systems, 1966) are refined on P(s) =
-s^2 M + s D + K wherever a certified number reads them.  ``_Pencil``
+Lambda-Matrices and Vibrating Systems, 1966) carry an estimated error;
+they are refined on P(s) = s^2 M + s D + K wherever a certified number
+reads them or could read them within that error.  ``_Pencil``
 answers the sparse questions from n x n factors of P: that refinement by
 inverse iteration (Tisseur & Meerbergen, SIAM Rev. 43, 2001), eigenvalues
 near a shift by the spectral transformation (Ericsson & Ruhe, Math. Comp.
@@ -35,6 +36,9 @@ _DENSE_LIMIT = 4096  # first-order dofs beyond which dense solves are refused
 _LANCZOS_STEPS = 60  # cap on Lanczos steps per frequency (2n if fewer)
 _REFINE_SOLVES = 10  # cap on inverse-iteration solves per refined eigenvalue
 _BACKWARD_TOL = 1e-13  # backward error a refined eigenvalue must reach
+_COUPLING = 0.5  # largest coupling of a guess to a mode it leaves out
+_CLUSTER = 8  # most modes whose guesses come from one eigensolve (_guesses)
+_SWEEP_PEAKS = 60  # eigenfrequencies a resolvent sweep samples
 
 
 def pencil_eigenvalues(system, count="all", band=None):
@@ -44,11 +48,12 @@ def pencil_eigenvalues(system, count="all", band=None):
 
     ``count = 'all'`` gives all 2n eigenvalues without a 2n x 2n eigensolve:
     the light-damping guesses from the undamped modes, with the values that
-    a certified number reads refined on the pencil (``_refined``); ``band``
-    is the fit band, None for ``resolved_band``.  A guess's backward error
-    is NaN.  An integer count gives the ``count`` eigenvalues nearest the
-    real shift 1e-3 from one sparse n x n factor (``_Pencil.eigenvalues``),
-    whose backward errors are NaN.  Both stop with ``energy-pd`` unless K
+    a certified number reads, or could read within a guess's estimated
+    error, refined on the pencil (``_refined``); ``band`` is the fit band,
+    None for ``resolved_band``.  A guess's backward error is NaN.  An
+    integer count gives the ``count`` eigenvalues nearest the real shift
+    1e-3 from one sparse n x n factor (``_Pencil.eigenvalues``), whose
+    backward errors are NaN.  Both stop with ``energy-pd`` unless K
     and M are positive definite.
     """
     if count == "all":
@@ -81,65 +86,234 @@ def _quadratic_roots(a, b, c):
 def _refined(system, band):
     """All 2n eigenvalues and their backward errors (NaN for a guess).
 
-    The guesses come from the undamped modes of ``_undamped_modes``
-    (refused above 4096 first-order dofs): -c/2 +- i (omega^2 - c^2/4)^(1/2)
-    with c = phi'D phi (``_quadratic_roots``; the upper or small root of
-    mode k at k, the other at n + k), refused unless finite
-    (``guess-finite``).  Each value that ``_read`` finds is refined by
-    ``_Pencil.refine`` from its mode, and ``_read`` looks again at the
-    updated spectrum until every value it finds is refined.  A refined
-    value is accepted only with a backward error of at most
-    ``_BACKWARD_TOL``, nearest its own guess of all 2n guesses and on the
-    same side of the real axis, else ``eigenvalue-refined``; a refined
-    complex value's conjugate is its pair's other member."""
+    The guesses and their estimated errors come from the undamped modes of
+    ``_undamped_modes`` (refused above 4096 first-order dofs) by
+    ``_guesses``.  The values that ``_unsettled`` names are refined by
+    ``_Pencil.refine`` from their start vectors, and it looks again at the
+    updated spectrum until it names none: then every value a certified
+    number reads is refined, and no guess can within its error change
+    which values those are.  A refined value is accepted only with a backward
+    error of at most ``_BACKWARD_TOL``, within the error of its own guess,
+    nearest it of all 2n guesses and on the same side of the real axis,
+    else ``eigenvalue-refined``; a refined complex value's conjugate is its
+    pair's other member."""
     omega, Phi = _undamped_modes(system)
     S = np.union1d(*system.D.nonzero())
-    X = Phi[S]  # the damped rows: c = phi'D phi by D's block on them
-    c = np.maximum(np.einsum("ij,ij->j", X, system.D[S][:, S] @ X), 0.0)
-    guess = np.concatenate(_quadratic_roots(1.0, c, omega * omega))
-    if not np.all(np.isfinite(guess)):
-        raise SolverError("an eigenvalue guess from the undamped modes is "
-                          "not finite", invariant="guess-finite")
-    n, pencil = len(omega), _Pencil(system, checked=True)
-    lam, backward = guess.copy(), np.full(2 * n, np.nan)
+    X = Phi[S]  # the damped rows: Phi'D Phi by D's block on them
+    guess, coords, radius = _guesses(omega, X.T @ (system.D[S][:, S] @ X))
+    del X
+    n, pencil = len(omega), _Pencil(system)
+    lam, backward, err = guess.copy(), np.full(2 * n, np.nan), radius.copy()
     while True:
         order = np.lexsort((lam.real, lam.imag))
-        read = {i - n if i >= n and guess[i].imag else i
-                for i in order[_read(lam[order], band)]}
-        todo = sorted(i for i in read if np.isnan(backward[i]))
+        todo = sorted({i - n if i >= n and guess[i].imag else i
+                       for i in order[_unsettled(lam[order], err[order],
+                                                 band)]})
         if not todo:
             return lam, backward
         for i in todo:
-            value, eta = pencil.refine(guess[i], Phi[:, i % n])
+            modes, y = coords.get(i, ([i % n], [1.0]))  # mode i % n alone
+            value, eta = pencil.refine(guess[i], Phi[:, modes] @ y)
             dist = np.abs(guess - value)
-            if not (eta <= _BACKWARD_TOL and dist[i] <= dist.min()
+            if not (eta <= _BACKWARD_TOL and dist[i] <= radius[i]
+                    and dist[i] <= dist.min()
                     and (value.imag > 0) == (guess[i].imag > 0)):
                 raise SolverError(
                     f"eigenvalue guess {guess[i]:.6g} refined to "
-                    f"{value:.6g} with backward error {eta:.2g}: not within "
-                    f"{_BACKWARD_TOL:.0e} and nearest its own guess",
+                    f"{value:.6g}: backward error {eta:.2g} (at most "
+                    f"{_BACKWARD_TOL:.0e}), {dist[i]:.2g} from the guess "
+                    f"(at most its error {radius[i]:.2g}), nearest guess "
+                    f"{guess[np.argmin(dist)]:.6g}",
                     invariant="eigenvalue-refined")
-            lam[i], backward[i] = value, eta
+            lam[i], backward[i], err[i] = value, eta, 0.0
             if guess[i].imag:
-                lam[i + n], backward[i + n] = np.conj(value), eta
+                lam[i + n], backward[i + n], err[i + n] = (np.conj(value),
+                                                           eta, 0.0)
 
 
-def _read(lam, band):
-    """Indices of the eigenvalues that the certified numbers read: the
-    rightmost (the spectral abscissa), the ends of ``resolved_band`` when
-    ``band`` is None, and the bin minima of ``damping_branch_fit`` on
-    ``band`` or the resolved band; the band and the branch are skipped
-    where their fits would be refused."""
-    read = [int(np.argmax(lam.real))]
+def _guesses(omega, C):
+    """The eigenvalue guesses of ``_refined`` from the undamped modes and
+    C = Phi'D Phi, the coordinates of their start vectors in the modes, and
+    their estimated errors.
+
+    A mode k alone gives the roots of q_k(s) = s^2 + C_kk s + omega_k^2,
+    -C_kk/2 +- i (omega_k^2 - C_kk^2/4)^(1/2) (Lancaster, Lambda-Matrices
+    and Vibrating Systems, 1966; ``_quadratic_roots``), the upper or small
+    one at k and the other at n + k, its start vector the mode.  A guess g
+    with unit coordinates y (e_k for mode k alone) leaves out the modes j
+    outside its cluster, coupled to it by b = C y; its error is estimated
+    as 4 times the second-order term |g|^2 sum_j |b_j|^2 / |q_j(g)| over
+    those j, divided by |y'Q'(g) y| (the Schur complement of the cluster
+    in s^2 I + s C + Omega^2, Q the cluster's block), plus
+    4 n eps max(omega)^2 / |g| for the rounding of the undamped modes.
+    Measured on the damped square (h = 1/4, 1/8, 1/12, d1 = d2 up to 10),
+    every guess lies within 0.29 of that estimate of its refined value,
+    and an undamped mode's rounding reaches 0.3 n eps max(omega)^2 / omega.
+
+    The term holds while each coupling |g b_j| / |q_j(g)| stays below
+    ``_COUPLING``.  Above it, mode j joins the guess's cluster, whose m
+    modes give 2m guesses together: the eigenvalues of the cluster's
+    quadratic s^2 I + s C_cc + Omega_c^2 by a dense eigensolve of its
+    2m x 2m companion matrix, an upper one and its conjugate at k and
+    n + k of one mode k of the cluster, a real pair likewise, with the
+    eigenvector's coordinates y.  Refused unless every guess is finite
+    (``guess-finite``) and every cluster has at most ``_CLUSTER`` modes
+    (``guess-decoupled``)."""
+    n = len(omega)
+    c = np.maximum(C.diagonal(), 0.0)
+    label = np.arange(n)  # the cluster of each mode
+    while True:
+        guess = np.concatenate(_quadratic_roots(1.0, c, omega * omega))
+        coords = {}
+        for k in np.flatnonzero(np.bincount(label) > 1):
+            _cluster_roots(np.flatnonzero(label == k), omega, C, guess,
+                           coords)
+        if not np.all(np.isfinite(guess)):
+            raise SolverError("an eigenvalue guess from the undamped modes "
+                              "is not finite", invariant="guess-finite")
+        term, coupling, partner = _couplings(guess, coords, omega, C, c)
+        over = np.flatnonzero(~(coupling <= _COUPLING))
+        if not len(over):
+            break
+        for i in over:  # join the clusters of the guess and its partner
+            label[label == label[i % n]] = label[partner[i]]
+        size = np.bincount(label).max()
+        if size > _CLUSTER:
+            worst = over[np.argmax(coupling[over])]
+            raise SolverError(
+                f"eigenvalue guess {guess[worst]:.6g} couples to another "
+                f"mode at {coupling[worst]:.2g} of their gap, above "
+                f"{_COUPLING}, in a cluster of {size} modes, above "
+                f"{_CLUSTER}: the guesses do not hold",
+                invariant="guess-decoupled")
+    eps = np.finfo(float).eps
+    with np.errstate(divide="ignore"):
+        floor = 4.0 * n * eps * omega.max() ** 2 / np.abs(guess)
+    return guess, coords, 4.0 * term + floor
+
+
+def _cluster_roots(modes, omega, C, guess, coords):
+    """Write the 2m guesses of the cluster ``modes`` into ``guess`` and
+    their coordinates into ``coords`` (``_guesses``)."""
+    n, m = len(omega), len(modes)
+    companion = np.zeros((2 * m, 2 * m))
+    companion[:m, m:] = np.eye(m)
+    companion[m:, :m] = -np.diag(omega[modes] ** 2)
+    companion[m:, m:] = -C[np.ix_(modes, modes)]
+    values, vectors = sla.eig(companion, check_finite=False)
+    upper = np.flatnonzero(values.imag > 0)
+    upper = upper[np.argsort(values.imag[upper])]
+    real = np.flatnonzero(values.imag == 0)
+    real = real[np.argsort(-values.real[real])]  # the small root first
+    slots = [(k, n + k) for k in modes]
+    pairs = [(i, None) for i in upper]
+    pairs += list(zip(real[0::2], real[1::2]))
+    for (near, far), (k, other) in zip(pairs, slots):
+        for i, slot in ((near, k), (far, other)):
+            if i is not None:
+                y = vectors[:m, i]
+                guess[slot] = values[i]
+                coords[slot] = (modes, y / np.linalg.norm(y))
+        if far is None:  # the conjugate of a complex guess
+            guess[other] = np.conj(guess[k])
+
+
+def _couplings(guess, coords, omega, C, c):
+    """The second-order term, the largest coupling and the mode of that
+    coupling of each guess (``_guesses``); a conjugate at n + k has those
+    of its pair at k."""
+    n = len(omega)
+    term, coupling = np.zeros(2 * n), np.empty(2 * n)
+    partner = np.zeros(2 * n, dtype=int)
+    conj = np.flatnonzero(guess.imag[n:])
+    own = np.setdiff1d(np.arange(2 * n), n + conj)
+    for start in range(0, len(own), 64):  # 64 x n blocks of the couplings
+        rows = own[start:start + 64]
+        g, k = guess[rows], rows % n
+        b = np.abs(C[k])
+        b[np.arange(len(k)), k] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.abs(g)[:, None] * b / np.abs(
+                (g * g)[:, None] + np.outer(g, c) + omega ** 2)
+        t[b == 0.0] = 0.0  # j == k, where q_k(g) is 0
+        coupling[rows], partner[rows] = t.max(axis=1), t.argmax(axis=1)
+        sums = np.abs(g) * np.einsum("ij,ij->i", t, b)
+        coupled = sums > 0.0  # else the guess is exact, if a double root
+        with np.errstate(divide="ignore"):
+            term[rows[coupled]] = sums[coupled] / np.abs(
+                2.0 * g + c[k])[coupled]
+    for slot, (modes, y) in coords.items():  # a cluster's guesses
+        g, b = guess[slot], np.abs(C[:, modes] @ y)
+        b[modes] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.abs(g) * b / np.abs(g * g + g * c + omega ** 2)
+        t[b == 0.0] = 0.0
+        coupling[slot], partner[slot] = t.max(), t.argmax()
+        slope = y @ (2.0 * g * y + C[np.ix_(modes, modes)] @ y)  # y'Q'(g)y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term[slot] = np.abs(g) * (t @ b) / np.abs(slope)
+    for values in (term, coupling, partner):
+        values[n + conj] = values[conj]
+    return term, coupling, partner
+
+
+def _unsettled(lam, err, band):
+    """Indices of the values of ``lam`` to refine next; ``err`` is each
+    value's estimated error, 0 once refined.  While a value that a
+    certified number reads is a guess, these are the guesses among them:
+    the rightmost (the spectral abscissa), the ends of ``resolved_band``
+    when ``band`` is None, and on ``band`` or the resolved band, the lowest
+    and highest branch frequency (which set the bins) and each bin's
+    minimum of ``damping_branch_fit``; the band and the branch are skipped
+    where their fits would be refused.  Then they are the guesses that
+    could, moved by their error, change which values those are: pass the
+    rightmost, become a frequency (Im > 1e-9), cross a band end or the
+    10th frequency, pass the highest frequency, move the branch's ends, or
+    pass the minimum of a bin they may fall in.  The sweep's eigenfrequency
+    samples (``suggest_sweep_omegas``) need an error below a tenth of
+    their distance to the axis, so that each sample sits on its resonance
+    peak; which values they are is a sampling choice, not a certified
+    number."""
+    re, im, guessed = lam.real, lam.imag, err > 0.0
+    below, above = im - err, im + err
+    top = int(np.argmax(re))
+    read = [top]
+    near = (re + err >= re[top]) | ((im <= 1e-9) & (above > 1e-9))
+    branch = None
     try:
         if band is None:
-            read.extend(_band_ends(lam))
+            lo, hi = _band_ends(lam)
+            read += [lo, hi]
+            near |= ((below <= im[lo]) & (above >= im[lo])
+                     | (above >= im[hi]))
             band = resolved_band(lam)
+        blo, bhi = _band(band)
+        near |= ((below <= blo) & (above >= blo)
+                 | (below <= bhi) & (above >= bhi))
+        sweep = _sweep_peaks(lam, band, _SWEEP_PEAKS)
+        near[sweep] |= err[sweep] > -0.1 * re[sweep]
         branch = _branch(lam, band)
     except (InsufficientDataError, InvalidArgumentError):
-        return read
-    return read + branch[_bin_peaks(lam.imag[branch],
-                                    lam.real[branch])].tolist()
+        pass  # no band, or no branch on it
+    if branch is not None:
+        x = im[branch]
+        edges, bins = _bins(x)
+        peaks = _bin_peaks(x, re[branch])
+        read += [branch[np.argmin(x)], branch[np.argmax(x)]]
+        read += branch[peaks].tolist()
+        near |= ((below <= x.min()) & (above >= blo)
+                 | (above >= x.max()) & (below <= bhi))
+        peak = np.full(len(edges) - 1, -np.inf)  # an empty bin's is -inf
+        peak[bins[peaks]] = re[branch[peaks]]
+        first, last = (np.clip(np.searchsorted(edges, y, side="right") - 1,
+                               0, len(peak) - 1) for y in (below, above))
+        near |= ((above >= edges[0]) & (below <= edges[-1])
+                 & ((last - first > 1)
+                    | (re + err >= np.minimum(peak[first], peak[last]))))
+    read = np.unique(read)
+    if np.any(guessed[read]):
+        return read[guessed[read]]
+    return np.flatnonzero(near & guessed)
 
 
 def _undamped_modes(system):
@@ -246,14 +420,13 @@ class _Pencil:
     about two steps (four solves) before its vector.
     """
 
-    def __init__(self, system, checked=False):
+    def __init__(self, system):
         K, M, D = (sp.csc_matrix(X) for X in (system.K, system.M, system.D))
         self.K, self.M, self.D, self.n = K, M, D, K.shape[0]
         # |M|, |D|, |K| in the infinity norm, for backward errors
         self._norms = [abs(X).sum(axis=1).max() for X in (M, D, K)]
-        if not checked:  # K and M not yet checked (by ``_undamped_modes``)
-            for X in (K, M):  # energy-pd, one factor alive at a time
-                _spd_checked(X)
+        for X in (K, M):  # energy-pd, one factor alive at a time
+            _spd_checked(X)
         # a fixed start vector makes every solve reproducible bit for bit;
         # the first Lanczos vector and its E product do not depend on omega
         self.v0 = np.random.default_rng(0).standard_normal(2 * self.n)
@@ -413,14 +586,20 @@ def _band(band):
     return lo, hi
 
 
-def _bin_peaks(x, y):
-    """Indices of the bin peaks of the points (x, y), in bin order: the
-    range of x is cut into at most ``_N_BINS`` log-spaced bins, and each
-    non-empty bin keeps its point of largest y (the first one on ties)."""
+def _bins(x):
+    """The edges of at most ``_N_BINS`` log-spaced bins over the range of
+    the points x > 0, and the bin of each point."""
     edges = np.logspace(np.log10(x.min()), np.log10(x.max()),
                         min(_N_BINS, len(x)) + 1)
     edges[0], edges[-1] = x.min(), edges[-1] * (1.0 + 1e-12)
-    bins = np.searchsorted(edges, x, side="right") - 1
+    return edges, np.searchsorted(edges, x, side="right") - 1
+
+
+def _bin_peaks(x, y):
+    """Indices of the bin peaks of the points (x, y), in bin order: each
+    non-empty bin of ``_bins`` keeps its point of largest y (the first one
+    on ties)."""
+    edges, bins = _bins(x)
     idx = np.flatnonzero((bins >= 0) & (bins < len(edges) - 1))
     idx = idx[np.lexsort((-y[idx], bins[idx]))]  # stable: first on ties
     return idx[np.r_[True, bins[idx[1:]] != bins[idx[:-1]]]]
@@ -503,7 +682,16 @@ def damping_branch_fit(lam, band):
     return -slope, r2
 
 
-def suggest_sweep_omegas(lam, band, n_grid=40, n_peaks=60):
+def _sweep_peaks(lam, band, n_peaks):
+    """Indices of the ``n_peaks`` eigenvalues with Re < 0 and Im in the
+    band nearest the imaginary axis, nearest first."""
+    lo, hi = _band(band)
+    weak = np.flatnonzero((lam.imag >= lo) & (lam.imag <= hi)
+                          & (lam.real < 0))
+    return weak[np.argsort(-lam.real[weak])][:n_peaks]
+
+
+def suggest_sweep_omegas(lam, band, n_grid=40, n_peaks=_SWEEP_PEAKS):
     """Frequencies for a resolvent sweep: log grid plus eigenvalue peaks.
 
     Resolvent peaks are only a few linewidths wide, so a bare log grid
@@ -513,12 +701,8 @@ def suggest_sweep_omegas(lam, band, n_grid=40, n_peaks=60):
     lo, hi = _band(band)
     grid = np.logspace(np.log10(lo), np.log10(hi), n_grid)
     grid[0], grid[-1] = lo, hi  # 10**log10(x) can miss x by an ulp
-    lam = lam[(lam.imag >= lo) & (lam.imag <= hi) & (lam.real < 0)]
-    if len(lam):
-        order = np.argsort(-lam.real)  # smallest -Re first: closest to axis
-        peaks = lam.imag[order][:n_peaks]
-        grid = np.concatenate([grid, peaks])
-    return np.unique(grid)
+    peaks = lam.imag[_sweep_peaks(lam, band, n_peaks)]
+    return np.unique(np.concatenate([grid, peaks]))
 
 
 def _band_ends(lam):

@@ -768,21 +768,29 @@ def test_overflowed_pencil_refused(tmp_path, capsys, path, value):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["spectrum", "resolvent"])
-def test_spectrum_with_lost_sign_refused(tmp_path, capsys, command):
-    # d1 = 1e300 at h = 1/4, where the dense spectrum of the dissipative
-    # generator reached max Re(lambda) = +9.0e124: c^2 / 4 overflows in
-    # the overdamped guesses, so both commands stop before anything is
-    # refined, fitted, swept or written
+@pytest.mark.parametrize("command, h, damping, invariant", [
+    pytest.param(command, h, damping, invariant, id=command + tag)
+    for tag, h, damping, invariant in (
+        ("", 0.25, {"d1": 1e300}, "guess-finite"),
+        ("-d1e10", 0.125, {"d1": 1e10, "d2": 1e10}, "guess-decoupled"))
+    for command in ("spectrum", "resolvent")])
+def test_spectrum_with_lost_sign_refused(tmp_path, capsys, command, h,
+                                         damping, invariant):
+    # where the dense spectrum of the dissipative generator lost its sign
+    # (max Re(lambda) = +9.0e124 at d1 = 1e300, h = 1/4, and +8.5e-5 at
+    # d1 = d2 = 1e10, h = 1/8): c^2 / 4 overflows in the overdamped
+    # guesses, or every guess is real and couples to other modes far
+    # beyond their gap, so both commands stop before anything is refined,
+    # fitted, swept or written
     square = json.loads((LENS_PATH.parent / "square.json").read_text())
-    data = mutated(("material", "d1"), 1e300,
-                   mutated(("mesh", "h"), 0.25, square))
+    data = mutated(("mesh", "h"), h, square)
+    data["material"].update(damping)
     out = tmp_path / "out"
     assert main([command, "--config", write_cfg(tmp_path, data),
                  "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "SolverError"
-    assert err["invariant"] == "guess-finite"
+    assert err["invariant"] == invariant
     assert list(out.iterdir()) == []
 
 
