@@ -19,7 +19,10 @@ answers the sparse questions from n x n factors of P: that refinement by
 inverse iteration (Tisseur & Meerbergen, SIAM Rev. 43, 2001), eigenvalues
 near a shift by the spectral transformation (Ericsson & Ruhe, Math. Comp.
 35, 1980) and the resolvent norm by a Lanczos iteration in the energy inner
-product (Wright & Trefethen, SISC 23, 2001).
+product (Wright & Trefethen, SISC 23, 2001).  Every P(s) a pencil factors
+has one pattern, the union of those of K, M and D, so it is ordered once:
+by the minimum-degree ordering of the pencil's K check, on which K, D and
+M are held as data arrays and P(s) is their combination.
 """
 
 from __future__ import annotations
@@ -348,17 +351,36 @@ def _modal_generator(omega, X, D):
     return G
 
 
-def _symmetric_lu(matrix, pivot):
+def _symmetric_lu(matrix, pivot, ordered=False):
     """The package's one factorization: sparse LU of a (complex) symmetric
     matrix, minimum degree on A' + A, keeping each diagonal pivot unless it is
     below ``pivot`` times its column's largest entry (Demmel et al., SIMAX
-    20, 1999).  Relaxed supernodes are capped at two columns (``relax=2``):
-    scipy's default pads them with explicit zeros, which every solve reads
-    (52,728 stored entries for K at h = 1/12 against 41,072).  Raises
-    RuntimeError when the matrix is exactly singular."""
-    return splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+    20, 1999).  ``ordered``: the matrix comes in its fill-reducing order
+    already (``_Pencil.factor``, on the ordering of its K check), so SuperLU
+    keeps it (``NATURAL``) instead of recomputing minimum degree.  Relaxed
+    supernodes are capped at two columns (``relax=2``): scipy's default pads
+    them with explicit zeros, which every solve reads (52,728 stored entries
+    for K at h = 1/12 against 41,072).  Raises RuntimeError when the matrix
+    is exactly singular."""
+    return splu(sp.csc_matrix(matrix),
+                permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
                 diag_pivot_thresh=pivot, relax=2,
                 options={"SymmetricMode": True})
+
+
+def _aligned(matrices, at):
+    """The union of the matrices' patterns with row and column i moved to
+    ``at[i]``, as CSC (indices, indptr), and each matrix's data on it, so
+    that a combination of the matrices is that of their data arrays."""
+    n = len(at)
+    coo = [X.tocoo() for X in matrices]
+    keys = [at[X.col].astype(np.int64) * n + at[X.row] for X in coo]
+    union = np.sort(np.concatenate(keys))  # column-major, sorted rows
+    union = union[np.r_[True, union[1:] != union[:-1]]]
+    data = [np.bincount(np.searchsorted(union, key), weights=X.data,
+                        minlength=len(union)) for X, key in zip(coo, keys)]
+    indptr = np.searchsorted(union // n, np.arange(n + 1))
+    return ((union % n).astype(np.intc), indptr.astype(np.intc)), data
 
 
 def _spd_checked(matrix):
@@ -367,12 +389,12 @@ def _spd_checked(matrix):
     exactly when every pivot is (else ``energy-pd``).  Reading diag(U) makes
     scipy's SuperLU keep CSC copies of L and U as long as the factor lives,
     so only the energy's K and M (the check before ``_undamped_modes`` and
-    ``_Pencil``, ``_spd_root``) and single solves use this factor.  A
-    factor kept for many solves is made once by ``_symmetric_lu`` and never
-    read: the step operator and P(s) at s > 0 are positive combinations of
-    K and M, checked here, plus a multiple of D, positive semidefinite by
-    construction (boundary Gram matrices with positive weights, d1, d2 >= 0
-    and diagonal corner gains >= 0)."""
+    ``_Pencil``, whose K check gives its ordering, ``_spd_root``) and single
+    solves use this factor.  A factor kept for many solves is made once by
+    ``_symmetric_lu`` and never read: the step operator and P(s) at s > 0
+    are positive combinations of K and M, checked here, plus a multiple of
+    D, positive semidefinite by construction (boundary Gram matrices with
+    positive weights, d1, d2 >= 0 and diagonal corner gains >= 0)."""
     try:
         lu = _symmetric_lu(matrix, 0.0)
     except RuntimeError:  # exactly singular
@@ -395,6 +417,13 @@ class _Pencil:
     """The damped pencil P(s) = s^2 M + s D + K, which answers the
     frequency questions from n x n factors: ``refine`` (its docstring),
     ``eigenvalues`` and ``norm``.
+
+    Every P(s) has the pattern of K, M and D together, so the pencil orders
+    it once: K embedded in that union pattern is checked (``energy-pd``),
+    and the minimum-degree ordering of that check permutes the pattern, on
+    which K, D and M are held as three data arrays.  ``factor`` forms P(s)
+    as their combination and factors it in that order (``_symmetric_lu``,
+    ``ordered``), with no sparse sums and no ordering of its own.
 
     ``eigenvalues``: lambda = s + 1/mu for the largest mu of
     (A - s E)^{-1} E, which maps y = (y1, y2) to (u, s u + y1) with
@@ -422,11 +451,19 @@ class _Pencil:
 
     def __init__(self, system):
         K, M, D = (sp.csc_matrix(X) for X in (system.K, system.M, system.D))
-        self.K, self.M, self.D, self.n = K, M, D, K.shape[0]
+        n = K.shape[0]
+        self.K, self.M, self.D, self.n = K, M, D, n
         # |M|, |D|, |K| in the infinity norm, for backward errors
         self._norms = [abs(X).sum(axis=1).max() for X in (M, D, K)]
-        for X in (K, M):  # energy-pd, one factor alive at a time
-            _spd_checked(X)
+        # energy-pd, one factor alive at a time; the K check's ordering
+        # (its perm_c, perm_r = perm_c) moves index i to at[i] in every P(s),
+        # copied: perm_c is a view that would keep the check's factor alive
+        pattern, (kd, _, _) = _aligned((K, M, D), np.arange(n))
+        checked = sp.csc_matrix((kd, *pattern), shape=(n, n))
+        at = _spd_checked(checked).perm_c.astype(np.intp)
+        _spd_checked(M)
+        self._pattern, self._data = _aligned((K, D, M), at)
+        self._at, self._order = at, np.argsort(at)
         # a fixed start vector makes every solve reproducible bit for bit;
         # the first Lanczos vector and its E product do not depend on omega
         self.v0 = np.random.default_rng(0).standard_normal(2 * self.n)
@@ -455,8 +492,8 @@ class _Pencil:
         value of x.
         """
         K, M, D = self.K, self.M, self.D
-        x, lu, best = np.asarray(x, dtype=complex), None, (lam, np.inf)
-        for solve in range(_REFINE_SOLVES + 1):
+        x, solve, best = np.asarray(x, dtype=complex), None, (lam, np.inf)
+        for step in range(_REFINE_SOLVES + 1):
             Kx, Dx, Mx = K @ x, D @ x, M @ x
             a, b, c = (np.einsum("i,i", x.conj(), v).real
                        for v in (Mx, Dx, Kx))
@@ -470,30 +507,52 @@ class _Pencil:
                  + self._norms[2]) * np.abs(x).max())
             stalled = eta > 0.1 * best[1]
             best = min(best, (lam, eta), key=lambda pair: pair[1])
-            if solve == _REFINE_SOLVES or (stalled and eta <= _BACKWARD_TOL):
+            if step == _REFINE_SOLVES or (stalled and eta <= _BACKWARD_TOL):
                 break
-            if lu is None or stalled:
+            if solve is None or stalled:
                 sigma = lam
                 try:
-                    lu = _symmetric_lu(K + sigma * D + (sigma * sigma) * M,
-                                       0.1)
+                    solve = self.factor(sigma, 0.1)
                 except RuntimeError:  # exactly singular
                     break
-            x = lu.solve((lam + sigma) * Mx + Dx)
+            x = solve((lam + sigma) * Mx + Dx)
             x /= np.abs(x).max()
         return best
+
+    def factor(self, s, pivot):
+        """The solve b -> P(s)^{-1} b (``trans="H"``: P(s)^H) by one factor
+        of P(s) = K + s D + s^2 M at diagonal pivot threshold ``pivot``,
+        made on the pencil's ordering: x = lu.solve(b[order])[at].  Refused
+        when an entry overflowed (``pencil-finite``); RuntimeError when P(s)
+        is exactly singular."""
+        kd, dd, md = self._data
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
+            data = kd + s * dd + (s * s) * md
+        if not np.all(np.isfinite(data)):
+            raise InvalidArgumentError(
+                f"P(s) at s = {s:.17g} has a non-finite entry",
+                invariant="pencil-finite")
+        n = self.n
+        lu = _symmetric_lu(sp.csc_matrix((data, *self._pattern), shape=(n, n)),
+                           pivot, ordered=True)
+        order, at = self._order, self._at
+
+        def solve(b, trans="N"):
+            return lu.solve(b[order], trans=trans)[at]
+
+        return solve
 
     def _e_prod(self, x):  # E x
         return np.concatenate([self.K @ x[:self.n], self.M @ x[self.n:]])
 
     def eigenvalues(self, k, s):
         """The k eigenvalues of the generator nearest the real shift s."""
-        K, M, D, n = self.K, self.M, self.D, self.n
-        lu = _symmetric_lu(K + s * D + (s * s) * M, 0.0)
+        M, D, n = self.M, self.D, self.n
+        solve = self.factor(s, 0.0)
 
         def apply(y):  # (A - s E)^{-1} E y
             y1 = y[:n]
-            u = -lu.solve(M @ (y[n:] + s * y1) + D @ y1)
+            u = -solve(M @ (y[n:] + s * y1) + D @ y1)
             return np.concatenate([u, s * u + y1])
 
         op = LinearOperator((2 * n, 2 * n), matvec=apply, dtype=float)
@@ -509,23 +568,17 @@ class _Pencil:
         # P(-i omega) is the conjugate of P(i omega), so the norm is even in
         # omega; evaluating at |omega| makes it so bit for bit
         w = abs(float(omega))
-        K, M, D, n = self.K, self.M, self.D, self.n
-        with np.errstate(over="ignore"):
-            P = K - (w * w) * M + (1j * w) * D
-        if not np.all(np.isfinite(P.data)):
-            raise InvalidArgumentError(
-                f"P(i omega) at omega = {w:.17g} has a non-finite entry",
-                invariant="pencil-finite")
+        M, D, n = self.M, self.D, self.n
         try:  # P(i omega) is indefinite: pivots may leave the diagonal
-            lu = _symmetric_lu(P, 0.1)
+            solve = self.factor(1j * w, 0.1)
         except RuntimeError:  # exactly singular, and finite: an eigenfrequency
             return np.inf
 
         def apply(f):  # X f
             f1, f2 = f[:n], f[n:]
-            u = lu.solve(M @ (f2 + 1j * w * f1) + D @ f1)
+            u = solve(M @ (f2 + 1j * w * f1) + D @ f1)
             v = 1j * w * u - f1
-            y = lu.solve(D @ u - M @ (1j * w * u + v), trans="H")
+            y = solve(D @ u - M @ (1j * w * u + v), trans="H")
             return np.concatenate([y, 1j * w * y + u])
 
         Q, EQ, alpha, beta = [self._q0], [self._eq0], [], []
@@ -561,8 +614,9 @@ class _Pencil:
 def resolvent_sweep(system, omegas):
     """Resolvent norms at many frequencies; returns rows (omega, norm).
 
-    K and M are checked positive definite once; each frequency costs one
-    sparse LU of the pencil and a few Lanczos steps from the same vector.
+    K and M are checked positive definite once, and the K check orders
+    every P(i omega); each frequency costs one sparse LU of the pencil on
+    that ordering and a few Lanczos steps from the same vector.
     """
     op = _Pencil(system)
     omegas = np.asarray(omegas, dtype=float)
