@@ -44,7 +44,8 @@ from .dynamics import (boundary_bump_data, decay_fit, dissipation_residual,
                        eigenpacket_data, energy_drift, fit_window_slice,
                        simulate, step_times)
 from .spectral import (damping_branch_fit, growth_fit, pencil_eigenvalues,
-                       resolved_band, resolvent_sweep, suggest_sweep_omegas)
+                       resolved_band, resolvent_sweep, spectral_abscissa,
+                       suggest_sweep_omegas, zero_in_resolvent)
 
 # Set-up peaks near 15 KB per triangle at degree 2 (39 KB at degree 3), so
 # this many stay near 1.5 GB (4 GB).
@@ -457,8 +458,8 @@ def _spectrum_summary(lam, backward, count):
     of their ``backward`` errors when there are any."""
     key = "spectral_abscissa" if count == "all" else "max_real_computed"
     refined = backward[np.isfinite(backward) & (lam.imag >= 0)]
-    summary = {"n_eigenvalues": len(lam), key: float(np.max(lam.real)),
-               "zero_in_resolvent": bool(np.min(np.abs(lam)) > 0.0),
+    summary = {"n_eigenvalues": len(lam), key: spectral_abscissa(lam),
+               "zero_in_resolvent": zero_in_resolvent(lam),
                "n_refined": len(refined)}
     if len(refined):
         summary["max_backward_error"] = float(refined.max())
@@ -483,7 +484,7 @@ def _cmd_spectrum(cfg, out):
                   (lam.real, lam.imag, backward))
     what = ("spectral abscissa" if count == "all"
             else "largest computed real part")
-    print(f"{len(lam)} eigenvalues; {what} {np.max(lam.real):.6g}")
+    print(f"{len(lam)} eigenvalues; {what} {spectral_abscissa(lam):.6g}")
     return 0
 
 

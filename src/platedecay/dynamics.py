@@ -28,8 +28,8 @@ import scipy.sparse as sp
 from ._lsq import lsq_line
 from .errors import InsufficientDataError, InvalidArgumentError, SolverError
 from .geometry import GAMMA1
-from .spectral import (_modal_generator, _spd_checked, _spd_root,
-                       _symmetric_lu, _undamped_modes)
+from .spectral import (_dense_limited, _modal_generator, _spd_checked,
+                       _spd_root, _symmetric_lu, _undamped_modes)
 
 # The trace takes 40 bytes per step (five float arrays) and a CLI simulate
 # peaks near 60, so this many stay under 1 GB.
@@ -287,9 +287,11 @@ def eigenpacket_data(system, n_modes=6):
     Takes the generator's eigenvectors closest to the imaginary axis, one
     per conjugate pair, in the modal coordinates y = (W q, q') of
     ``_modal_generator``, where each has unit energy, and sums their real
-    parts, mapped back by u = Phi W^{-1} y1 and v = Phi y2.  The eigensolve
-    is dense, so it is refused above the dense limit (``dense-limit``).
+    parts, mapped back by u = Phi W^{-1} y1 and v = Phi y2.  The generator
+    is dense, so it is refused when 2n is above the dense limit
+    (``dense-limit``).
     """
+    _dense_limited(2 * system.n_free, "first-order dofs")
     omega, Phi = _undamped_modes(system)
     lam, Y = np.linalg.eig(_modal_generator(omega, Phi, system.D))
     order = np.argsort(-lam.real)  # closest to the axis first (Re < 0)

@@ -14,15 +14,13 @@ are never assembled, nor is any 2n x 2n matrix but the dense generator of
 from the undamped modes of (K, M), whose light-damping guesses (Lancaster,
 Lambda-Matrices and Vibrating Systems, 1966) carry an estimated error;
 they are refined on P(s) = s^2 M + s D + K wherever a certified number
-reads them or could read them within that error.  ``_Pencil``
-answers the sparse questions from n x n factors of P: that refinement by
-inverse iteration (Tisseur & Meerbergen, SIAM Rev. 43, 2001), eigenvalues
-near a shift by the spectral transformation (Ericsson & Ruhe, Math. Comp.
-35, 1980) and the resolvent norm by a Lanczos iteration in the energy inner
-product (Wright & Trefethen, SISC 23, 2001).  Every P(s) a pencil factors
-has one pattern, the union of those of K, M and D, so it is ordered once:
-by the minimum-degree ordering of the pencil's K check, on which K, D and
-M are held as data arrays and P(s) is their combination.
+reads them or could read them within that error (``_READERS``).
+``_Pencil`` answers the sparse questions from n x n factors of P, all on
+one ordering: that refinement by inverse iteration (Tisseur & Meerbergen,
+SIAM Rev. 43, 2001), eigenvalues near a shift by the spectral
+transformation (Ericsson & Ruhe, Math. Comp. 35, 1980) and the resolvent
+norm by a Lanczos iteration in the energy inner product (Wright &
+Trefethen, SISC 23, 2001).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from scipy.sparse.linalg import LinearOperator, eigs, splu
 from ._lsq import lsq_line
 from .errors import (InsufficientDataError, InvalidArgumentError, SolverError)
 
-_DENSE_LIMIT = 4096  # first-order dofs beyond which dense solves are refused
+_DENSE_LIMIT = 4096  # order beyond which a dense eigensolve is refused
 _LANCZOS_STEPS = 60  # cap on Lanczos steps per frequency (2n if fewer)
 _REFINE_SOLVES = 10  # cap on inverse-iteration solves per refined eigenvalue
 _BACKWARD_TOL = 1e-13  # backward error a refined eigenvalue must reach
@@ -49,18 +47,15 @@ def pencil_eigenvalues(system, count="all", band=None):
     and their backward errors, both sorted by imaginary part, then by real
     part.
 
-    ``count = 'all'`` gives all 2n eigenvalues without a 2n x 2n eigensolve:
-    the light-damping guesses from the undamped modes, with the values that
-    a certified number reads, or could read within a guess's estimated
-    error, refined on the pencil (``_refined``); ``band`` is the fit band,
-    None for ``resolved_band``.  A guess's backward error is NaN.  An
-    integer count gives the ``count`` eigenvalues nearest the real shift
-    1e-3 from one sparse n x n factor (``_Pencil.eigenvalues``), whose
-    backward errors are NaN.  Both stop with ``energy-pd`` unless K
-    and M are positive definite.
+    ``count = 'all'`` gives all 2n eigenvalues without a 2n x 2n eigensolve
+    (``_refined``; ``band`` is the fit band, None for ``resolved_band``); a
+    guess's backward error is NaN.  An integer count gives the ``count``
+    eigenvalues nearest the real shift 1e-3 from one sparse n x n factor
+    (``_Pencil.eigenvalues``), whose backward errors are NaN.  Both stop
+    with ``energy-pd`` unless K and M are positive definite.
     """
     if count == "all":
-        lam, backward = _refined(system, band)
+        lam, backward = _refined(system, band)[:2]
     else:
         k = int(count)
         if not 0 < k < 2 * system.K.shape[0] - 1:
@@ -87,19 +82,15 @@ def _quadratic_roots(a, b, c):
 
 
 def _refined(system, band):
-    """All 2n eigenvalues and their backward errors (NaN for a guess).
-
-    The guesses and their estimated errors come from the undamped modes of
-    ``_undamped_modes`` (refused above 4096 first-order dofs) by
-    ``_guesses``.  The values that ``_unsettled`` names are refined by
-    ``_Pencil.refine`` from their start vectors, and it looks again at the
-    updated spectrum until it names none: then every value a certified
-    number reads is refined, and no guess can within its error change
-    which values those are.  A refined value is accepted only with a backward
-    error of at most ``_BACKWARD_TOL``, within the error of its own guess,
-    nearest it of all 2n guesses and on the same side of the real axis,
-    else ``eigenvalue-refined``; a refined complex value's conjugate is its
-    pair's other member."""
+    """All 2n eigenvalues, their backward errors (NaN for a guess) and their
+    estimated errors (0 once refined): the guesses of ``_guesses`` from
+    ``_undamped_modes``, with the values that ``_unsettled`` names refined
+    by ``_Pencil.refine`` until it names none, so that every reader of
+    ``_READERS`` reads refined values only.  A refined value is accepted
+    only with a backward error of at most ``_BACKWARD_TOL``, within the
+    error of its own guess, nearest it of all 2n guesses and on the same
+    side of the real axis, else ``eigenvalue-refined``; a refined complex
+    value's conjugate is its pair's other member."""
     omega, Phi = _undamped_modes(system)
     S = np.union1d(*system.D.nonzero())
     X = Phi[S]  # the damped rows: Phi'D Phi by D's block on them
@@ -113,7 +104,7 @@ def _refined(system, band):
                        for i in order[_unsettled(lam[order], err[order],
                                                  band)]})
         if not todo:
-            return lam, backward
+            return lam, backward, err
         for i in todo:
             modes, y = coords.get(i, ([i % n], [1.0]))  # mode i % n alone
             value, eta = pencil.refine(guess[i], Phi[:, modes] @ y)
@@ -261,59 +252,12 @@ def _couplings(guess, coords, omega, C, c):
 
 
 def _unsettled(lam, err, band):
-    """Indices of the values of ``lam`` to refine next; ``err`` is each
-    value's estimated error, 0 once refined.  While a value that a
-    certified number reads is a guess, these are the guesses among them:
-    the rightmost (the spectral abscissa), the ends of ``resolved_band``
-    when ``band`` is None, and on ``band`` or the resolved band, the lowest
-    and highest branch frequency (which set the bins) and each bin's
-    minimum of ``damping_branch_fit``; the band and the branch are skipped
-    where their fits would be refused.  Then they are the guesses that
-    could, moved by their error, change which values those are: pass the
-    rightmost, become a frequency (Im > 1e-9), cross a band end or the
-    10th frequency, pass the highest frequency, move the branch's ends, or
-    pass the minimum of a bin they may fall in.  The sweep's eigenfrequency
-    samples (``suggest_sweep_omegas``) need an error below a tenth of
-    their distance to the axis, so that each sample sits on its resonance
-    peak; which values they are is a sampling choice, not a certified
-    number."""
-    re, im, guessed = lam.real, lam.imag, err > 0.0
-    below, above = im - err, im + err
-    top = int(np.argmax(re))
-    read = [top]
-    near = (re + err >= re[top]) | ((im <= 1e-9) & (above > 1e-9))
-    branch = None
-    try:
-        if band is None:
-            lo, hi = _band_ends(lam)
-            read += [lo, hi]
-            near |= ((below <= im[lo]) & (above >= im[lo])
-                     | (above >= im[hi]))
-            band = resolved_band(lam)
-        blo, bhi = _band(band)
-        near |= ((below <= blo) & (above >= blo)
-                 | (below <= bhi) & (above >= bhi))
-        sweep = _sweep_peaks(lam, band, _SWEEP_PEAKS)
-        near[sweep] |= err[sweep] > -0.1 * re[sweep]
-        branch = _branch(lam, band)
-    except (InsufficientDataError, InvalidArgumentError):
-        pass  # no band, or no branch on it
-    if branch is not None:
-        x = im[branch]
-        edges, bins = _bins(x)
-        peaks = _bin_peaks(x, re[branch])
-        read += [branch[np.argmin(x)], branch[np.argmax(x)]]
-        read += branch[peaks].tolist()
-        near |= ((below <= x.min()) & (above >= blo)
-                 | (above >= x.max()) & (below <= bhi))
-        peak = np.full(len(edges) - 1, -np.inf)  # an empty bin's is -inf
-        peak[bins[peaks]] = re[branch[peaks]]
-        first, last = (np.clip(np.searchsorted(edges, y, side="right") - 1,
-                               0, len(peak) - 1) for y in (below, above))
-        near |= ((above >= edges[0]) & (below <= edges[-1])
-                 & ((last - first > 1)
-                    | (re + err >= np.minimum(peak[first], peak[last]))))
-    read = np.unique(read)
+    """Indices of the values of ``lam`` to refine next: the guesses that a
+    reader of ``_READERS`` reads, else, once there are none, the guesses
+    that could within their error change which values one reads."""
+    reads, could = zip(*(read_set(lam, err, band) for read_set in _READERS))
+    read, guessed = np.unique(np.concatenate(reads)).astype(int), err > 0.0
+    near = np.logical_or.reduce(np.broadcast_arrays(*could))
     if np.any(guessed[read]):
         return read[guessed[read]]
     return np.flatnonzero(near & guessed)
@@ -322,20 +266,23 @@ def _unsettled(lam, err, band):
 def _undamped_modes(system):
     """omega and Phi, K Phi = M Phi diag(omega^2) and Phi'M Phi = I, by the
     dense ``sygvd`` (a Cholesky of M), which overwrites the Fortran-order K
-    with Phi; refused above the dense limit before anything is allocated
-    (``dense-limit``), and with ``energy-pd`` unless K and M are definite."""
-    n = system.K.shape[0]
-    if 2 * n > _DENSE_LIMIT:
-        raise InvalidArgumentError(
-            f"dense eigensolve refused for {2 * n} first-order dofs, "
-            f"above the dense limit of {_DENSE_LIMIT}",
-            invariant="dense-limit")
+    with Phi; refused when n is above the dense limit before anything is
+    allocated (``dense-limit``), and with ``energy-pd`` unless K and M are
+    definite."""
+    _dense_limited(system.K.shape[0], "dofs")
     for X in (system.K, system.M):  # one factor alive at a time
         _spd_checked(X)
     w2, Phi = sla.eigh(system.K.toarray(order="F"),
                        system.M.toarray(order="F"), overwrite_a=True,
                        overwrite_b=True, check_finite=False)
     return np.sqrt(w2), Phi
+
+
+def _dense_limited(order, dofs):  # dense-limit
+    if order > _DENSE_LIMIT:
+        raise InvalidArgumentError(
+            f"dense eigensolve refused for {order} {dofs}, above the dense "
+            f"limit of {_DENSE_LIMIT}", invariant="dense-limit")
 
 
 def _modal_generator(omega, X, D):
@@ -418,18 +365,14 @@ class _Pencil:
     frequency questions from n x n factors: ``refine`` (its docstring),
     ``eigenvalues`` and ``norm``.
 
-    Every P(s) has the pattern of K, M and D together, so the pencil orders
-    it once: K embedded in that union pattern is checked (``energy-pd``),
-    and the minimum-degree ordering of that check permutes the pattern, on
-    which K, D and M are held as three data arrays.  ``factor`` forms P(s)
-    as their combination and factors it in that order (``_symmetric_lu``,
-    ``ordered``), with no sparse sums and no ordering of its own.
+    Every P(s) has the union pattern of K, M and D, ordered once by the
+    minimum-degree ordering of K's check on it (``energy-pd``); K, D and M
+    are held as data arrays on it, which ``factor`` combines.
 
     ``eigenvalues``: lambda = s + 1/mu for the largest mu of
     (A - s E)^{-1} E, which maps y = (y1, y2) to (u, s u + y1) with
-    P(s) u = -(M y2 + (D + s M) y1), one factor of P(s) for every product.
-    P(s) at s > 0 is definite once K and M are checked, D being positive
-    semidefinite (``_spd_checked``), so its one factor is never read.
+    P(s) u = -(M y2 + (D + s M) y1), one factor of P(s) for every product,
+    never read: P(s) at s > 0 is definite (``_spd_checked``).
 
     ``norm``: the energy-norm resolvent R = (i omega E - A)^{-1} E maps
     f = (f1, f2) to z = (u, i omega u - f1) with
@@ -624,6 +567,27 @@ def resolvent_sweep(system, omegas):
     return np.stack([omegas, norms], axis=1)
 
 
+def spectral_abscissa(lam):
+    """The largest real part of the eigenvalues ``lam``."""
+    return float(np.max(lam.real))
+
+
+def _abscissa_reads(lam, err, band):
+    """The rightmost value, and the guesses that could pass it."""
+    top = int(np.argmax(lam.real))
+    return [top], lam.real + err >= lam.real[top]
+
+
+def zero_in_resolvent(lam):
+    """Whether 0 is in the resolvent set: no eigenvalue ``lam`` is 0."""
+    return bool(np.min(np.abs(lam)) > 0.0)
+
+
+def _zero_reads(lam, err, band):
+    """No value, and the guesses whose error disc reaches 0."""
+    return [], np.abs(lam) <= err
+
+
 # ---------------------------------------------------------------------------
 # fits
 # ---------------------------------------------------------------------------
@@ -736,6 +700,31 @@ def damping_branch_fit(lam, band):
     return -slope, r2
 
 
+def _branch_reads(lam, err, band):
+    """The branch ends (which set the bins) and each bin minimum of
+    ``damping_branch_fit``, and the guesses that could move those ends or
+    pass the minimum of a bin they may fall in."""
+    try:
+        lo, hi = _fit_band(lam, band)
+        branch = _branch(lam, (lo, hi))
+    except (InsufficientDataError, InvalidArgumentError):
+        return [], False
+    re, below, above = lam.real, lam.imag - err, lam.imag + err
+    x = lam.imag[branch]
+    edges, bins = _bins(x)
+    peaks = _bin_peaks(x, re[branch])
+    peak = np.full(len(edges) - 1, -np.inf)  # an empty bin's is -inf
+    peak[bins[peaks]] = re[branch[peaks]]
+    first, last = (np.clip(np.searchsorted(edges, y, side="right") - 1,
+                           0, len(peak) - 1) for y in (below, above))
+    near = ((below <= x.min()) & (above >= lo)
+            | (above >= x.max()) & (below <= hi)
+            | (above >= edges[0]) & (below <= edges[-1])
+            & ((last - first > 1)
+               | (re + err >= np.minimum(peak[first], peak[last]))))
+    return [branch[np.argmin(x)], branch[np.argmax(x)], *branch[peaks]], near
+
+
 def _sweep_peaks(lam, band, n_peaks):
     """Indices of the ``n_peaks`` eigenvalues with Re < 0 and Im in the
     band nearest the imaginary axis, nearest first."""
@@ -759,6 +748,19 @@ def suggest_sweep_omegas(lam, band, n_grid=40, n_peaks=_SWEEP_PEAKS):
     return np.unique(np.concatenate([grid, peaks]))
 
 
+def _sweep_reads(lam, err, band):
+    """No value (the samples of ``suggest_sweep_omegas`` are a sampling
+    choice), and the samples whose error is above a tenth of their distance
+    to the axis, as each must sit on its resonance peak."""
+    try:
+        sweep = _sweep_peaks(lam, _fit_band(lam, band), _SWEEP_PEAKS)
+    except (InsufficientDataError, InvalidArgumentError):
+        return [], False
+    near = np.zeros(len(lam), dtype=bool)
+    near[sweep] = err[sweep] > -0.1 * lam.real[sweep]
+    return [], near
+
+
 def _band_ends(lam):
     """Indices of the 10th smallest and the largest eigenfrequency Im > 0
     (to 1e-9); refused below 12 (``band-data``)."""
@@ -775,3 +777,38 @@ def resolved_band(lam):
     eigenfrequency to 2/3 of the largest resolved one (``_band_ends``)."""
     lo, hi = _band_ends(lam)
     return float(lam.imag[lo]), float((2.0 / 3.0) * lam.imag[hi])
+
+
+def _fit_band(lam, band):
+    """The band of the fits, ``band`` or else ``resolved_band`` (``_band``)."""
+    return _band(resolved_band(lam) if band is None else band)
+
+
+def _band_reads(lam, err, band):
+    """The fit band's: the ends of ``resolved_band`` when ``band`` is None,
+    and the guesses that could cross the 10th frequency, pass the highest,
+    become a frequency (Im > 1e-9; with a band given too) or cross an end
+    of the fit band."""
+    im, read = lam.imag, []
+    near = (im <= 1e-9) & (im + err > 1e-9)
+    try:
+        if band is None:
+            lo, hi = read = list(_band_ends(lam))
+            near |= _crosses(lam, err, im[lo]) | (im + err >= im[hi])
+        blo, bhi = _fit_band(lam, band)
+        near |= _crosses(lam, err, blo) | _crosses(lam, err, bhi)
+    except (InsufficientDataError, InvalidArgumentError):
+        pass  # no band
+    return read, near
+
+
+def _crosses(lam, err, freq):
+    """The guesses whose error reaches the frequency ``freq``."""
+    return (lam.imag - err <= freq) & (lam.imag + err >= freq)
+
+
+# Each reader's read set, beside it: on the sorted spectrum lam of
+# ``_refined``, its errors err (0 once refined) and the given band, the
+# values it reads and the guesses that could change which values they are
+_READERS = (_abscissa_reads, _zero_reads, _band_reads, _branch_reads,
+            _sweep_reads)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -10,12 +11,14 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from platedecay import spectral
+from platedecay.cli import RunConfig, _build_system
 from platedecay.errors import (InsufficientDataError, InvalidArgumentError,
                                SolverError)
 from platedecay.plate_forms import PlateMaterial
 from platedecay.spectral import (damping_branch_fit, growth_fit,
                                  pencil_eigenvalues, resolved_band,
-                                 resolvent_sweep, suggest_sweep_omegas)
+                                 resolvent_sweep, spectral_abscissa,
+                                 suggest_sweep_omegas, zero_in_resolvent)
 
 from damped_square import build
 from dense_oracle import dense_eigenvalues
@@ -69,12 +72,11 @@ def test_count_eigenvalues_nearest_shift_match_dense():
 
 
 def read_values(lam):
-    """The eigenvalues the certified numbers read: the rightmost, the ends
-    of the resolved band, and the branch fit's bin minima on it."""
-    branch = spectral._branch(lam, resolved_band(lam))
-    peaks = branch[spectral._bin_peaks(lam.imag[branch], lam.real[branch])]
-    return np.r_[lam[np.argmax(lam.real)],
-                 lam[list(spectral._band_ends(lam))], lam[peaks]]
+    """The eigenvalues that the readers of the spectrum read on the sorted
+    ``lam`` with no error, reader by reader (``spectral._READERS``)."""
+    err = np.zeros(len(lam))
+    reads = [read_set(lam, err, None)[0] for read_set in spectral._READERS]
+    return lam[np.concatenate(reads).astype(int)]
 
 
 def theta_hat(system, lam):
@@ -115,6 +117,79 @@ def test_refined_values_match_dense_oracle(h, d, theta_tol):
                - 1.0) <= 1e-8
     assert abs(theta_hat(system, lam) / theta_hat(system, dense)
                - 1.0) <= theta_tol
+
+
+def certified(lam, band):
+    """The certified numbers read off the spectrum ``lam``, sorted as
+    ``pencil_eigenvalues`` sorts it: the abscissa, whether 0 is in the
+    resolvent set, the fit band and the branch fit on it."""
+    lam = lam[np.lexsort((lam.real, lam.imag))]
+    band = resolved_band(lam) if band is None else tuple(band)
+    return (spectral_abscissa(lam), zero_in_resolvent(lam), band,
+            damping_branch_fit(lam, band))
+
+
+def moved_changes(lam, err, band, trials=200):
+    """How many moves of every guess (``err`` > 0) to a point of its error
+    disc change a certified number: to the disc's edge in each of the 4
+    axis directions, then to ``trials`` seeded points.  A complex guess at
+    k has its conjugate at n + k (``spectral._guesses``), which moves with
+    it, mirrored."""
+    n, want = len(lam) // 2, certified(lam, band)
+    rng = np.random.default_rng(0)
+    moves = [err * 1j ** k for k in range(4)]
+    moves += [err * np.sqrt(rng.random(2 * n))
+              * np.exp(2j * np.pi * rng.random(2 * n)) for _ in range(trials)]
+    pair = lam[:n].imag != 0.0
+    changed = 0
+    for step in moves:
+        step[n:][pair] = np.conj(step[:n][pair])
+        changed += certified(lam + step, band) != want
+    return changed
+
+
+def config_system(name, band=None):
+    data = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                       / name).read_text())
+    return _build_system(RunConfig.from_dict(data)), band
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (build(h=0.125), None), lambda: (build(h=1.0 / 12.0), None),
+    lambda: config_system("lens.json"),
+    lambda: config_system("square.json", [20.0, 5000.0])],
+    ids=["h8", "h12", "lens", "square-band"])
+def test_certified_numbers_read_refined_values_only(case):
+    # every number a reader certifies stays bit for bit where the guesses
+    # left unrefined move within their errors; the sweep's samples, a
+    # sampling choice, each lie within a tenth of their distance to the axis
+    system, band = case()
+    lam, _, err = spectral._refined(system, band)
+    assert np.any(err > 0.0)
+    assert moved_changes(lam, err, band) == 0
+    order = np.lexsort((lam.real, lam.imag))
+    lam, err = lam[order], err[order]
+    band = resolved_band(lam) if band is None else band
+    peaks = np.setdiff1d(suggest_sweep_omegas(lam, band),
+                         suggest_sweep_omegas(lam, band, n_peaks=0))
+    sampled = np.isin(lam.imag, peaks)
+    assert np.count_nonzero(sampled) == len(peaks) > 0
+    assert np.all(err[sampled] <= -0.1 * lam.real[sampled])
+
+
+def test_certified_numbers_contract_sees_fit_only_bin_count(monkeypatch):
+    # the branch fit on 20 bins, while its read set keeps those of 24
+    system = build(h=0.125)
+    lam, _, err = spectral._refined(system, None)
+    envelope_fit = spectral._envelope_fit
+
+    def on_20_bins(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_N_BINS", 20)
+            return envelope_fit(*args)
+
+    monkeypatch.setattr(spectral, "_envelope_fit", on_20_bins)
+    assert moved_changes(lam, err, None, trials=20) == 24  # every move
 
 
 def indefinite_energy():
@@ -566,26 +641,42 @@ def test_sweep_matches_dense_svd_at_every_suggested_point():
         assert abs(value - dense_resolvent_norm(system, omega)) <= 1e-8 * value
 
 
-def test_sweep_beyond_dense_limit():
-    system = build(h=1.0 / 24.0)
-    assert 2 * system.n_free > 4096
-    sweep = resolvent_sweep(system, [0.0, 10.0, 100.0])
+@pytest.fixture(scope="module")
+def beyond_dense_limit():
+    system = build(h=1.0 / 48.0)  # 9216 dofs
+    assert system.n_free > spectral._DENSE_LIMIT
+    return system
+
+
+def test_sweep_beyond_dense_limit(beyond_dense_limit):
+    sweep = resolvent_sweep(beyond_dense_limit, [0.0, 10.0, 100.0])
     assert np.all(np.isfinite(sweep[:, 1])) and np.all(sweep[:, 1] > 0)
 
 
-def test_dense_limit_refused_before_allocating():
+def test_dense_limit_refused_before_allocating(beyond_dense_limit):
     import tracemalloc
 
-    system = build(h=1.0 / 24.0)
     tracemalloc.start()
     try:
         with pytest.raises(InvalidArgumentError) as info:
-            pencil_eigenvalues(system)
+            pencil_eigenvalues(beyond_dense_limit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert info.value.invariant == "dense-limit"
-    assert peak <= 100_000  # G alone would take 170 MB
+    assert peak <= 100_000  # the dense K alone would take 680 MB
+
+
+def test_dense_limit_counts_dofs(monkeypatch):
+    system = build()
+    n = system.n_free
+    monkeypatch.setattr(spectral, "_DENSE_LIMIT", n)
+    assert len(pencil_eigenvalues(system)[0]) == 2 * n
+    monkeypatch.setattr(spectral, "_DENSE_LIMIT", n - 1)
+    with pytest.raises(InvalidArgumentError) as info:
+        pencil_eigenvalues(system)
+    assert info.value.invariant == "dense-limit"
+    assert f"refused for {n} dofs" in str(info.value)
 
 
 def test_resolvent_finite_at_origin():
