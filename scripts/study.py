@@ -87,7 +87,7 @@ def build_parser():
     certificate = sub.add_parser("certificate", allow_abbrev=False,
                                  help="resolvent fits over mesh levels")
     certificate.add_argument("--levels", type=float, nargs="+",
-                             default=[0.25, 0.125, 1 / 12])
+                             default=[0.25, 0.125, 1 / 12, 1 / 24])
     lens = sub.add_parser("lens", allow_abbrev=False,
                           help="lens geometry checks and meshes")
     lens.add_argument("--h", type=float, default=0.1)

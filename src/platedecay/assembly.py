@@ -365,11 +365,10 @@ def assemble(mesh, dofs, material, sigma=None):
 
     ``sigma`` is the interior-penalty weight (default 10 p (p+1)); below the
     floor 2 p (p+1) assembly is refused since coercivity is no longer
-    guaranteed.  ``mesh.corner_gains`` add diagonal damping at the corner
-    vertex dofs (zero gains for variant 1).  The gains and the chord
-    sources come validated from the mesh's domain: ``DomainSpec`` takes
-    one finite gain >= 0 per corner, and 0 at every corner whose vertex
-    dof is clamped.
+    guaranteed.  The corner gains of the mesh's domain add diagonal damping
+    at the corner vertex dofs (zero gains for variant 1), validated by the
+    domain: ``DomainSpec`` takes one finite gain >= 0 per corner, and 0 at
+    every corner whose vertex dof is clamped.
 
     Every element and edge term is formed in one batch: element blocks over
     all triangles, then the interior, clamped and damped edge groups of the
@@ -382,7 +381,7 @@ def assemble(mesh, dofs, material, sigma=None):
         raise InvalidArgumentError(
             f"penalty sigma = {sigma} below stability floor {sigma_floor(p)}",
             invariant="penalty-floor")
-    corners, gains = mesh.corner_nodes, mesh.corner_gains
+    corners, gains = mesh.corner_nodes, np.array(mesh.domain.corner_gains)
     fed = gains != 0.0
 
     ref = reference_element(p)
@@ -417,7 +416,7 @@ def energy(system, u, v):
     return 0.5 * (float(u @ (system.K @ u)) + float(v @ (system.M @ v)))
 
 
-def assemble_load(mesh, dofs, domain, material, u_exact):
+def assemble_load(mesh, dofs, material, u_exact):
     """Load vector reproducing a manufactured polynomial solution.
 
     Builds F(v) = (Lap^2 u, v) - boundary work of the exact bending and
@@ -425,6 +424,7 @@ def assemble_load(mesh, dofs, domain, material, u_exact):
     using the closed-form traces;  straight-edge domains only.  The exact
     field must satisfy the clamped conditions on the clamped part.
     """
+    domain = mesh.domain
     if not domain.is_straight():
         raise InvalidArgumentError("manufactured loads need straight edges",
                                    invariant="straight-edges")

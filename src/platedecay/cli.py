@@ -51,7 +51,7 @@ from .spectral import (damping_branch_fit, growth_fit, pencil_eigenvalues,
 # this many stay near 1.5 GB (4 GB).
 MAX_TRIANGLES = 100_000
 # Each sweep point is one sparse LU of the pencil and a Lanczos solve, about
-# 10 ms at h = 1/12, so this many keep a sweep there near 17 minutes.
+# 4.5 ms at h = 1/12, so this many keep a sweep there near 7.5 minutes.
 MAX_SWEEP_POINTS = 100_000
 _CSV_ROWS = 1024  # rows formatted per write
 
@@ -340,7 +340,7 @@ def _build_mesh(cfg):
     mesh = triangulate(cfg.domain, h)
     for _ in range(levels):
         mesh = refine(mesh)
-    violations = validate_mesh(mesh, cfg.domain)
+    violations = validate_mesh(mesh)
     if violations:
         raise InvalidArgumentError("; ".join(violations),
                                    invariant="mesh-valid")

@@ -28,8 +28,8 @@ import scipy.sparse as sp
 from ._lsq import lsq_line
 from .errors import InsufficientDataError, InvalidArgumentError, SolverError
 from .geometry import GAMMA1
-from .spectral import (_dense_limited, _modal_generator, _spd_checked,
-                       _spd_root, _symmetric_lu, _undamped_modes)
+from .spectral import (_Pencil, _dense_limited, _modal_generator,
+                       _spd_checked, _spd_root, _symmetric_lu, _undamped_modes)
 
 # The trace takes 40 bytes per step (five float arrays) and a CLI simulate
 # peaks near 60, so this many stay under 1 GB.
@@ -89,7 +89,7 @@ def simulate(system, u0, v0, dt, T, snapshot_stride=0):
                                    invariant="dof-size")
 
     half = 0.5 * dt
-    F_K, F_M = (_spd_root(A)[0] for A in (system.K, system.M))  # no factor kept
+    F_K, F_M = (_spd_root(A) for A in (system.K, system.M))
     step_lu = _symmetric_lu(
         system.M + half * system.D + half * half * system.K, 0.0)
     y = np.concatenate([F_M.T @ v, F_K.T @ u])  # (y2, y1)
@@ -292,7 +292,7 @@ def eigenpacket_data(system, n_modes=6):
     (``dense-limit``).
     """
     _dense_limited(2 * system.n_free, "first-order dofs")
-    omega, Phi = _undamped_modes(system)
+    omega, Phi = _undamped_modes(_Pencil(system))
     lam, Y = np.linalg.eig(_modal_generator(omega, Phi, system.D))
     order = np.argsort(-lam.real)  # closest to the axis first (Re < 0)
     picked = order[lam[order].imag > 1e-9][:n_modes]

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._polygon import polygon_is_simple
 from .errors import InvalidArgumentError
-from .geometry import GAMMA0, GAMMA1
+from .geometry import DomainSpec
 
 # Delaunay mesher: lattice nodes keep LATTICE_CLEARANCE * h off the boundary;
 # the fixed pass count keeps meshes bitwise reproducible; tested domains
@@ -46,19 +46,19 @@ class Mesh:
     """Triangulation with labeled boundary loop and tracked domain corners.
 
     Every mesh is built from a ``DomainSpec`` (``triangulate``, then
-    ``refine``), so ``boundary_source`` holds each boundary chord's domain
-    edge and ``corner_gains`` the domain's gains, validated by the domain.
-    Treat instances as immutable once built (the edge table is cached);
-    refinement returns new meshes.
+    ``refine``) and holds it: ``boundary_source`` names each boundary
+    chord's domain edge, whose label the chord reads, and the corner gains
+    are the domain's, validated by the domain.  Treat instances as
+    immutable once built (the edge table is cached); refinement returns
+    new meshes.
     """
 
+    domain: DomainSpec
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    boundary_labels: np.ndarray
     boundary_source: np.ndarray
     corner_nodes: np.ndarray
-    corner_gains: np.ndarray
 
     @property
     def n_nodes(self):
@@ -140,7 +140,8 @@ def build_edge_table(mesh):
                                    invariant="boundary-consistency")
     chord = np.full(len(edges), -1)
     chord[np.searchsorted(key, bkey)] = np.arange(len(bkey))
-    label = np.where(chord >= 0, mesh.boundary_labels[chord], -1)
+    edge_label = np.array([e.label for e in mesh.domain.edges])
+    label = np.where(chord >= 0, edge_label[mesh.boundary_source[chord]], -1)
     table = EdgeTable(edges, inverse.reshape(-1, 3), slot // 3,
                       np.where(slot >= 0, slot % 3, -1), chord, label)
     for arr in table:
@@ -223,11 +224,9 @@ def _structured_rectangle(domain, h):
     pos = at[corner_nodes]
     order = np.argsort(pos)  # the loop starts at a corner: pos[order[0]] = 0
     source = np.repeat(order, np.diff(pos[order], append=len(loop)))
-    labels = np.array([e.label for e in domain.edges])[source]
-    return Mesh(nodes=nodes, triangles=triangles, boundary_edges=bedges,
-                boundary_labels=labels, boundary_source=source,
-                corner_nodes=corner_nodes,
-                corner_gains=np.asarray(domain.corner_gains, dtype=float))
+    return Mesh(domain=domain, nodes=nodes, triangles=triangles,
+                boundary_edges=bedges, boundary_source=source,
+                corner_nodes=corner_nodes)
 
 
 def _inside(loop, q, margin=0.0):
@@ -320,12 +319,10 @@ def triangulate(domain, h):
         raise InvalidArgumentError(
             f"mesher did not settle within {MESH_ROUNDS} rounds: the domain "
             "has a feature narrower than h resolves", invariant="mesh-rounds")
-    return Mesh(nodes=nodes, triangles=tris,
+    return Mesh(domain=domain, nodes=nodes, triangles=tris,
                 boundary_edges=np.stack([chord, (chord + 1) % n_b], axis=1),
-                boundary_labels=np.array([domain.edges[s].label for s in src]),
                 boundary_source=src,
-                corner_nodes=np.searchsorted(src, np.arange(domain.n_corners)),
-                corner_gains=np.asarray(domain.corner_gains, dtype=float))
+                corner_nodes=np.searchsorted(src, np.arange(domain.n_corners)))
 
 
 def refine(mesh):
@@ -354,33 +351,37 @@ def refine(mesh):
     start, end = mesh.boundary_edges.T
     bedges = np.stack([start, m, m, end], 1).reshape(-1, 2)
 
-    return Mesh(nodes=np.concatenate([nodes, midpoints]), triangles=children,
-                boundary_edges=bedges,
-                boundary_labels=np.repeat(mesh.boundary_labels, 2),
+    return Mesh(domain=mesh.domain, nodes=np.concatenate([nodes, midpoints]),
+                triangles=children, boundary_edges=bedges,
                 boundary_source=np.repeat(mesh.boundary_source, 2),
-                corner_nodes=mesh.corner_nodes.copy(),
-                corner_gains=mesh.corner_gains.copy())
+                corner_nodes=mesh.corner_nodes.copy())
 
 
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
-def validate_mesh(mesh, domain):
+def validate_mesh(mesh):
     """Collect invariant violations; empty list means the mesh is valid.
 
     Checks what a mesher bug could break against the domain the mesh was
-    built from: node indices in range, positive areas, a consistent edge
-    table, one counterclockwise boundary loop, labels in {0, 1}, one corner
-    and one gain per domain corner, each corner on its domain vertex, chord
-    sources naming domain edges, chord labels and Euler's relation.
+    built from: node indices and chord sources in range (the sources name
+    the domain edges whose labels the chords read), positive areas, a
+    consistent edge table, one counterclockwise boundary loop, one corner
+    per domain corner, each on its domain vertex, and Euler's relation.
     """
     out = []
     n = mesh.n_nodes
     tris = mesh.triangles
+    domain = mesh.domain
+    p = domain.n_corners
 
     if np.any(tris < 0) or np.any(tris >= n):
         out.append("triangle node index out of range")
+    src = mesh.boundary_source
+    for j in np.flatnonzero((src < 0) | (src >= p)):
+        out.append(f"boundary edge {j} has source {src[j]} outside 0..{p - 1}")
+    if out:
         return out
 
     for t in np.nonzero(mesh.triangle_areas() <= 0)[0]:
@@ -415,28 +416,14 @@ def validate_mesh(mesh, domain):
     if not (loop_ok and cur == start and len(visited) == len(bedges) > 0):
         out.append("boundary edges do not form a single closed loop")
 
-    if np.any(~np.isin(mesh.boundary_labels, (GAMMA0, GAMMA1))):
-        out.append("boundary label outside {0, 1}")
-
-    p = domain.n_corners
     corners = mesh.corner_nodes.tolist()
-    if len(corners) != p or len(mesh.corner_gains) != p:
-        out.append(f"{len(corners)} corners and {len(mesh.corner_gains)} "
-                   f"gains for the domain's {p} corners")
+    if len(corners) != p:
+        out.append(f"{len(corners)} corners for the domain's {p} corners")
     else:
         for i, (c, (vx, vy)) in enumerate(zip(corners, domain.vertices)):
             if not 0 <= c < n or math.hypot(mesh.nodes[c, 0] - vx,
                                             mesh.nodes[c, 1] - vy) > 1e-9:
                 out.append(f"corner P_{i} has no mesh node")
-
-    src = mesh.boundary_source
-    known = (src >= 0) & (src < p)
-    for j in np.flatnonzero(~known):
-        out.append(f"boundary edge {j} has source {src[j]} outside 0..{p - 1}")
-    kept = np.flatnonzero(known)
-    labels = np.array([e.label for e in domain.edges])
-    for j in kept[mesh.boundary_labels[kept] != labels[src[kept]]]:
-        out.append(f"label mismatch on boundary edge {j}")
 
     if table is not None:
         euler = n - len(table.edges) + mesh.n_triangles
@@ -458,9 +445,9 @@ def write_mesh(path, mesh):
         for i, (a, b, c) in enumerate(mesh.triangles + 1, start=1):
             f.write(f"{i} {a} {b} {c}\n")
         f.write(f"$BoundaryEdges {len(mesh.boundary_edges)}\n")
-        for i, ((a, b), lab) in enumerate(
-                zip(mesh.boundary_edges + 1, mesh.boundary_labels), start=1):
-            f.write(f"{i} {a} {b} {lab}\n")
+        for i, ((a, b), j) in enumerate(
+                zip(mesh.boundary_edges + 1, mesh.boundary_source), start=1):
+            f.write(f"{i} {a} {b} {mesh.domain.edges[j].label}\n")
         f.write(f"$Corners {len(mesh.corner_nodes)}\n")
-        for c, g in zip(mesh.corner_nodes + 1, mesh.corner_gains):
+        for c, g in zip(mesh.corner_nodes + 1, mesh.domain.corner_gains):
             f.write(f"{c} {g:.17g}\n")

@@ -15,12 +15,13 @@ from the undamped modes of (K, M), whose light-damping guesses (Lancaster,
 Lambda-Matrices and Vibrating Systems, 1966) carry an estimated error;
 they are refined on P(s) = s^2 M + s D + K wherever a certified number
 reads them or could read them within that error (``_READERS``).
-``_Pencil`` answers the sparse questions from n x n factors of P, all on
-one ordering: that refinement by inverse iteration (Tisseur & Meerbergen,
-SIAM Rev. 43, 2001), eigenvalues near a shift by the spectral
-transformation (Ericsson & Ruhe, Math. Comp. 35, 1980) and the resolvent
-norm by a Lanczos iteration in the energy inner product (Wright &
-Trefethen, SISC 23, 2001).
+``_Pencil`` checks K and M positive definite once, and its K and M give the
+undamped modes; it answers the sparse questions from n x n factors of P,
+all on the ordering of its K check: that refinement by inverse iteration
+(Tisseur & Meerbergen, SIAM Rev. 43, 2001), eigenvalues near a shift by
+the spectral transformation (Ericsson & Ruhe, Math. Comp. 35, 1980) and
+the resolvent norm by a Lanczos iteration in the energy inner product
+(Wright & Trefethen, SISC 23, 2001).
 """
 
 from __future__ import annotations
@@ -90,13 +91,17 @@ def _refined(system, band):
     only with a backward error of at most ``_BACKWARD_TOL``, within the
     error of its own guess, nearest it of all 2n guesses and on the same
     side of the real axis, else ``eigenvalue-refined``; a refined complex
-    value's conjugate is its pair's other member."""
-    omega, Phi = _undamped_modes(system)
+    value's conjugate is its pair's other member.  An n above the dense
+    limit is refused first (``dense-limit``); the one pencil checks K and
+    M, gives the undamped modes and refines."""
+    _dense_limited(system.K.shape[0], "dofs")
+    pencil = _Pencil(system)
+    omega, Phi = _undamped_modes(pencil)
     S = np.union1d(*system.D.nonzero())
     X = Phi[S]  # the damped rows: Phi'D Phi by D's block on them
     guess, coords, radius = _guesses(omega, X.T @ (system.D[S][:, S] @ X))
     del X
-    n, pencil = len(omega), _Pencil(system)
+    n = len(omega)
     lam, backward, err = guess.copy(), np.full(2 * n, np.nan), radius.copy()
     while True:
         order = np.lexsort((lam.real, lam.imag))
@@ -263,17 +268,14 @@ def _unsettled(lam, err, band):
     return np.flatnonzero(near & guessed)
 
 
-def _undamped_modes(system):
-    """omega and Phi, K Phi = M Phi diag(omega^2) and Phi'M Phi = I, by the
-    dense ``sygvd`` (a Cholesky of M), which overwrites the Fortran-order K
-    with Phi; refused when n is above the dense limit before anything is
-    allocated (``dense-limit``), and with ``energy-pd`` unless K and M are
-    definite."""
-    _dense_limited(system.K.shape[0], "dofs")
-    for X in (system.K, system.M):  # one factor alive at a time
-        _spd_checked(X)
-    w2, Phi = sla.eigh(system.K.toarray(order="F"),
-                       system.M.toarray(order="F"), overwrite_a=True,
+def _undamped_modes(pencil):
+    """omega and Phi, K Phi = M Phi diag(omega^2) and Phi'M Phi = I, for the
+    K and M that ``pencil`` checked definite (``energy-pd``), by the dense
+    ``sygvd`` (a Cholesky of M), which overwrites the Fortran-order K with
+    Phi.  Callers refuse an n above the dense limit (``dense-limit``) before
+    the pencil is built."""
+    w2, Phi = sla.eigh(pencil.K.toarray(order="F"),
+                       pencil.M.toarray(order="F"), overwrite_a=True,
                        overwrite_b=True, check_finite=False)
     return np.sqrt(w2), Phi
 
@@ -335,13 +337,14 @@ def _spd_checked(matrix):
     of P A P' = L D L'; by Sylvester's law the matrix is positive definite
     exactly when every pivot is (else ``energy-pd``).  Reading diag(U) makes
     scipy's SuperLU keep CSC copies of L and U as long as the factor lives,
-    so only the energy's K and M (the check before ``_undamped_modes`` and
-    ``_Pencil``, whose K check gives its ordering, ``_spd_root``) and single
-    solves use this factor.  A factor kept for many solves is made once by
-    ``_symmetric_lu`` and never read: the step operator and P(s) at s > 0
-    are positive combinations of K and M, checked here, plus a multiple of
-    D, positive semidefinite by construction (boundary Gram matrices with
-    positive weights, d1, d2 >= 0 and diagonal corner gains >= 0)."""
+    so only the energy's K and M (the checks of ``_Pencil``, whose K and M
+    give the undamped modes and whose K check gives its ordering, and
+    ``_spd_root``) and single solves use this factor.  A factor kept for
+    many solves is made once by ``_symmetric_lu`` and never read: the step
+    operator and P(s) at s > 0 are positive combinations of K and M,
+    checked here, plus a multiple of D, positive semidefinite by
+    construction (boundary Gram matrices with positive weights,
+    d1, d2 >= 0 and diagonal corner gains >= 0)."""
     try:
         lu = _symmetric_lu(matrix, 0.0)
     except RuntimeError:  # exactly singular
@@ -355,9 +358,9 @@ def _spd_checked(matrix):
 
 def _spd_root(matrix):
     """Sparse F with F F' = matrix, F = Pr' L diag(sqrt(d)) from the L D L'
-    of ``_spd_checked``, and that factor lu: F^{-T} x = lu.solve(F x)."""
+    of ``_spd_checked``."""
     lu = _spd_checked(matrix)
-    return (lu.L @ sp.diags(np.sqrt(lu.U.diagonal())))[lu.perm_r].tocsr(), lu
+    return (lu.L @ sp.diags(np.sqrt(lu.U.diagonal())))[lu.perm_r].tocsr()
 
 
 class _Pencil:
@@ -367,7 +370,8 @@ class _Pencil:
 
     Every P(s) has the union pattern of K, M and D, ordered once by the
     minimum-degree ordering of K's check on it (``energy-pd``); K, D and M
-    are held as data arrays on it, which ``factor`` combines.
+    are held as data arrays on it, which ``factor`` combines, beside the
+    system's own K, M and D, which the products read.
 
     ``eigenvalues``: lambda = s + 1/mu for the largest mu of
     (A - s E)^{-1} E, which maps y = (y1, y2) to (u, s u + y1) with
@@ -393,7 +397,7 @@ class _Pencil:
     """
 
     def __init__(self, system):
-        K, M, D = (sp.csc_matrix(X) for X in (system.K, system.M, system.D))
+        K, M, D = system.K, system.M, system.D
         n = K.shape[0]
         self.K, self.M, self.D, self.n = K, M, D, n
         # |M|, |D|, |K| in the infinity norm, for backward errors

@@ -229,7 +229,7 @@ def test_p3_load_reproduces_cubic_interpolant(h):
     dofs = build_dof_map(mesh, 3)
     system = assemble(mesh, dofs, MAT)
     uex = PolyField.from_terms({(2, 1): 1.0})
-    F = assemble_load(mesh, dofs, dom, MAT, uex)
+    F = assemble_load(mesh, dofs, MAT, uex)
     uh = solve_static(system, F)
     uI = dofs.interpolate(
         lambda x: x[..., 0] ** 2 * x[..., 1])
@@ -243,7 +243,7 @@ def test_manufactured_solution_convergence():
     for _ in range(3):
         dofs = build_dof_map(mesh, 2)
         system = assemble(mesh, dofs, MAT)
-        F = assemble_load(mesh, dofs, DOM, MAT, uex)
+        F = assemble_load(mesh, dofs, MAT, uex)
         uh = solve_static(system, F)
         uI = dofs.interpolate(
             lambda x: x[..., 0] ** 2 * x[..., 1] ** 2)
@@ -318,7 +318,7 @@ def test_load_matches_symbolic_traces(case):
     mesh = triangulate(dom, h)
     dofs = build_dof_map(mesh, degree)
     want = _symbolic_load(mesh, dofs, dom, MAT, uex)
-    got = assemble_load(mesh, dofs, dom, MAT, uex)
+    got = assemble_load(mesh, dofs, MAT, uex)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -362,8 +362,8 @@ def test_free_dof_scatter_matches_sliced_full_assembly(dom, h, degree):
     assert np.array_equal(D.data, system.D.data)
     if dom.is_straight():
         uex = PolyField.from_terms({(2, 1): 1.0})
-        F = assemble_load(mesh, dofs, dom, MAT, uex)
-        F_full = assemble_load(mesh, _all_free(dofs), dom, MAT, uex)
+        F = assemble_load(mesh, dofs, MAT, uex)
+        F_full = assemble_load(mesh, _all_free(dofs), MAT, uex)
         assert np.array_equal(F, F_full[free])
 
 
@@ -388,7 +388,6 @@ def _flip_one_triangle(mesh):
 
 def _drop_one_boundary_edge(mesh):
     return replace(mesh, boundary_edges=mesh.boundary_edges[1:],
-                   boundary_labels=mesh.boundary_labels[1:],
                    boundary_source=mesh.boundary_source[1:])
 
 

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ from platedecay.errors import (InsufficientDataError, InvalidArgumentError,
 from platedecay.geometry import check_condition_g, lens_domain
 from platedecay.meshing import write_mesh
 
-from mesh_file import parse_mesh_file
+from mesh_file import parse_mesh_file, with_parsed, written_arrays
 
 SQUARE_CFG = {
     "domain": {
@@ -102,9 +101,9 @@ def test_mesh_command(tmp_path):
         assert main(["mesh", "--config", str(path), "--out", str(out)]) == 0
         parsed = parse_mesh_file((out / "mesh.txt").read_text())
         mesh = _build_mesh(RunConfig.from_dict(json.loads(path.read_text())))
-        for field, array in parsed.items():
-            assert np.array_equal(array, getattr(mesh, field)), field
-        write_mesh(tmp_path / "again.txt", replace(mesh, **parsed))
+        for field, array in written_arrays(mesh).items():
+            assert np.array_equal(parsed[field], array), field
+        write_mesh(tmp_path / "again.txt", with_parsed(mesh, parsed))
         assert ((tmp_path / "again.txt").read_bytes()
                 == (out / "mesh.txt").read_bytes())
 
@@ -212,6 +211,29 @@ def test_resolvent_command(tmp_path):
     rows = [line for line in (out / "sweep.csv").read_text().splitlines()
             if not line.startswith("#")]
     assert rows[0] == "omega,resolvent_norm"
+
+
+@pytest.mark.parametrize("command, checks, pencil", [
+    ("spectrum", 2, 27), ("resolvent", 4, 102)])
+def test_command_checks_k_and_m_once_per_pencil(tmp_path, monkeypatch,
+                                                command, checks, pencil):
+    """A spectrum factors K and M once, in the checks of its pencil, whose
+    K and M give the undamped modes; a resolvent makes a second pencil for
+    its sweep.  Every P(s) reuses its pencil's ordering (``NATURAL``)."""
+    from platedecay import spectral
+
+    calls, splu = [], spectral.splu
+
+    def recorded(matrix, **kwargs):
+        calls.append(kwargs["permc_spec"])
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(spectral, "splu", recorded)
+    cfg_path = write_cfg(tmp_path, mutated(("mesh", "h"), 0.25))
+    assert main([command, "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls.count("MMD_AT_PLUS_A") == checks
+    assert calls.count("NATURAL") == pencil
 
 
 def test_resolvent_failed_fit_writes_nothing(tmp_path, capsys):

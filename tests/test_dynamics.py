@@ -304,10 +304,10 @@ def test_eigenpacket_mode_has_its_energy():
     # one mode y mapped back to (u, v) keeps the energy |Re y|^2 / 2 of the
     # generator's modal coordinates
     from platedecay.assembly import energy
-    from platedecay.spectral import _modal_generator, _undamped_modes
+    from platedecay.spectral import _Pencil, _modal_generator, _undamped_modes
 
     system = build(DAMPED)
-    omega, Phi = _undamped_modes(system)
+    omega, Phi = _undamped_modes(_Pencil(system))
     lam, Y = np.linalg.eig(_modal_generator(omega, Phi, system.D))
     order = np.argsort(-lam.real)
     y = Y[:, order[lam[order].imag > 1e-9][0]].real

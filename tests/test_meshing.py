@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,43 +14,42 @@ from platedecay.geometry import lens_domain, polygon_domain, unit_square_domain
 from platedecay.meshing import (Mesh, _boundary_polyline, _inside, refine,
                                 triangulate, validate_mesh, write_mesh)
 
-from mesh_file import parse_mesh_file
+from mesh_file import parse_mesh_file, with_parsed, written_arrays
 
 SQUARE = unit_square_domain(gamma0_edges=(0, 3))
 
 
 def two_triangle_square():
-    return Mesh(nodes=np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]),
+    return Mesh(domain=SQUARE,
+                nodes=np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]),
                 triangles=np.array([[0, 1, 2], [0, 2, 3]]),
                 boundary_edges=np.array([[0, 1], [1, 2], [2, 3], [3, 0]]),
-                boundary_labels=np.array([0, 1, 1, 0]),
                 boundary_source=np.array([0, 1, 2, 3]),
-                corner_nodes=np.arange(4),
-                corner_gains=np.zeros(4))
+                corner_nodes=np.arange(4))
 
 
 def two_disjoint_triangles():
-    return Mesh(nodes=np.array([[0.0, 0], [1, 0], [0, 1],
+    return Mesh(domain=SQUARE,
+                nodes=np.array([[0.0, 0], [1, 0], [0, 1],
                                 [3, 0], [4, 0], [3, 1]]),
                 triangles=np.array([[0, 1, 2], [3, 4, 5]]),
                 boundary_edges=np.array([[0, 1], [1, 2], [2, 0],
                                          [3, 4], [4, 5], [5, 3]]),
-                boundary_labels=np.zeros(6, dtype=int),
                 boundary_source=np.zeros(6, dtype=int),
-                corner_nodes=np.array([0, 3]),
-                corner_gains=np.zeros(2))
+                corner_nodes=np.array([0, 3]))
 
 
 def test_structured_square():
     dom = unit_square_domain(gamma0_edges=(0, 3))
     mesh = triangulate(dom, 0.5)
     assert mesh.n_triangles >= 8
-    assert validate_mesh(mesh, dom) == []
+    assert validate_mesh(mesh) == []
     assert np.allclose(mesh.nodes[mesh.corner_nodes], dom.vertices)
-    # labels partition the loop consistently with the domain edges
-    for (a, b), lab, src in zip(mesh.boundary_edges, mesh.boundary_labels,
-                                mesh.boundary_source):
-        assert lab == dom.edges[src].label
+    # the edge table labels each chord with its source edge's label
+    table = mesh.edge_table
+    on = np.flatnonzero(table.chord >= 0)
+    assert table.label[on].tolist() == [
+        dom.edges[j].label for j in mesh.boundary_source[table.chord[on]]]
 
 
 def test_h_one_over_k_gives_k_cells():
@@ -74,7 +72,7 @@ def test_refine_counts():
     assert fine.n_nodes == 9  # nodes + edges of the parent
     finer = refine(fine)
     assert finer.n_triangles == 32
-    assert validate_mesh(finer, SQUARE) == []
+    assert validate_mesh(finer) == []
 
 
 def test_refine_numbers_midpoints_in_first_slot_order():
@@ -88,7 +86,6 @@ def test_refine_numbers_midpoints_in_first_slot_order():
 def test_refine_rejects_interior_boundary_chord():
     mesh = two_triangle_square()
     mesh.boundary_edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]])
-    mesh.boundary_labels = np.append(mesh.boundary_labels, 1)
     mesh.boundary_source = np.append(mesh.boundary_source, 1)
     with pytest.raises(InvalidArgumentError) as info:
         refine(mesh)
@@ -100,7 +97,7 @@ def test_structured_grid_sources_follow_domain_edges(start):
     corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
     dom = polygon_domain(corners[start:] + corners[:start], gamma0_edges={1})
     mesh = triangulate(dom, 0.3)
-    assert validate_mesh(mesh, dom) == []
+    assert validate_mesh(mesh) == []
     for (a, b), src in zip(mesh.boundary_edges, mesh.boundary_source):
         p, q = dom.edge_endpoints(src)
         dx, dy = q - p
@@ -112,8 +109,8 @@ def test_structured_grid_sources_follow_domain_edges(start):
 def test_refine_preserves_labels_and_corners():
     dom = unit_square_domain(gamma0_edges=(0, 3))
     mesh = refine(triangulate(dom, 0.5))
-    assert validate_mesh(mesh, dom) == []
-    assert set(mesh.boundary_labels.tolist()) == {0, 1}
+    assert validate_mesh(mesh) == []
+    assert set(mesh.edge_table.label.tolist()) == {-1, 0, 1}
     parent = triangulate(dom, 0.5)
     assert np.array_equal(mesh.corner_nodes, parent.corner_nodes)
 
@@ -122,7 +119,7 @@ def test_l_shape_mesh():
     dom = polygon_domain([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
                          gamma0_edges={0})
     mesh = triangulate(dom, 0.25)
-    assert validate_mesh(mesh, dom) == []
+    assert validate_mesh(mesh) == []
     assert mesh.max_edge_length() <= 0.5 + 1e-12
     assert any(np.allclose(mesh.nodes[c], (1, 1)) for c in mesh.corner_nodes)
     assert abs(mesh.triangle_areas().sum() - 3.0) < 1e-10
@@ -132,7 +129,7 @@ def test_lens_chord_error_bound():
     h = 0.1
     dom = lens_domain(math.radians(30))
     mesh = triangulate(dom, h)
-    assert validate_mesh(mesh, dom) == []
+    assert validate_mesh(mesh) == []
     for (a, b), src in zip(mesh.boundary_edges, mesh.boundary_source):
         e = dom.edges[src]
         for node in (mesh.nodes[a], mesh.nodes[b]):
@@ -149,7 +146,7 @@ def test_triangulate_validates_on_random_convex_polygons(n, seed, h):
     rng = np.random.default_rng(seed)
     dom = polygon_domain(random_convex_polygon(rng, n), gamma0_edges={0})
     mesh = triangulate(dom, h)
-    assert validate_mesh(mesh, dom) == []
+    assert validate_mesh(mesh) == []
     area = abs(mesh.triangle_areas().sum())
     from platedecay._polygon import signed_area
     assert abs(area - signed_area(np.asarray(dom.vertices))) < 1e-10
@@ -159,23 +156,22 @@ def test_validate_reports_flipped_triangle():
     mesh = two_triangle_square()
     mesh.triangles = mesh.triangles.copy()
     mesh.triangles[1] = mesh.triangles[1][::-1]
-    violations = validate_mesh(mesh, SQUARE)
+    violations = validate_mesh(mesh)
     assert any(v.startswith("negative area: triangle 1") for v in violations)
 
 
 def test_validate_reports_missing_corner():
     mesh = two_triangle_square()
     mesh.corner_nodes = np.array([0, 1, 2, 99])
-    violations = validate_mesh(mesh, SQUARE)
+    violations = validate_mesh(mesh)
     assert "corner P_3 has no mesh node" in violations
 
 
 def test_validate_reports_boundary_mismatch():
     mesh = two_triangle_square()
     mesh.boundary_edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]])
-    mesh.boundary_labels = np.append(mesh.boundary_labels, 1)
     mesh.boundary_source = np.append(mesh.boundary_source, 1)
-    violations = validate_mesh(mesh, SQUARE)
+    violations = validate_mesh(mesh)
     assert any("not a boundary edge" in v for v in violations)
 
 
@@ -190,26 +186,22 @@ def square_with(**fields):
     (lambda: square_with(boundary_edges=[[1, 0], [1, 2], [2, 3], [3, 0]]),
      "boundary edge (1, 0) has wrong orientation"),
     (two_disjoint_triangles, "boundary edges do not form a single closed loop"),
-    (lambda: square_with(boundary_labels=[1, 1, 1, 0]),
-     "label mismatch on boundary edge 0"),
     (two_disjoint_triangles, "Euler relation violated: V-E+F = 2"),
     # a corner count other than the domain's is named before any corner
     # is compared with a vertex
-    (lambda: square_with(corner_nodes=[0, 1, 2, 3, 0], corner_gains=[0] * 5),
-     "5 corners and 5 gains for the domain's 4 corners"),
-    (lambda: square_with(corner_nodes=[0, 1, 2], corner_gains=[0] * 3),
-     "3 corners and 3 gains for the domain's 4 corners"),
-    (lambda: square_with(corner_gains=[0] * 3),
-     "4 corners and 3 gains for the domain's 4 corners"),
+    (lambda: square_with(corner_nodes=[0, 1, 2, 3, 0]),
+     "5 corners for the domain's 4 corners"),
+    (lambda: square_with(corner_nodes=[0, 1, 2]),
+     "3 corners for the domain's 4 corners"),
     # a source outside 0..p-1 is named, not wrapped onto an edge
     (lambda: square_with(boundary_source=[0, 1, 2, -1]),
      "boundary edge 3 has source -1 outside 0..3"),
     (lambda: square_with(boundary_source=[0, 1, 2, 4]),
      "boundary edge 3 has source 4 outside 0..3"),
-], ids=["orientation", "loop", "label", "euler", "corner-count-5",
-        "corner-count-3", "gain-count", "source-negative", "source-past-end"])
+], ids=["orientation", "loop", "euler", "corner-count-5", "corner-count-3",
+        "source-negative", "source-past-end"])
 def test_validate_reports_violation(make, expected):
-    assert expected in validate_mesh(make(), SQUARE)
+    assert expected in validate_mesh(make())
 
 
 def test_polygon_is_simple():
@@ -230,9 +222,9 @@ def test_mesh_file_roundtrip(tmp_path):
     p2 = tmp_path / "b.txt"
     write_mesh(p1, mesh)
     parsed = parse_mesh_file(p1.read_text())
-    for field, array in parsed.items():
-        assert np.array_equal(array, getattr(mesh, field)), field
-    write_mesh(p2, replace(mesh, **parsed))
+    for field, array in written_arrays(mesh).items():
+        assert np.array_equal(parsed[field], array), field
+    write_mesh(p2, with_parsed(mesh, parsed))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -269,7 +261,7 @@ def lens_config_domain():
 def test_delaunay_mesh_quality(make):
     dom, h = make()
     mesh = triangulate(dom, h)
-    assert validate_mesh(mesh, dom) == []
+    assert validate_mesh(mesh) == []
     assert mesh.max_edge_length() <= 2.0 * h
     assert min_angle_deg(mesh) >= MIN_ANGLE_DEG
 
@@ -282,7 +274,7 @@ def test_missing_boundary_chord_is_split():
                    for a, b in map(dom.edge_endpoints, range(dom.n_corners)))
     mesh = triangulate(dom, 0.25)
     assert len(mesh.boundary_edges) > n_chords
-    assert validate_mesh(mesh, dom) == []
+    assert validate_mesh(mesh) == []
     assert mesh.max_edge_length() <= 0.5
 
 
@@ -305,7 +297,7 @@ def test_collinear_hull_points_mesh_exactly(seed, h):
     vertices = random_convex_polygon(rng, int(rng.integers(3, 9)))
     dom = polygon_domain(vertices, gamma0_edges={0})
     mesh = triangulate(dom, h)
-    assert validate_mesh(mesh, dom) == []
+    assert validate_mesh(mesh) == []
     assert abs(mesh.triangle_areas().sum() - signed_area(vertices)) < 1e-12
 
 
