@@ -14,7 +14,7 @@ as diagonal entries on free corner vertex dofs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,7 +23,7 @@ from .errors import InvalidArgumentError
 from .geometry import GAMMA0, GAMMA1
 from .plate_forms import Partials, bending_moment, corner_jumps, moments
 from .quadrature import map_to_segment, segment_rule, triangle_rule
-from .spectral import _spd_checked
+from .spectral import _Pencil, _spd_checked
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +173,13 @@ def build_dof_map(mesh, degree):
 # assembled system
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AssembledSystem:
     """Sparse stiffness/mass/damping on the free dofs.
 
     ``damping_parts`` holds the scaled channels (d1, d2, corner), and D is
-    their sum.
+    their sum.  Frozen, so that its ``pencil``, built once, on first use,
+    is that of its K, M and D (``dataclasses.replace`` builds anew).
     """
 
     K: sp.csr_matrix
@@ -190,6 +191,12 @@ class AssembledSystem:
     @property
     def n_free(self):
         return self.K.shape[0]
+
+    @cached_property
+    def pencil(self):
+        """The damped pencil of every frequency question (``_Pencil``),
+        which checks K and M positive definite (``energy-pd``)."""
+        return _Pencil(self)
 
 
 def sigma_floor(degree):

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from ._lsq import lsq_line
 from .errors import InsufficientDataError, InvalidArgumentError, SolverError
 from .geometry import GAMMA1
-from .spectral import (_Pencil, _dense_limited, _modal_generator,
+from .spectral import (_dense_limited, _modal_generator,
                        _spd_checked, _spd_root, _symmetric_lu, _undamped_modes)
 
 # The trace takes 40 bytes per step (five float arrays) and a CLI simulate
@@ -292,7 +292,7 @@ def eigenpacket_data(system, n_modes=6):
     (``dense-limit``).
     """
     _dense_limited(2 * system.n_free, "first-order dofs")
-    omega, Phi = _undamped_modes(_Pencil(system))
+    omega, Phi = _undamped_modes(system.pencil)
     lam, Y = np.linalg.eig(_modal_generator(omega, Phi, system.D))
     order = np.argsort(-lam.real)  # closest to the axis first (Re < 0)
     picked = order[lam[order].imag > 1e-9][:n_modes]

@@ -15,13 +15,13 @@ from the undamped modes of (K, M), whose light-damping guesses (Lancaster,
 Lambda-Matrices and Vibrating Systems, 1966) carry an estimated error;
 they are refined on P(s) = s^2 M + s D + K wherever a certified number
 reads them or could read them within that error (``_READERS``).
-``_Pencil`` checks K and M positive definite once, and its K and M give the
-undamped modes; it answers the sparse questions from n x n factors of P,
-all on the ordering of its K check: that refinement by inverse iteration
-(Tisseur & Meerbergen, SIAM Rev. 43, 2001), eigenvalues near a shift by
-the spectral transformation (Ericsson & Ruhe, Math. Comp. 35, 1980) and
-the resolvent norm by a Lanczos iteration in the energy inner product
-(Wright & Trefethen, SISC 23, 2001).
+The system's ``pencil`` (``_Pencil``) checks K and M positive definite once
+per system, and its K and M give the undamped modes; it answers the sparse
+questions from n x n factors of P, all on the ordering of its K check: that
+refinement by inverse iteration (Tisseur & Meerbergen, SIAM Rev. 43, 2001),
+eigenvalues near a shift by the spectral transformation (Ericsson & Ruhe,
+Math. Comp. 35, 1980) and the resolvent norm by a Lanczos iteration in the
+energy inner product (Wright & Trefethen, SISC 23, 2001).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def pencil_eigenvalues(system, count="all", band=None):
         k = int(count)
         if not 0 < k < 2 * system.K.shape[0] - 1:
             raise InvalidArgumentError("count out of range", invariant="count")
-        lam = _Pencil(system).eigenvalues(k, 1e-3)
+        lam = system.pencil.eigenvalues(k, 1e-3)
         backward = np.full(k, np.nan)
     order = np.lexsort((lam.real, lam.imag))
     return lam[order], backward[order]
@@ -92,10 +92,10 @@ def _refined(system, band):
     error of its own guess, nearest it of all 2n guesses and on the same
     side of the real axis, else ``eigenvalue-refined``; a refined complex
     value's conjugate is its pair's other member.  An n above the dense
-    limit is refused first (``dense-limit``); the one pencil checks K and
-    M, gives the undamped modes and refines."""
+    limit is refused first (``dense-limit``); the system's pencil, which
+    checks K and M once per system, gives the undamped modes and refines."""
     _dense_limited(system.K.shape[0], "dofs")
-    pencil = _Pencil(system)
+    pencil = system.pencil
     omega, Phi = _undamped_modes(pencil)
     S = np.union1d(*system.D.nonzero())
     X = Phi[S]  # the damped rows: Phi'D Phi by D's block on them
@@ -337,14 +337,14 @@ def _spd_checked(matrix):
     of P A P' = L D L'; by Sylvester's law the matrix is positive definite
     exactly when every pivot is (else ``energy-pd``).  Reading diag(U) makes
     scipy's SuperLU keep CSC copies of L and U as long as the factor lives,
-    so only the energy's K and M (the checks of ``_Pencil``, whose K and M
-    give the undamped modes and whose K check gives its ordering, and
-    ``_spd_root``) and single solves use this factor.  A factor kept for
-    many solves is made once by ``_symmetric_lu`` and never read: the step
-    operator and P(s) at s > 0 are positive combinations of K and M,
-    checked here, plus a multiple of D, positive semidefinite by
-    construction (boundary Gram matrices with positive weights,
-    d1, d2 >= 0 and diagonal corner gains >= 0)."""
+    so only the energy's K and M (the checks of a system's pencil, made
+    once per system, whose K and M give the undamped modes and whose K
+    check gives its ordering, and those of ``_spd_root``) and single solves
+    use this factor.  A factor kept for many solves is made once by
+    ``_symmetric_lu`` and never read: the step operator and P(s) at s > 0
+    are positive combinations of K and M, checked here, plus a multiple of
+    D, positive semidefinite by construction (boundary Gram matrices with
+    positive weights, d1, d2 >= 0 and diagonal corner gains >= 0)."""
     try:
         lu = _symmetric_lu(matrix, 0.0)
     except RuntimeError:  # exactly singular
@@ -561,11 +561,12 @@ class _Pencil:
 def resolvent_sweep(system, omegas):
     """Resolvent norms at many frequencies; returns rows (omega, norm).
 
-    K and M are checked positive definite once, and the K check orders
+    The system's pencil checks K and M positive definite once per system
+    (a spectrum of the same system shares it), and its K check orders
     every P(i omega); each frequency costs one sparse LU of the pencil on
     that ordering and a few Lanczos steps from the same vector.
     """
-    op = _Pencil(system)
+    op = system.pencil
     omegas = np.asarray(omegas, dtype=float)
     norms = np.array([op.norm(w) for w in omegas], dtype=float)
     return np.stack([omegas, norms], axis=1)

@@ -15,6 +15,6 @@ from platedecay import spectral
 def dense_eigenvalues(system):
     """Every eigenvalue of the generator, sorted by imaginary part, then by
     real part, as ``pencil_eigenvalues`` sorts them."""
-    omega, Phi = spectral._undamped_modes(spectral._Pencil(system))
+    omega, Phi = spectral._undamped_modes(system.pencil)
     lam = sla.eigvals(spectral._modal_generator(omega, Phi, system.D))
     return lam[np.lexsort((lam.real, lam.imag))]

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -214,12 +215,13 @@ def test_resolvent_command(tmp_path):
 
 
 @pytest.mark.parametrize("command, checks, pencil", [
-    ("spectrum", 2, 27), ("resolvent", 4, 102)])
-def test_command_checks_k_and_m_once_per_pencil(tmp_path, monkeypatch,
+    ("spectrum", 2, 27), ("resolvent", 2, 102)])
+def test_command_checks_k_and_m_once_per_system(tmp_path, monkeypatch,
                                                 command, checks, pencil):
-    """A spectrum factors K and M once, in the checks of its pencil, whose
-    K and M give the undamped modes; a resolvent makes a second pencil for
-    its sweep.  Every P(s) reuses its pencil's ordering (``NATURAL``)."""
+    """A command factors K and M once, in the checks of its system's one
+    pencil, whose K and M give the undamped modes; a resolvent's sweep
+    reads the pencil of its spectrum.  Every P(s) reuses the pencil's
+    ordering (``NATURAL``)."""
     from platedecay import spectral
 
     calls, splu = [], spectral.splu
@@ -1109,9 +1111,8 @@ def test_indefinite_stiffness_exits_3(tmp_path, capsys, monkeypatch):
     def shifted(cfg):
         system = _build_system(cfg)
         lam_min = np.linalg.eigvalsh(system.K.toarray())[0]
-        system.K = (system.K - 2.0 * lam_min
-                    * sp.identity(system.n_free)).tocsr()
-        return system
+        return replace(system, K=(system.K - 2.0 * lam_min
+                                  * sp.identity(system.n_free)).tocsr())
 
     monkeypatch.setattr(cli, "_build_system", shifted)
     cfg_path = write_cfg(tmp_path, SQUARE_CFG)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,7 +141,8 @@ def test_energy_matches_tracked_state(mat, gains):
 def test_indefinite_stiffness_refused():
     system = build(DAMPED)
     lam_min = np.linalg.eigvalsh(system.K.toarray())[0]
-    system.K = (system.K - 2.0 * lam_min * sp.identity(system.n_free)).tocsr()
+    system = replace(system, K=(system.K - 2.0 * lam_min
+                                * sp.identity(system.n_free)).tocsr())
     u0, v0 = boundary_bump_data(system)
     with pytest.raises(SolverError) as info:
         simulate(system, u0, v0, dt=1e-3, T=0.01)
@@ -304,10 +306,10 @@ def test_eigenpacket_mode_has_its_energy():
     # one mode y mapped back to (u, v) keeps the energy |Re y|^2 / 2 of the
     # generator's modal coordinates
     from platedecay.assembly import energy
-    from platedecay.spectral import _Pencil, _modal_generator, _undamped_modes
+    from platedecay.spectral import _modal_generator, _undamped_modes
 
     system = build(DAMPED)
-    omega, Phi = _undamped_modes(_Pencil(system))
+    omega, Phi = _undamped_modes(system.pencil)
     lam, Y = np.linalg.eig(_modal_generator(omega, Phi, system.D))
     order = np.argsort(-lam.real)
     y = Y[:, order[lam[order].imag > 1e-9][0]].real
