@@ -72,6 +72,15 @@ class EdgeSpec:
                                            invariant="arc-radius")
 
 
+def _cos_sin(theta):
+    """(cos, sin) of an angle, or one row per angle of an array, from
+    ``math.cos`` and ``math.sin``: numpy's array cos and sin may round
+    otherwise, and each sample keeps the bits of the scalar formula."""
+    theta = np.asarray(theta, dtype=float)
+    return np.array([(math.cos(t), math.sin(t)) for t in
+                     theta.ravel().tolist()]).reshape(theta.shape + (2,))
+
+
 def segment(label):
     return EdgeSpec("segment", label)
 
@@ -140,14 +149,16 @@ class DomainSpec:
         return t0, dt
 
     def arc_point(self, i, theta):
+        """Point of arc edge i at angle theta; an array of k angles gives
+        the (k, 2) points, each with the bits of its angle taken alone."""
         e = self.edges[i]
-        c = np.asarray(e.center)
-        return c + e.radius * np.array([math.cos(theta), math.sin(theta)])
+        return np.asarray(e.center) + e.radius * _cos_sin(theta)
 
     def arc_normal(self, i, theta):
-        """Outward unit normal of arc edge i at angle theta."""
+        """Outward unit normal of arc edge i at angle theta, or the (k, 2)
+        normals at an array of k angles, bit for bit as one at a time."""
         sgn = 1.0 if self.edges[i].ccw else -1.0
-        return sgn * np.array([math.cos(theta), math.sin(theta)])
+        return sgn * _cos_sin(theta)
 
     def edge_tangent(self, i, at_start):
         """Unit tangent in the direction of traversal at an edge endpoint."""
@@ -185,17 +196,15 @@ class DomainSpec:
         """Polyline approximation: (points (n,2), source edge index per chord)."""
         pts, src = [], []
         for i, e in enumerate(self.edges):
-            a, _ = self.edge_endpoints(i)
             if e.kind == "segment":
-                pts.append(a)
+                pts.append([self.vertices[i]])
                 src.append(i)
             else:
                 t0, dt = self.arc_sweep(i)
-                thetas = t0 + dt * np.arange(arc_points) / arc_points
-                for th in thetas:
-                    pts.append(self.arc_point(i, th))
-                    src.append(i)
-        return np.array(pts), np.array(src, dtype=int)
+                pts.append(self.arc_point(
+                    i, t0 + dt * np.arange(arc_points) / arc_points))
+                src += [i] * arc_points
+        return np.concatenate(pts), np.array(src, dtype=int)
 
     def bounding_box(self):
         pts, _ = self.polygonize(256)
@@ -478,8 +487,8 @@ def find_observer_point(domain, search_box):
         else:
             t0, dt = domain.arc_sweep(i)
             thetas = t0 + dt * np.arange(_ARC_SAMPLES + 1) / _ARC_SAMPLES
-            pts = [domain.arc_point(i, th) for th in thetas]
-            nus = [domain.arc_normal(i, th) for th in thetas]
+            pts = domain.arc_point(i, thetas)
+            nus = domain.arc_normal(i, thetas)
             c = np.asarray(e.center)
             reach = max(np.hypot(*(c - q)) for q in corners) + e.radius
             slack = 0.5 * reach * abs(dt) / _ARC_SAMPLES

@@ -106,21 +106,27 @@ class EdgeTable(NamedTuple):
 def build_edge_table(mesh):
     """Edges, triangle-to-edge index and edge owners of ``mesh``.
 
+    Each slot's sorted node pair (a, b) is the integer key a n + b, n at
+    least the node count, so one 1-D ``np.unique`` of the keys lists the
+    edges in lexicographic order; ``edges`` keeps the triangles' dtype
+    (int32 for Qhull's triangles).
+
     Raises ``boundary-consistency``, naming every offending edge, unless
     each edge has at most two owners and the edges with one owner are
     exactly the listed boundary chords, each listed once.
     """
-    slots = mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-    edges, inverse, counts = np.unique(np.sort(slots, axis=1), axis=0,
-                                       return_inverse=True, return_counts=True)
-    inverse = inverse.ravel()  # slot 3 t + le -> edge
+    tris = mesh.triangles
+    n = max(mesh.n_nodes, int(mesh.boundary_edges.max(initial=-1)) + 1)
+    a, b = tris.ravel(), tris[:, [1, 2, 0]].ravel()  # slot 3 t + le: a -> b
+    key, inverse, counts = np.unique(
+        np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b),
+        return_inverse=True, return_counts=True)
+    edges = np.stack(divmod(key, n), axis=1).astype(tris.dtype)
     by_edge = np.argsort(inverse, kind="stable")
     first = np.cumsum(counts) - counts
     second = by_edge[np.minimum(first + 1, len(by_edge) - 1)]
     slot = np.stack([by_edge[first], np.where(counts == 2, second, -1)], 1)
 
-    n = max(mesh.n_nodes, int(mesh.boundary_edges.max(initial=-1)) + 1)
-    key = edges @ [n, 1]
     bkey = np.sort(mesh.boundary_edges, axis=1) @ [n, 1]
     outer = key[counts == 1]
     listed, times = np.unique(bkey, return_counts=True)
@@ -172,13 +178,13 @@ def _boundary_polyline(domain, h):
             ratio = h * h / (8.0 * e.radius * e.radius)
             theta = min(2.0 * math.acos(max(1.0 - ratio, 0.0)), math.pi / 3.0)
             n_sub = max(1, math.ceil(abs(dt) / theta))
-            pts += [a] + [domain.arc_point(i, t0 + dt * k / n_sub)
-                          for k in range(1, n_sub)]
+            pts += [[a], domain.arc_point(i, t0 + dt * np.arange(1, n_sub)
+                                          / n_sub)]
         else:
             n_sub = _cell_count(math.hypot(*(b - a)), h)
-            pts += [a + (b - a) * (k / n_sub) for k in range(n_sub)]
+            pts.append(a + (b - a) * (np.arange(n_sub) / n_sub)[:, None])
         src += [i] * n_sub
-    return np.array(pts, dtype=float), np.array(src)
+    return np.concatenate(pts), np.array(src)
 
 
 def _rectangle_frame(domain):
@@ -232,20 +238,27 @@ def _structured_rectangle(domain, h):
 def _inside(loop, q, margin=0.0):
     """Mask of the points ``q`` inside the closed polyline ``loop`` (crossing
     number) and at least ``margin`` away from it.  Each chord looks only at
-    the points within ``margin`` of its y-range, so memory stays linear."""
+    the points within ``margin`` of its y-range, so the (chord, point) pairs,
+    formed all at once, stay about linear in the number of points."""
     order = np.argsort(q[:, 1], kind="stable")
     x, y = q[order, 0], q[order, 1]
-    inside, near = np.zeros((2, len(q)), dtype=bool)
-    for (ax, ay), (bx, by) in zip(loop.tolist(),
-                                  np.roll(loop, -1, axis=0).tolist()):
-        band = slice(np.searchsorted(y, min(ay, by) - margin),
-                     np.searchsorted(y, max(ay, by) + margin, side="right"))
-        xb, yb, dx, dy = x[band], y[band], bx - ax, by - ay
-        s = (ay > yb) != (by > yb)
-        inside[band][s] ^= xb[s] < ax + (yb[s] - ay) * dx / dy
-        t = np.clip(((xb - ax) * dx + (yb - ay) * dy) / (dx * dx + dy * dy),
-                    0.0, 1.0)
-        near[band] |= np.hypot(xb - ax - t * dx, yb - ay - t * dy) < margin
+    (ax, ay), (bx, by) = loop.T, np.roll(loop, -1, axis=0).T
+    dx, dy = bx - ax, by - ay
+    lo = np.searchsorted(y, np.minimum(ay, by) - margin)
+    count = np.searchsorted(y, np.maximum(ay, by) + margin, side="right") - lo
+    # pair k: chord[k] and the sorted point pt[k] of that chord's band
+    chord = np.repeat(np.arange(len(loop)), count)
+    pt = np.arange(len(chord)) + np.repeat(lo - np.cumsum(count) + count,
+                                           count)
+    xb, yb = x[pt], y[pt]
+    ax, ay, by, dx, dy = (v[chord] for v in (ax, ay, by, dx, dy))
+    s = (ay > yb) != (by > yb)
+    cross = xb[s] < ax[s] + (yb[s] - ay[s]) * dx[s] / dy[s]
+    inside = np.bincount(pt[s][cross], minlength=len(q)) % 2 == 1
+    t = np.clip(((xb - ax) * dx + (yb - ay) * dy) / (dx * dx + dy * dy),
+                0.0, 1.0)
+    near = np.zeros(len(q), dtype=bool)
+    near[pt[np.hypot(xb - ax - t * dx, yb - ay - t * dy) < margin]] = True
     keep = np.empty(len(q), dtype=bool)
     keep[order] = inside & ~near
     return keep

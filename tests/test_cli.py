@@ -450,6 +450,28 @@ def test_unknown_scheme_rejected(tmp_path, capsys):
     assert code == 2 and err["invariant"] == "sim-unknown"
 
 
+@pytest.mark.parametrize("change, n_refined", [
+    ({"material": {"d1": 0.1, "d2": 0.1}}, 33),
+    ({"material": {"d1": 10.0, "d2": 10.0}}, 42),
+    ({"mesh": {"degree": 3}}, 39),
+], ids=["d0.1", "d10", "p3"])
+def test_spectrum_n_refined_on_the_eighth_square(tmp_path, change, n_refined):
+    """``configs/square.json`` at h = 1/8 with one change: the values a
+    spectrum refines follow from its read sets (the damping branch's bin
+    minima, the reads-first round), which leave the shipped configs'
+    artifacts alike when they change; these counts do not stay alike."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "square.json"
+    data = json.loads(path.read_text())
+    data["mesh"]["h"] = 0.125
+    for key, fields in change.items():
+        data[key].update(fields)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)]) == 0
+    fit = json.loads((out / "spectrum_fit.json").read_text())
+    assert fit["n_refined"] == n_refined
+
+
 def test_shipped_square_config_meshes_h_twelfth():
     path = Path(__file__).resolve().parents[1] / "configs" / "square.json"
     cfg = RunConfig.from_dict(json.loads(path.read_text()))

@@ -11,6 +11,7 @@ from platedecay.geometry import (DomainSpec, EdgeSpec, GAMMA0, GAMMA1, arc,
                                  corner_angles, find_observer_point,
                                  lens_domain, polygon_domain, segment,
                                  unit_square_domain)
+from platedecay.meshing import _boundary_polyline
 
 
 def test_unit_square_angles():
@@ -291,3 +292,70 @@ def test_zero_radius_arc_rejected():
     with pytest.raises(InvalidArgumentError) as info:
         EdgeSpec("arc", GAMMA1, center=(0, 0), radius=0.0)
     assert info.value.invariant == "arc-radius"
+
+
+def clockwise_arc_square():
+    """The unit square with its top edge bowed inward: a clockwise arc."""
+    return DomainSpec(vertices=((0, 0), (1, 0), (1, 1), (0, 1)),
+                      edges=(segment(GAMMA0), segment(GAMMA1),
+                             arc(GAMMA1, center=(0.5, 2.0),
+                                 radius=math.sqrt(1.25), ccw=False),
+                             segment(GAMMA1)))
+
+
+def polygon_one_point_at_a_time(dom, arc_points):
+    pts = []
+    for i, e in enumerate(dom.edges):
+        if e.kind == "segment":
+            pts.append(dom.edge_endpoints(i)[0])
+        else:
+            t0, dt = dom.arc_sweep(i)
+            pts += [dom.arc_point(i, th) for th in
+                    (t0 + dt * np.arange(arc_points) / arc_points).tolist()]
+    return np.array(pts)
+
+
+def polyline_one_point_at_a_time(dom, src):
+    """The boundary polyline with ``src``'s chord counts per edge."""
+    pts = []
+    for i, e in enumerate(dom.edges):
+        a, b = dom.edge_endpoints(i)
+        n_sub = int(np.count_nonzero(src == i))
+        if e.kind == "arc":
+            t0, dt = dom.arc_sweep(i)
+            pts += [a] + [dom.arc_point(i, t0 + dt * k / n_sub)
+                          for k in range(1, n_sub)]
+        else:
+            pts += [a + (b - a) * (k / n_sub) for k in range(n_sub)]
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda deg=deg: lens_domain(math.radians(deg)) for deg in (20, 45, 90)],
+    clockwise_arc_square,
+], ids=["lens-20", "lens-45", "lens-90", "clockwise"])
+def test_batched_arc_samples_have_the_bits_of_one_at_a_time(make):
+    """An array of angles gives each point and normal the bits of the
+    scalar formula c + r (cos, sin) from ``math``, and so do the polylines
+    of validation, ``bounding_box`` and the mesher."""
+    dom = make()
+    for i, e in enumerate(dom.edges):
+        if e.kind != "arc":
+            continue
+        t0, dt = dom.arc_sweep(i)
+        thetas = t0 + dt * np.arange(257) / 256
+        cos_sin = [np.array([math.cos(th), math.sin(th)])
+                   for th in thetas.tolist()]
+        sgn = 1.0 if e.ccw else -1.0
+        points = [np.asarray(e.center) + e.radius * u for u in cos_sin]
+        normals = [sgn * u for u in cos_sin]
+        assert np.array_equal(dom.arc_point(i, thetas), points)
+        assert np.array_equal(dom.arc_normal(i, thetas), normals)
+        assert np.array_equal([dom.arc_point(i, th) for th in thetas], points)
+        assert np.array_equal([dom.arc_normal(i, th) for th in thetas],
+                              normals)
+    for arc_points in (64, 256):
+        assert np.array_equal(dom.polygonize(arc_points)[0],
+                              polygon_one_point_at_a_time(dom, arc_points))
+    pts, src = _boundary_polyline(dom, 0.15)
+    assert np.array_equal(pts, polyline_one_point_at_a_time(dom, src))

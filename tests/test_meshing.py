@@ -11,8 +11,9 @@ from platedecay._polygon import (polygon_is_simple, random_convex_polygon,
 from platedecay.cli import RunConfig
 from platedecay.errors import InvalidArgumentError
 from platedecay.geometry import lens_domain, polygon_domain, unit_square_domain
-from platedecay.meshing import (Mesh, _boundary_polyline, _inside, refine,
-                                triangulate, validate_mesh, write_mesh)
+from platedecay.meshing import (EdgeTable, Mesh, _boundary_polyline, _inside,
+                                refine, triangulate, validate_mesh,
+                                write_mesh)
 
 from mesh_file import parse_mesh_file, with_parsed, written_arrays
 
@@ -307,3 +308,90 @@ def test_inside_mask_keeps_margin_from_every_side():
                   [0.95, 0.5], [0.95, 0.95], [1.5, 0.5], [0.5, 1.05]])
     assert _inside(square, q, 0.1).tolist() == [True] + [False] * 7
     assert _inside(square, q).tolist() == [True] * 6 + [False] * 2
+
+
+def inside_one_chord_at_a_time(loop, q, margin=0.0):
+    """``_inside`` by a loop over the chords, each over its band of points."""
+    order = np.argsort(q[:, 1], kind="stable")
+    x, y = q[order, 0], q[order, 1]
+    inside, near = np.zeros((2, len(q)), dtype=bool)
+    for (ax, ay), (bx, by) in zip(loop.tolist(),
+                                  np.roll(loop, -1, axis=0).tolist()):
+        band = slice(np.searchsorted(y, min(ay, by) - margin),
+                     np.searchsorted(y, max(ay, by) + margin, side="right"))
+        xb, yb, dx, dy = x[band], y[band], bx - ax, by - ay
+        s = (ay > yb) != (by > yb)
+        inside[band][s] ^= xb[s] < ax + (yb[s] - ay) * dx / dy
+        t = np.clip(((xb - ax) * dx + (yb - ay) * dy) / (dx * dx + dy * dy),
+                    0.0, 1.0)
+        near[band] |= np.hypot(xb - ax - t * dx, yb - ay - t * dy) < margin
+    keep = np.empty(len(q), dtype=bool)
+    keep[order] = inside & ~near
+    return keep
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda deg=deg, h=h: _boundary_polyline(lens_domain(math.radians(deg)),
+                                              h)[0]
+      for deg in (20, 90) for h in (0.15, 0.03)],
+    lambda: np.array(L_SHAPE, dtype=float),
+    lambda: np.array(random_convex_polygon(np.random.default_rng(3), 9)),
+], ids=["lens-20-h0.15", "lens-20-h0.03", "lens-90-h0.15", "lens-90-h0.03",
+        "l-shape", "convex"])
+@pytest.mark.parametrize("margin", [0.0, 0.02, 0.1])
+def test_inside_mask_matches_one_chord_at_a_time(make, margin):
+    """All (chord, point) pairs at once give the loop's mask, also at the
+    loop's vertices and chord midpoints and on the vertices' heights."""
+    loop = make()
+    rng = np.random.default_rng(0)
+    lo, hi = loop.min(axis=0) - 0.1, loop.max(axis=0) + 0.1
+    q = lo + (hi - lo) * rng.random((400, 2))
+    q = np.concatenate([q, loop, 0.5 * (loop + np.roll(loop, -1, axis=0)),
+                        np.stack([q[:len(loop), 0], loop[:, 1]], axis=1)])
+    assert np.array_equal(_inside(loop, q, margin),
+                          inside_one_chord_at_a_time(loop, q, margin))
+
+
+def reference_edge_table(mesh):
+    """The edge table from numpy's unique over the sorted slot rows and a
+    loop over the slots and the boundary chords."""
+    slots = mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+    edges, inverse = np.unique(np.sort(slots, axis=1), axis=0,
+                               return_inverse=True)
+    inverse = inverse.ravel()
+    owners = [[] for _ in edges]
+    for s, e in enumerate(inverse.tolist()):
+        owners[e].append(s)
+    slot = np.array([o + [-1] * (2 - len(o)) for o in owners], dtype=np.intp)
+    index = {tuple(e): k for k, e in enumerate(edges.tolist())}
+    chord, label = np.full((2, len(edges)), -1)
+    for j, (a, b) in enumerate(mesh.boundary_edges.tolist()):
+        k = index[min(a, b), max(a, b)]
+        chord[k] = j
+        label[k] = mesh.domain.edges[mesh.boundary_source[j]].label
+    return EdgeTable(edges, inverse.reshape(-1, 3), slot // 3,
+                     np.where(slot >= 0, slot % 3, -1), chord, label)
+
+
+def config_mesh(name, **mesh):
+    data = json.loads((LENS_CONFIG.parent / f"{name}.json").read_text())
+    data["mesh"].update(mesh)
+    cfg = RunConfig.from_dict(data)
+    out = triangulate(cfg.domain, cfg.mesh.h)
+    for _ in range(cfg.mesh.refinements):
+        out = refine(out)
+    return out
+
+
+@pytest.mark.parametrize("mesh", [
+    dict(name="square", h=0.125), dict(name="square", degree=3),
+    dict(name="lens"), dict(name="lens", refinements=1),
+], ids=["square-h8", "square-p3", "lens", "lens-refined"])
+def test_edge_table_matches_row_unique_reference(mesh):
+    """Every array of the edge table, value and dtype: the Delaunay lens's
+    edges keep its int32 triangles' dtype."""
+    mesh = config_mesh(**mesh)
+    for name, got, want in zip(EdgeTable._fields, mesh.edge_table,
+                               reference_edge_table(mesh)):
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
