@@ -30,12 +30,19 @@ def polygon_is_simple(points):
     return not np.any(cross & non_adjacent)
 
 
-def random_convex_polygon(rng, n_vertices, radius=1.0, center=(0.0, 0.0)):
+def unit_scaled(points):
+    """The points divided by the power of two that brings their largest
+    |coordinate| into [0.5, 1): exactly, so that the two tests above round
+    on them as at unit scale and cannot overflow, however large the loop."""
+    p = np.asarray(points, dtype=float)
+    return np.ldexp(p, -np.frexp(np.max(np.abs(p)))[1])
+
+
+def random_convex_polygon(rng, n_vertices):
     """Random convex CCW polygon: sorted angles on a jittered circle."""
     angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n_vertices))
     # enforce minimal angular separation so no edge degenerates
     while np.min(np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))) < 0.05:
         angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n_vertices))
-    r = radius * rng.uniform(0.5, 1.5)
-    pts = np.stack([r * np.cos(angles), r * np.sin(angles)], axis=1)
-    return pts + np.asarray(center, dtype=float)
+    r = rng.uniform(0.5, 1.5)
+    return np.stack([r * np.cos(angles), r * np.sin(angles)], axis=1)

@@ -360,17 +360,16 @@ def _build_system(cfg):
 def _cmd_check(cfg, out):
     mu = cfg.material.mu
     g_report = check_condition_g(cfg.domain, mu)
-    if cfg.search_box is not None:
-        box = cfg.search_box
-    else:
-        lo, hi = cfg.domain.bounding_box()
-        pad = float(np.max(hi - lo))
+    box = cfg.search_box
+    if box is None:
+        # Python floats, which overflow to inf silently (search-box)
+        lo, hi = (v.tolist() for v in cfg.domain.bounding_box())
+        pad = max(b - a for a, b in zip(lo, hi))
         box = ((lo[0] - pad, lo[1] - pad), (hi[0] + pad, hi[1] + pad))
     lp_report = find_observer_point(cfg.domain, box)
+    h_report = lp_report
     if lp_report.witness is not None:
         h_report = check_condition_h(cfg.domain, lp_report.witness[0])
-    else:
-        h_report = lp_report
     out.write_json("condition_g.json", {"report": g_report.to_dict(),
                                         "margins_unit": "radians"})
     out.write_json("observer_point.json", {"report": lp_report.to_dict(),
@@ -447,38 +446,43 @@ def _cmd_simulate(cfg, out):
     return 0
 
 
-def _spectrum_summary(lam, backward, count):
-    """The summary of the computed eigenvalues ``lam``, written by both
-    ``spectrum`` and ``resolvent``: their number, whether 0 is in the
-    resolvent set, and their largest real part.  That is the spectral
-    abscissa only when every eigenvalue was computed (``count = 'all'``);
-    the ``count`` eigenvalues nearest a shift need not include the rightmost
-    one, so it is then ``max_real_computed``.  ``n_refined`` counts the
+def _spectrum_payload(system, count, band):
+    """The ``count`` eigenvalues of ``system``, their backward errors, the
+    payload that ``spectrum`` and ``resolvent`` share, and the fit band:
+    ``band``, else ``resolved_band``, else that rule's refusal.  The payload
+    holds their number, whether 0 is in the resolvent set and their largest
+    real part: the spectral abscissa when every eigenvalue was computed
+    (``count = 'all'``), else ``max_real_computed``, as the ``count``
+    nearest a shift need not include the rightmost one; ``n_refined``, the
     values refined on the pencil (a conjugate pair once), with the largest
-    of their ``backward`` errors when there are any."""
+    of their backward errors if any; the band as ``bands.fit`` once it
+    resolves; ``branch_slope`` and ``R2.branch``, else the reason as
+    ``branch_fit_skipped``."""
+    lam, backward = pencil_eigenvalues(system, count, band=band)
     key = "spectral_abscissa" if count == "all" else "max_real_computed"
     refined = backward[np.isfinite(backward) & (lam.imag >= 0)]
-    summary = {"n_eigenvalues": len(lam), key: spectral_abscissa(lam),
+    payload = {"n_eigenvalues": len(lam), key: spectral_abscissa(lam),
                "zero_in_resolvent": zero_in_resolvent(lam),
                "n_refined": len(refined)}
     if len(refined):
-        summary["max_backward_error"] = float(refined.max())
-    return summary
+        payload["max_backward_error"] = float(refined.max())
+    try:
+        band = band or resolved_band(lam)
+        payload["bands"] = {"fit": list(band)}
+        slope, r2 = damping_branch_fit(lam, band)
+        payload.update(branch_slope=slope, R2={"branch": r2})
+    except (InsufficientDataError, InvalidArgumentError) as exc:
+        payload["branch_fit_skipped"] = str(exc)
+        if band is None:  # the band's own refusal
+            band = exc
+    return lam, backward, payload, band
 
 
 def _cmd_spectrum(cfg, out):
     system = _build_system(cfg)
     count = cfg.spectral.count
-    lam, backward = pencil_eigenvalues(system, count,
-                                       band=cfg.spectral.omega_band)
-    payload = _spectrum_summary(lam, backward, count)
-    try:
-        band = cfg.spectral.omega_band or resolved_band(lam)
-        slope, r2 = damping_branch_fit(lam, band)
-        payload.update({"branch_slope": slope, "branch_r_squared": r2,
-                        "band": list(band)})
-    except (InsufficientDataError, InvalidArgumentError) as exc:
-        payload["branch_fit_skipped"] = str(exc)
+    lam, backward, payload, _ = _spectrum_payload(system, count,
+                                                  cfg.spectral.omega_band)
     out.write_json("spectrum_fit.json", payload)  # serialized before any write
     out.write_csv("spectrum.csv", "re,im,backward_error",
                   (lam.real, lam.imag, backward))
@@ -490,21 +494,17 @@ def _cmd_spectrum(cfg, out):
 
 def _cmd_resolvent(cfg, out):
     system = _build_system(cfg)
-    lam, backward = pencil_eigenvalues(system, band=cfg.spectral.omega_band)
-    band = cfg.spectral.omega_band or resolved_band(lam)
+    lam, _, payload, band = _spectrum_payload(system, "all",
+                                              cfg.spectral.omega_band)
+    if isinstance(band, InsufficientDataError):
+        raise band  # no band for the sweep to cover
     omegas = suggest_sweep_omegas(lam, band, n_grid=cfg.spectral.points)
     sweep = resolvent_sweep(system, omegas)
     theta, r2_theta = growth_fit(sweep, band)
-    payload = {**_spectrum_summary(lam, backward, "all"), "theta_hat": theta,
-               "R2": {"theta": r2_theta}, "bands": {"fit": list(band)}}
-    try:
-        slope, r2_branch = damping_branch_fit(lam, band)
-        payload["branch_slope"] = slope
-        payload["R2"]["branch"] = r2_branch
-    except (InsufficientDataError, InvalidArgumentError) as exc:
-        payload["branch_fit_skipped"] = str(exc)
+    payload["theta_hat"] = theta
+    payload.setdefault("R2", {})["theta"] = r2_theta
+    out.write_json("fit_summary.json", payload)  # serialized before any write
     out.write_csv("sweep.csv", "omega,resolvent_norm", sweep.T)
-    out.write_json("fit_summary.json", payload)
     print(f"sweep of {len(omegas)} points; theta_hat={theta:.4g}")
     return 0
 

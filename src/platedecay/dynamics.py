@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from ._lsq import lsq_line
 from .errors import InsufficientDataError, InvalidArgumentError, SolverError
 from .geometry import GAMMA1
-from .spectral import (_dense_limited, _modal_generator,
+from .spectral import (_FREQ_FLOOR, _dense_limited, _modal_generator,
                        _spd_checked, _spd_root, _symmetric_lu, _undamped_modes)
 
 # The trace takes 40 bytes per step (five float arrays) and a CLI simulate
@@ -295,7 +295,7 @@ def eigenpacket_data(system, n_modes=6):
     omega, Phi = _undamped_modes(system.pencil)
     lam, Y = np.linalg.eig(_modal_generator(omega, Phi, system.D))
     order = np.argsort(-lam.real)  # closest to the axis first (Re < 0)
-    picked = order[lam[order].imag > 1e-9][:n_modes]
+    picked = order[lam[order].imag > _FREQ_FLOOR][:n_modes]
     if len(picked) == 0:
         raise SolverError("no oscillatory modes found for the packet",
                           invariant="eigenpacket")

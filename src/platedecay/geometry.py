@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._polygon import polygon_is_simple, signed_area
+from ._polygon import polygon_is_simple, signed_area, unit_scaled
 from .errors import InvalidArgumentError, SolverError
 
 GAMMA0 = 0  # clamped boundary portion
@@ -183,14 +183,9 @@ class DomainSpec:
     def is_straight(self):
         return all(e.kind == "segment" for e in self.edges)
 
-    def corner_labels(self, i):
-        """Labels of the incoming and outgoing edges at corner i."""
-        p = self.n_corners
-        return self.edges[(i - 1) % p].label, self.edges[i].label
-
     def corner_in_clamped_closure(self, i):
-        lin, lout = self.corner_labels(i)
-        return lin == GAMMA0 or lout == GAMMA0
+        """Whether the incoming or the outgoing edge at corner i is clamped."""
+        return GAMMA0 in (self.edges[i - 1].label, self.edges[i].label)
 
     def polygonize(self, arc_points=64):
         """Polyline approximation: (points (n,2), source edge index per chord)."""
@@ -258,8 +253,8 @@ class DomainSpec:
                     f"corner {i} touches the clamped boundary, where its "
                     "vertex dof is eliminated; its feedback gain must be 0",
                     invariant="clamped-corner-gain")
-        pts, _ = self.polygonize(64)
-        if signed_area(pts) <= 0:
+        pts = unit_scaled(self.polygonize(64)[0])
+        if not signed_area(pts) > 0:
             raise InvalidArgumentError("boundary loop must be counterclockwise",
                                        invariant="loop-orientation")
         if not polygon_is_simple(pts):
@@ -386,9 +381,7 @@ def _edge_mdotnu_extrema(domain, i, x0):
     e = domain.edges[i]
     if e.kind == "segment":
         nu = domain.segment_normal(i)
-        a, b = domain.edge_endpoints(i)
-        va = float((a - x0) @ nu)
-        vb = float((b - x0) @ nu)
+        va, vb = (float((q - x0) @ nu) for q in domain.edge_endpoints(i))
         return min(va, vb), max(va, vb)
     return _arc_mdotnu_extrema(domain, i, x0)
 
@@ -402,9 +395,7 @@ def check_condition_h(domain, x0):
     closed-form extremum of the sinusoid in the arc parameter.
     """
     x0 = np.asarray(x0, dtype=float)
-    margins = {}
-    gamma = math.inf
-    g0max = -math.inf
+    margins, gamma, g0max = {}, math.inf, -math.inf
     for i, e in enumerate(domain.edges):
         lo, hi = _edge_mdotnu_extrema(domain, i, x0)
         if e.label == GAMMA1:
@@ -413,10 +404,9 @@ def check_condition_h(domain, x0):
         else:
             margins[f"edge_{i}"] = float(-hi)
             g0max = max(g0max, float(hi))
-    satisfied = (gamma > 0.0) and (g0max <= 0.0)
     return ConditionReport(
         condition="H",
-        satisfied=bool(satisfied),
+        satisfied=bool(gamma > 0.0 and g0max <= 0.0),
         margins=margins,
         witness=((float(x0[0]), float(x0[1])),
                  gamma if math.isfinite(gamma) else 0.0),
@@ -468,8 +458,9 @@ def find_observer_point(domain, search_box):
     unsatisfied.
     """
     (xmin, ymin), (xmax, ymax) = search_box
-    if not (xmax > xmin and ymax > ymin):
-        raise InvalidArgumentError("search box is empty", invariant="search-box")
+    if not (np.all(np.isfinite(search_box)) and xmax > xmin and ymax > ymin):
+        raise InvalidArgumentError("search box must be finite and not empty",
+                                   invariant="search-box")
 
     corners = np.array([[xmin, ymin], [xmin, ymax], [xmax, ymin], [xmax, ymax]])
     lo, hi = domain.bounding_box()

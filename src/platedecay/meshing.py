@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._polygon import polygon_is_simple
+from ._polygon import polygon_is_simple, unit_scaled
 from .errors import InvalidArgumentError
 from .geometry import DomainSpec
 
@@ -285,7 +285,7 @@ def triangulate(domain, h):
     from scipy.spatial import Delaunay
 
     loop, src = _boundary_polyline(domain, h)
-    if not polygon_is_simple(loop):
+    if not polygon_is_simple(unit_scaled(loop)):
         raise InvalidArgumentError(
             "non-simple polygon after arc approximation; decrease h",
             invariant="loop-simple")

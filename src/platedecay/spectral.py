@@ -41,6 +41,7 @@ _BACKWARD_TOL = 1e-13  # backward error a refined eigenvalue must reach
 _COUPLING = 0.5  # largest coupling of a guess to a mode it leaves out
 _CLUSTER = 8  # most modes whose guesses come from one eigensolve (_guesses)
 _SWEEP_PEAKS = 60  # eigenfrequencies a resolvent sweep samples
+_FREQ_FLOOR = 1e-9  # Im above which an eigenvalue is a frequency
 
 
 def pencil_eigenvalues(system, count="all", band=None):
@@ -730,26 +731,27 @@ def _branch_reads(lam, err, band):
     return [branch[np.argmin(x)], branch[np.argmax(x)], *branch[peaks]], near
 
 
-def _sweep_peaks(lam, band, n_peaks):
-    """Indices of the ``n_peaks`` eigenvalues with Re < 0 and Im in the
+def _sweep_peaks(lam, band):
+    """Indices of the ``_SWEEP_PEAKS`` eigenvalues with Re < 0 and Im in the
     band nearest the imaginary axis, nearest first."""
     lo, hi = _band(band)
     weak = np.flatnonzero((lam.imag >= lo) & (lam.imag <= hi)
                           & (lam.real < 0))
-    return weak[np.argsort(-lam.real[weak])][:n_peaks]
+    return weak[np.argsort(-lam.real[weak])][:_SWEEP_PEAKS]
 
 
-def suggest_sweep_omegas(lam, band, n_grid=40, n_peaks=_SWEEP_PEAKS):
+def suggest_sweep_omegas(lam, band, n_grid=40):
     """Frequencies for a resolvent sweep: log grid plus eigenvalue peaks.
 
     Resolvent peaks are only a few linewidths wide, so a bare log grid
     misses them; adding the imaginary parts of the weakly damped in-band
-    eigenvalues puts sample points on the envelope itself.
+    eigenvalues (``_sweep_peaks``, as many as their read set
+    ``_sweep_reads`` settles) puts sample points on the envelope itself.
     """
     lo, hi = _band(band)
     grid = np.logspace(np.log10(lo), np.log10(hi), n_grid)
     grid[0], grid[-1] = lo, hi  # 10**log10(x) can miss x by an ulp
-    peaks = lam.imag[_sweep_peaks(lam, band, n_peaks)]
+    peaks = lam.imag[_sweep_peaks(lam, band)]
     return np.unique(np.concatenate([grid, peaks]))
 
 
@@ -758,7 +760,7 @@ def _sweep_reads(lam, err, band):
     choice), and the samples whose error is above a tenth of their distance
     to the axis, as each must sit on its resonance peak."""
     try:
-        sweep = _sweep_peaks(lam, _fit_band(lam, band), _SWEEP_PEAKS)
+        sweep = _sweep_peaks(lam, _fit_band(lam, band))
     except (InsufficientDataError, InvalidArgumentError):
         return [], False
     near = np.zeros(len(lam), dtype=bool)
@@ -768,8 +770,8 @@ def _sweep_reads(lam, err, band):
 
 def _band_ends(lam):
     """Indices of the 10th smallest and the largest eigenfrequency Im > 0
-    (to 1e-9); refused below 12 (``band-data``)."""
-    freqs = np.flatnonzero(lam.imag > 1e-9)
+    (above ``_FREQ_FLOOR``); refused below 12 (``band-data``)."""
+    freqs = np.flatnonzero(lam.imag > _FREQ_FLOOR)
     if len(freqs) < 12:
         raise InsufficientDataError("too few eigenfrequencies for a band",
                                     invariant="band-data")
@@ -792,10 +794,10 @@ def _fit_band(lam, band):
 def _band_reads(lam, err, band):
     """The fit band's: the ends of ``resolved_band`` when ``band`` is None,
     and the guesses that could cross the 10th frequency, pass the highest,
-    become a frequency (Im > 1e-9; with a band given too) or cross an end
-    of the fit band."""
+    become a frequency (``_FREQ_FLOOR``; with a band given too) or cross an
+    end of the fit band."""
     im, read = lam.imag, []
-    near = (im <= 1e-9) & (im + err > 1e-9)
+    near = (im <= _FREQ_FLOOR) & (im + err > _FREQ_FLOOR)
     try:
         if band is None:
             lo, hi = read = list(_band_ends(lam))

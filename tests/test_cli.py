@@ -640,6 +640,10 @@ def test_config_structure_named(tmp_path, capsys, path, value, invariant):
                   (("dump_matrices",), True)], "window-start"),
     ("check", [(("check",), {"search_box": [[1, 1], [0, 0]]})],
      "search-box"),
+    # no check.search_box: the default box, padded by the side, overflows
+    ("check", [(("domain", "vertices"),
+                [[0, 0], [1e308, 0], [1e308, 1e308], [0, 1e308]])],
+     "search-box"),
 ])
 def test_failed_command_writes_nothing(tmp_path, capsys, command, changes,
                                        invariant):
@@ -850,7 +854,9 @@ def test_output_path_that_is_a_file_named(tmp_path, capsys):
     assert out.read_text() == "not a directory"
 
 
-def test_spectrum_refused_fit_writes_nothing(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["spectrum", "resolvent"])
+def test_refused_fit_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    # the JSON artifact is serialized before any file is written
     import platedecay.cli as cli
 
     real = cli.pencil_eigenvalues
@@ -862,7 +868,7 @@ def test_spectrum_refused_fit_writes_nothing(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "pencil_eigenvalues", nan_real_part)
     out = tmp_path / "out"
-    assert main(["spectrum", "--config", write_cfg(tmp_path, SQUARE_CFG),
+    assert main([command, "--config", write_cfg(tmp_path, SQUARE_CFG),
                  "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["invariant"] == "artifact-finite"
@@ -879,6 +885,31 @@ def test_resolvent_without_band_exits_3(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["invariant"] == "band-data" and err["exit_code"] == 3
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, h", [("square.json", 0.125),
+                                     ("lens.json", None)],
+                         ids=["square-h8", "lens"])
+def test_spectrum_and_resolvent_share_payload(tmp_path, name, h):
+    # spectrum_fit.json and fit_summary.json write the shared numbers under
+    # one layout, bit for bit
+    path = Path(__file__).resolve().parents[1] / "configs" / name
+    data = json.loads(path.read_text())
+    if h is not None:
+        data["mesh"]["h"] = h
+    cfg_path = write_cfg(tmp_path, data)
+    payloads = []
+    for command, artifact in (("spectrum", "spectrum_fit.json"),
+                              ("resolvent", "fit_summary.json")):
+        out = tmp_path / command
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        payloads.append(json.loads((out / artifact).read_text()))
+    spectrum, resolvent = payloads
+    for key in ("n_eigenvalues", "spectral_abscissa", "zero_in_resolvent",
+                "n_refined", "max_backward_error", "bands", "branch_slope"):
+        assert spectrum[key] == resolvent[key], key
+    assert spectrum["R2"] == {"branch": resolvent["R2"]["branch"]}
+    assert set(resolvent) - set(spectrum) == {"theta_hat"}
 
 
 def test_default_window_ends_at_the_last_step(tmp_path):

@@ -273,6 +273,28 @@ def test_self_intersecting_loop_rejected():
     assert info.value.invariant == "loop-simple"
 
 
+def loop_verdict(vertices):
+    """The invariant a straight loop with one clamped edge breaks, or None."""
+    try:
+        polygon_domain(vertices, gamma0_edges={0})
+    except InvalidArgumentError as exc:
+        return exc.invariant
+    return None
+
+
+def test_loop_verdicts_hold_at_any_scale():
+    # products of coordinates near 1e200 overflow to NaN, which neither
+    # check would refuse; both read the polyline scaled by a power of two,
+    # so each loop keeps its unit-scale verdict
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for _ in range(300):
+        loop = rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 8)), 2))
+        verdicts.append(loop_verdict(loop))
+        assert loop_verdict(loop * 1e200) == verdicts[-1]
+    assert set(verdicts) == {None, "loop-orientation", "loop-simple"}
+
+
 def test_degenerate_edge_rejected():
     with pytest.raises(InvalidArgumentError) as info:
         polygon_domain([(0, 0), (0, 0), (1, 1)], gamma0_edges={0})

@@ -173,8 +173,8 @@ def test_certified_numbers_read_refined_values_only(case):
     order = np.lexsort((lam.real, lam.imag))
     lam, err = lam[order], err[order]
     band = resolved_band(lam) if band is None else band
-    peaks = np.setdiff1d(suggest_sweep_omegas(lam, band),
-                         suggest_sweep_omegas(lam, band, n_peaks=0))
+    peaks = lam.imag[spectral._sweep_peaks(lam, band)]
+    assert np.all(np.isin(peaks, suggest_sweep_omegas(lam, band)))
     sampled = np.isin(lam.imag, peaks)
     assert np.count_nonzero(sampled) == len(peaks) > 0
     assert np.all(err[sampled] <= -0.1 * lam.real[sampled])
@@ -906,7 +906,8 @@ def test_resolved_band_rule():
 def test_suggest_sweep_omegas_includes_peaks():
     lam, _ = pencil_eigenvalues(build(h=0.5))
     band = resolved_band(lam)
-    omegas = suggest_sweep_omegas(lam, band, n_grid=20, n_peaks=10)
+    omegas = suggest_sweep_omegas(lam, band, n_grid=20)
+    assert np.all(np.isin(lam.imag[spectral._sweep_peaks(lam, band)], omegas))
     in_band = lam[(lam.imag >= band[0]) & (lam.imag <= band[1])]
     weak = in_band[np.argmax(in_band.real)]
     assert np.min(np.abs(omegas - weak.imag)) < 1e-12
