@@ -192,6 +192,11 @@ def test_spectrum_count_mode_names_partial_maximum(tmp_path, capsys):
     assert "spectral_abscissa" not in payloads[40]
     assert "max_real_computed" not in payloads["all"]
     assert partial < 100.0 * abscissa < 0.0
+    for count in (40, 6):
+        assert payloads[count]["n_eigenvalues"] == count
+        assert payloads[count]["max_real_computed"] < 0.0
+    assert len(payloads["all"]["bands"]["fit"]) == 2
+    assert math.isfinite(payloads["all"]["R2"]["branch"])
     assert "spectral abscissa" in printed["all"]
     assert "largest computed real part" in printed[40]
     assert "abscissa" not in printed[40]

@@ -111,18 +111,6 @@ def test_step_count_refused_before_allocating(T):
     assert info.value.invariant == "sim-steps"
 
 
-def test_step_needs_no_extended_precision(monkeypatch):
-    # criterion 4's control with long double made plain double, as it is on
-    # MSVC and macOS arm64 builds
-    monkeypatch.setattr(np, "longdouble", np.float64)
-    system = build(UNDAMPED, h=1.0 / 12.0, gains=[0, 0, 0, 0])
-    u0, v0 = boundary_bump_data(system)
-    trace = simulate(system, u0, v0, dt=1e-3, T=10.0)
-    assert len(trace) - 1 == 10_000
-    drift = np.max(np.abs(trace.energy - trace.energy[0])) / trace.energy[0]
-    assert drift <= 1e-11
-
-
 @pytest.mark.parametrize("mat, gains", [(DAMPED, None),
                                         (UNDAMPED, [0, 0, 0, 0])])
 def test_energy_matches_tracked_state(mat, gains):

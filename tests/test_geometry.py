@@ -67,11 +67,6 @@ def test_condition_g_square_fails_at_default_threshold():
     assert all(m < 0 for m in report.margins.values())
 
 
-def test_condition_g_lens_30deg():
-    report = check_condition_g(lens_domain(math.radians(30)), 0.3)
-    assert report.satisfied
-
-
 def test_condition_g_missing_threshold():
     with pytest.raises(InvalidArgumentError) as info:
         check_condition_g(unit_square_domain(), 0.25)
@@ -236,12 +231,6 @@ def test_gamma0_must_be_nonempty():
     with pytest.raises(InvalidArgumentError) as info:
         polygon_domain([(0, 0), (1, 0), (0, 1)], gamma0_edges=set())
     assert info.value.invariant == "gamma0-nonempty"
-
-
-def test_clamped_interior_corner_gain_rejected():
-    with pytest.raises(InvalidArgumentError) as info:
-        unit_square_domain(gamma0_edges=(0, 3), corner_gains=(1.0, 0, 0, 0))
-    assert info.value.invariant == "clamped-corner-gain"
 
 
 def test_mixed_corner_gain_refused_at_domain_level():

@@ -50,12 +50,6 @@ def test_undamped_spectrum_purely_imaginary():
     assert np.allclose(freqs, np.sqrt(w2), rtol=1e-7)
 
 
-def test_damped_spectrum_strictly_stable():
-    lam, _ = pencil_eigenvalues(build())
-    assert np.max(lam.real) < 0
-    assert np.min(np.abs(lam)) > 0
-
-
 def test_spectrum_conjugate_symmetric():
     lam, _ = pencil_eigenvalues(build())
     lam_sorted = lam[np.lexsort((lam.real, lam.imag))]
